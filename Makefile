@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-load bench-compare fuzz-smoke
+.PHONY: build test race hostbench-test loc bench bench-load bench-compare fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,20 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Vet and test the host-time benchmark. hostbench/ is its own module
+# (replace archos => ../), so `go build ./...` here never compiles it:
+# an API change in wire or fsserver could break the benchmark unseen.
+hostbench-test:
+	cd hostbench && $(GO) vet . && $(GO) test .
+
+# Non-test Go lines per package of the main module, then the total —
+# the size ROADMAP tracks. hostbench/ is its own module and not counted.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './hostbench/*' -exec dirname {} + | sort -u | \
+	while read -r d; do \
+		printf '%6d  %s\n' "$$(find "$$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" "$$d"; \
+	done | awk '{ print; total += $$1 } END { printf "%6d  total\n", total }'
 
 # Regenerate the committed RPC hot-path benchmark trajectory. Run this
 # (and commit the result) whenever a change legitimately moves the hot

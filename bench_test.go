@@ -391,11 +391,16 @@ func BenchmarkWireRPC(b *testing.B) {
 	link := wire.NewLink(ipc.Ethernet10)
 	client := wire.NewClient(link, wire.A)
 	server := wire.NewServer(link, wire.B)
-	server.Register(1, func(args []interface{}) ([]interface{}, error) { return args, nil })
+	server.RegisterRaw(1, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
+		rep.Bytes(a.Bytes())
+		return a.Err()
+	})
 	payload := make([]byte, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Call(server, 1, payload); err != nil {
+		w := client.NewCallArgs()
+		w.Bytes(payload)
+		if _, err := client.CallRaw(server, 1, w); err != nil {
 			b.Fatal(err)
 		}
 	}

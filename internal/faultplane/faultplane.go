@@ -1,6 +1,7 @@
-// Package faultplane is a seeded, probabilistic fault model for the
-// ipc/wire transport: the randomized counterpart of wire.Link's
-// deterministic per-frame hooks. The paper's RPC numbers (Table 3) come
+// Package faultplane is the fault model of the ipc/wire transport:
+// seeded, probabilistic Planes for soaks and a deterministic per-frame
+// Script for surgical tests, both behind the one Injector interface a
+// wire.Link consumes. The paper's RPC numbers (Table 3) come
 // from a real transport — SRC RPC on the Firefly over Ethernet — whose
 // acknowledgement, checksum, and retransmission machinery exists
 // precisely because Ethernets lose, duplicate, reorder, and delay
@@ -140,7 +141,7 @@ type Counts struct {
 	DelayMicros float64
 }
 
-// Injector is the interface wire.Link consumes; Plane implements it.
+// Injector is the interface wire.Link consumes; Plane and Script implement it.
 type Injector interface {
 	Decide(seq, frameBytes int) Decision
 }

@@ -168,7 +168,9 @@ func TestDecomposedWriteSurvivesDroppedReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	link.DropFrame(4) // the Write reply
+	faults := &faultplane.Script{}
+	faults.Drop(4) // the Write reply
+	link.SetFaultPlane(faults)
 	if _, err := remote.Write(fd, []byte("exactly-once")); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +202,9 @@ func TestDecomposedWriteSurvivesCorruptCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	link.CorruptFrame(3) // the Write call
+	faults := &faultplane.Script{}
+	faults.Corrupt(3) // the Write call
+	link.SetFaultPlane(faults)
 	if _, err := remote.Write(fd, []byte("checksummed")); err != nil {
 		t.Fatal(err)
 	}

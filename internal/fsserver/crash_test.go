@@ -198,12 +198,9 @@ func TestPreApplyCrashReplaysLoggedOp(t *testing.T) {
 // (call IDs are sequential per client) and pumps the server once.
 func resendLastWrite(t *testing.T, r *Remote, callID uint32, fd int, payload []byte) {
 	t.Helper()
-	body, err := wire.Marshal(int64(fd), payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := wire.AppendBytes(wire.AppendInt64(nil, int64(fd)), payload)
 	frame, err := wire.Encode(wire.Header{
-		Kind: wire.KindCall, CallID: callID, ProcID: ProcWrite, ClientID: r.client.ClientID,
+		Kind: wire.KindCall, CallID: callID, ProcID: ProcWrite, ClientID: r.fo.ClientID(),
 	}, body)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +213,7 @@ func resendLastWrite(t *testing.T, r *Remote, callID uint32, fd int, payload []b
 // callID sits in r's receive queue, carrying the expected epoch.
 func expectReplayedReply(t *testing.T, r *Remote, callID, wantEpoch uint32) {
 	t.Helper()
-	frame, err := r.link.RecvClient(wire.A, r.client.ClientID)
+	frame, err := r.link.RecvClient(wire.A, r.fo.ClientID())
 	if err != nil {
 		t.Fatalf("no reply queued for the retransmitted call: %v", err)
 	}

@@ -282,20 +282,32 @@ func (s *Server) logApply(h wire.Header, r fs.Record) (fs.ApplyResult, error) {
 	return res, err
 }
 
-// resultsFor shapes an ApplyResult into the wire results the live
-// handler for op would have returned — the regeneration half of
-// answering a retransmission from the log.
-func resultsFor(op fs.OpCode, res fs.ApplyResult) []interface{} {
+// resultWriter receives a logged op's results: the live handler's
+// reply builder, or the frame replayFor regenerates.
+type resultWriter interface {
+	Int64(v int64)
+	Bytes(b []byte)
+}
+
+// writeResults appends the wire results of a logged op — the one place
+// the per-op reply shape is decided, so a reply regenerated from the
+// log is byte-identical to the live one it stands in for.
+func writeResults(w resultWriter, op fs.OpCode, res fs.ApplyResult) {
 	switch op {
 	case fs.OpOpen, fs.OpCreate:
-		return []interface{}{int64(res.FD)}
+		w.Int64(int64(res.FD))
 	case fs.OpRead:
-		return []interface{}{res.Data}
+		w.Bytes(res.Data)
 	case fs.OpWrite:
-		return []interface{}{int64(res.N)}
+		w.Int64(int64(res.N))
 	}
-	return nil
 }
+
+// frameWriter is the resultWriter over a frame under construction.
+type frameWriter struct{ frame []byte }
+
+func (f *frameWriter) Int64(v int64)  { f.frame = wire.AppendInt64(f.frame, v) }
+func (f *frameWriter) Bytes(b []byte) { f.frame = wire.AppendBytes(f.frame, b) }
 
 // procForOp echoes the procedure number into regenerated reply headers.
 var procForOp = map[fs.OpCode]uint32{
@@ -320,25 +332,22 @@ func (s *Server) replayFor(clientID uint32) (uint32, []byte, bool) {
 	if !ok {
 		return 0, nil, false
 	}
-	var results []interface{}
+	w := frameWriter{frame: wire.BeginFrame(nil)}
 	if sess.Err != "" {
-		results = []interface{}{false, sess.Err}
+		w.frame = wire.AppendString(wire.AppendBool(w.frame, false), sess.Err)
 	} else {
-		results = append([]interface{}{true}, resultsFor(sess.Op, sess.Result)...)
+		w.frame = wire.AppendBool(w.frame, true)
+		writeResults(&w, sess.Op, sess.Result)
 	}
-	body, err := wire.Marshal(results...)
-	if err != nil {
-		return sess.Call, nil, true // suppress the duplicate; no reply to give
-	}
-	frame, err := wire.Encode(wire.Header{
+	frame, err := wire.FinishFrame(w.frame, wire.Header{
 		Kind:     wire.KindReply,
 		CallID:   sess.Call,
 		ProcID:   procForOp[sess.Op],
 		ClientID: sess.Client,
 		Epoch:    s.Wire.Epoch(),
-	}, body)
+	})
 	if err != nil {
-		return sess.Call, nil, true
+		return sess.Call, nil, true // suppress the duplicate; no reply to give
 	}
 	return sess.Call, frame, true
 }
@@ -373,92 +382,30 @@ func (s *Server) recoverNow() {
 	rec.Observe("server.recovery", micros)
 }
 
-// register binds the file service through the raw handler path — the
-// stubs a compiler would emit, reading arguments with a typed cursor
-// and building replies in place. Mutating procedures go through the
-// WAL discipline (logApply); Stat and ReadDir are idempotent queries —
-// re-executing them after a crash is harmless, so they bypass the log.
-// Every handler checks the cursor before logApply: a mutation must
-// never be logged off a malformed argument stream. Handlers read s.FS
+// register binds the file service's handlers — the stubs a compiler
+// would emit, reading arguments with a typed cursor and building
+// replies in place. Mutating procedures go through the WAL discipline
+// (logged); Stat and ReadDir are idempotent queries — re-executing them
+// after a crash is harmless, so they bypass the log. Handlers read s.FS
 // dynamically (never capture the pointer): recovery swaps in the
 // rebuilt file system under s.mu.
 func (s *Server) register() {
-	s.Wire.RegisterRaw(ProcOpen, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
-		path := a.String()
-		if err := a.Err(); err != nil {
-			return err
-		}
-		res, err := s.logApply(h, fs.Record{Op: fs.OpOpen, Path: path})
-		if err != nil {
-			return err
-		}
-		rep.Int64(int64(res.FD))
-		return nil
-	})
-	s.Wire.RegisterRaw(ProcCreate, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
-		path := a.String()
-		if err := a.Err(); err != nil {
-			return err
-		}
-		res, err := s.logApply(h, fs.Record{Op: fs.OpCreate, Path: path})
-		if err != nil {
-			return err
-		}
-		rep.Int64(int64(res.FD))
-		return nil
-	})
-	s.Wire.RegisterRaw(ProcClose, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
+	s.logged(ProcOpen, func(a *wire.Args) fs.Record { return fs.Record{Op: fs.OpOpen, Path: a.String()} })
+	s.logged(ProcCreate, func(a *wire.Args) fs.Record { return fs.Record{Op: fs.OpCreate, Path: a.String()} })
+	s.logged(ProcClose, func(a *wire.Args) fs.Record { return fs.Record{Op: fs.OpClose, FD: int(a.Int64())} })
+	s.logged(ProcRead, func(a *wire.Args) fs.Record {
 		fd := a.Int64()
-		if err := a.Err(); err != nil {
-			return err
-		}
-		_, err := s.logApply(h, fs.Record{Op: fs.OpClose, FD: int(fd)})
-		return err
+		return fs.Record{Op: fs.OpRead, FD: int(fd), N: int(a.Int64())}
 	})
-	s.Wire.RegisterRaw(ProcRead, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
-		fd, n := a.Int64(), a.Int64()
-		if err := a.Err(); err != nil {
-			return err
-		}
-		res, err := s.logApply(h, fs.Record{Op: fs.OpRead, FD: int(fd), N: int(n)})
-		if err != nil {
-			return err
-		}
-		rep.Bytes(res.Data)
-		return nil
-	})
-	s.Wire.RegisterRaw(ProcWrite, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
+	s.logged(ProcWrite, func(a *wire.Args) fs.Record {
 		fd := a.Int64()
-		// The cursor's view expires when this handler returns, but the
+		// The cursor's view expires when the handler returns, but the
 		// WAL retains the record as stable storage — copy the payload
 		// out of the call frame before logging it.
-		data := append([]byte(nil), a.Bytes()...)
-		if err := a.Err(); err != nil {
-			return err
-		}
-		res, err := s.logApply(h, fs.Record{Op: fs.OpWrite, FD: int(fd), Data: data})
-		if err != nil {
-			return err
-		}
-		rep.Int64(int64(res.N))
-		return nil
+		return fs.Record{Op: fs.OpWrite, FD: int(fd), Data: append([]byte(nil), a.Bytes()...)}
 	})
-	s.Wire.RegisterRaw(ProcMkdir, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
-		path := a.String()
-		if err := a.Err(); err != nil {
-			return err
-		}
-		_, err := s.logApply(h, fs.Record{Op: fs.OpMkdir, Path: path})
-		return err
-	})
-	s.Wire.RegisterRaw(ProcUnlink, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
-		path := a.String()
-		if err := a.Err(); err != nil {
-			return err
-		}
-		_, err := s.logApply(h, fs.Record{Op: fs.OpUnlink, Path: path})
-		return err
-	})
+	s.logged(ProcMkdir, func(a *wire.Args) fs.Record { return fs.Record{Op: fs.OpMkdir, Path: a.String()} })
+	s.logged(ProcUnlink, func(a *wire.Args) fs.Record { return fs.Record{Op: fs.OpUnlink, Path: a.String()} })
 	s.Wire.RegisterRaw(ProcStat, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
 		path := a.String()
 		if err := a.Err(); err != nil {
@@ -495,22 +442,45 @@ func (s *Server) register() {
 	})
 }
 
+// logged binds a mutating procedure: decode reads the call's arguments
+// into the op's log record, which goes through logApply; the reply is
+// the op's results (writeResults). The cursor is checked before
+// logApply — a mutation must never be logged off a malformed argument
+// stream.
+func (s *Server) logged(proc uint32, decode func(a *wire.Args) fs.Record) {
+	s.Wire.RegisterRaw(proc, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
+		r := decode(a)
+		if err := a.Err(); err != nil {
+			return err
+		}
+		res, err := s.logApply(h, r)
+		if err != nil {
+			return err
+		}
+		writeResults(rep, r.Op, res)
+		return nil
+	})
+}
+
 // Remote is the decomposed arrangement's client: every operation is an
-// RPC to the user-level server. A Remote built by Cluster.NewClient
-// spans a replica set instead of a single server: calls go through a
-// failover client that retries against a promoted backup when the
-// primary is permanently gone.
+// RPC to the user-level server, placed through one wire.FailoverClient.
+// A Remote built by NewRemote, NewRemoteOnLink or NewPeer spans one
+// endpoint; one built by Cluster.NewClient spans the replica set, and
+// its calls fail over to a promoted backup when the primary is
+// permanently gone. Both place every op on the same call path.
 type Remote struct {
-	client *wire.Client
-	server *Server
-	link   *wire.Link
+	fo     *wire.FailoverClient
+	server *Server    // endpoint 0's server: the single server, or the cluster's original primary
+	link   *wire.Link // endpoint 0's link, whose clock times every op
 	cm     *kernel.CostModel
 
-	// Replicated mode (nil for the single-server arrangement): fo is
-	// the multi-endpoint wire caller, cluster the control plane behind
-	// its failover decisions.
-	fo      *wire.FailoverClient
+	// cluster is the control plane behind the failover decisions; nil
+	// for the single-server arrangement.
 	cluster *Cluster
+
+	// class is LatencyClass, formatted once so observing an op costs no
+	// allocation.
+	class string
 
 	// rec, when non-nil, receives per-operation latency observations
 	// (classes "fsserver.op" and this client's LatencyClass). The wire
@@ -523,6 +493,18 @@ type Remote struct {
 	br *breaker
 
 	stats Stats
+}
+
+// newRemote wraps fo, whose endpoint 0 is server on link, as a Remote.
+func newRemote(fo *wire.FailoverClient, server *Server, link *wire.Link, cm *kernel.CostModel, c *Cluster) *Remote {
+	return &Remote{
+		fo:      fo,
+		server:  server,
+		link:    link,
+		cm:      cm,
+		cluster: c,
+		class:   fmt.Sprintf("fsserver.op.c%02d", fo.ClientID()),
+	}
 }
 
 // NewRemote builds the decomposed arrangement: a server on one end of a
@@ -543,38 +525,22 @@ func NewRemote(fsys *fs.FS, cm *kernel.CostModel) *Remote {
 func NewRemoteOnLink(fsys *fs.FS, cm *kernel.CostModel, link *wire.Link) *Remote {
 	client := wire.NewClient(link, wire.A)
 	client.MaxRetries = 32
-	return &Remote{
-		client: client,
-		server: NewServer(fsys, link, wire.B),
-		link:   link,
-		cm:     cm,
-	}
+	server := NewServer(fsys, link, wire.B)
+	fo := wire.NewFailoverClient([]*wire.Client{client}, []*wire.Server{server.Wire})
+	return newRemote(fo, server, link, cm, nil)
 }
 
 // NewPeer attaches another concurrent client to the same decomposed
-// service: a fresh wire client (its own ClientID, receive queue, and
-// retransmission state) sharing this Remote's link, server, and cost
-// model, with the same tuning. Each Remote must be driven by one
-// goroutine; any number of peers may issue operations concurrently —
-// the wire server's sharded reply cache keeps every caller in the
-// at-most-once window.
+// service: a fresh caller (its own ClientID, receive queues, and
+// retransmission state) over this Remote's endpoints, sharing its
+// server(s), cost model, recorder and tuning. Each Remote must be
+// driven by one goroutine; any number of peers may issue operations
+// concurrently — the wire server's sharded reply cache keeps every
+// caller in the at-most-once window.
 func (r *Remote) NewPeer() *Remote {
-	if r.cluster != nil {
-		peer := r.cluster.NewClient()
-		peer.fo.Tune(r.client.MaxRetries, r.client.DeadlineMicros)
-		peer.rec = r.rec
-		return peer
-	}
-	client := wire.NewClient(r.link, wire.A)
-	client.MaxRetries = r.client.MaxRetries
-	client.DeadlineMicros = r.client.DeadlineMicros
-	return &Remote{
-		client: client,
-		server: r.server,
-		link:   r.link,
-		cm:     r.cm,
-		rec:    r.rec,
-	}
+	peer := newRemote(r.fo.Peer(), r.server, r.link, r.cm, r.cluster)
+	peer.rec = r.rec
+	return peer
 }
 
 // SetRecorder attaches an observability recorder to this Remote's
@@ -596,21 +562,14 @@ func (r *Remote) SetRecorder(rec *obs.Recorder) {
 // latencies are observed under — one class per wire client, so a
 // many-client experiment reads per-client percentiles out of one
 // recorder.
-func (r *Remote) LatencyClass() string {
-	return fmt.Sprintf("fsserver.op.c%02d", r.client.ClientID)
-}
+func (r *Remote) LatencyClass() string { return r.class }
 
 // Tune adjusts the transport budget of the decomposed arrangement: the
 // retransmission bound and the per-call virtual-time deadline (0 keeps
 // calls unbounded). A call that exhausts either budget surfaces as
 // ErrUnavailable rather than wedging the caller.
 func (r *Remote) Tune(maxRetries int, deadlineMicros float64) {
-	if r.fo != nil {
-		r.fo.Tune(maxRetries, deadlineMicros)
-		return
-	}
-	r.client.MaxRetries = maxRetries
-	r.client.DeadlineMicros = deadlineMicros
+	r.fo.Tune(maxRetries, deadlineMicros)
 }
 
 // SetExpiry installs this client's absolute virtual-time deadline (µs,
@@ -618,24 +577,12 @@ func (r *Remote) Tune(maxRetries int, deadlineMicros float64) {
 // deadline-aware shedding, and enforced locally before every
 // (re)transmission. Callers running against a per-op SLA re-stamp it
 // before each op.
-func (r *Remote) SetExpiry(micros float64) {
-	if r.fo != nil {
-		r.fo.SetExpiry(micros)
-		return
-	}
-	r.client.Expiry = micros
-}
+func (r *Remote) SetExpiry(micros float64) { r.fo.SetExpiry(micros) }
 
 // SetBudget installs the retry budget retransmissions are paid from
 // (nil clears). Peers may share one budget — the per-process
 // formulation that stops N clients amplifying an overloaded server.
-func (r *Remote) SetBudget(b *wire.RetryBudget) {
-	if r.fo != nil {
-		r.fo.SetBudget(b)
-		return
-	}
-	r.client.Budget = b
-}
+func (r *Remote) SetBudget(b *wire.RetryBudget) { r.fo.SetBudget(b) }
 
 // EnableBreaker arms the overload circuit breaker: threshold
 // consecutive ErrOverloaded answers open it, and while open every op
@@ -648,7 +595,7 @@ func (r *Remote) EnableBreaker(threshold int, cooldownMicros float64) {
 		r.br = nil
 		return
 	}
-	r.br = newBreaker(threshold, cooldownMicros, r.client.ClientID)
+	r.br = newBreaker(threshold, cooldownMicros, r.fo.ClientID())
 	r.br.setRecorder(r.rec)
 }
 
@@ -719,9 +666,14 @@ func (r *Remote) mapCallError(err error) error {
 	return fmt.Errorf("%w: %v", ErrUnavailable, err)
 }
 
-func (r *Remote) call(proc uint32, args ...interface{}) ([]interface{}, error) {
+// callRaw drives one operation through the call path. Each op is
+// charged 2 syscalls + 2 address-space switches plus its wire time on
+// the virtual clock, and its failure is folded into the service error
+// taxonomy (mapCallError).
+func (r *Remote) callRaw(proc uint32, w *wire.CallArgs) (wire.Args, error) {
 	if r.breakerFastFail() {
-		return nil, ErrDegraded
+		w.Abandon()
+		return wire.Args{}, ErrDegraded
 	}
 	if r.cluster != nil {
 		// The replicated call path doubles as the cluster's heartbeat:
@@ -738,55 +690,13 @@ func (r *Remote) call(proc uint32, args ...interface{}) ([]interface{}, error) {
 	opMicros := 2*r.cm.SyscallMicros() + 2*r.cm.AddressSpaceSwitchMicros()
 	r.stats.VirtualMicros += opMicros
 	before := r.link.Clock()
-	var out []interface{}
-	var err error
-	if r.fo != nil {
-		out, err = r.fo.Call(proc, args...)
-	} else {
-		out, err = r.client.Call(r.server.Wire, proc, args...)
-	}
+	res, err := r.fo.CallRaw(proc, w)
 	r.stats.WireMicros += r.link.Clock() - before
 	r.stats.VirtualMicros += r.link.Clock() - before
 	if r.rec.Enabled() && err == nil {
 		opMicros += r.link.Clock() - before
 		r.rec.Observe("fsserver.op", opMicros)
-		r.rec.Observe(r.LatencyClass(), opMicros)
-	}
-	if err != nil {
-		return nil, r.mapCallError(err)
-	}
-	if r.br != nil {
-		r.br.onAlive()
-	}
-	return out, nil
-}
-
-// callRaw drives one operation through the pooled raw call path — the
-// decomposed arrangement's hot path against a single server. The
-// accounting (2 syscalls + 2 address-space switches, wire time on the
-// virtual clock) and the error contract are identical to call; only the
-// marshalling changes, from boxed []interface{} to in-place frames.
-// The replicated arrangement (r.fo != nil) keeps the boxed path: the
-// failover client owns retry routing across endpoints, and the two
-// generations share one wire format, so the server side serves both.
-func (r *Remote) callRaw(proc uint32, w *wire.CallArgs) (wire.Args, error) {
-	if r.breakerFastFail() {
-		w.Abandon()
-		return wire.Args{}, ErrDegraded
-	}
-	r.stats.Ops++
-	r.stats.Syscalls += 2
-	r.stats.ASSwitches += 2
-	opMicros := 2*r.cm.SyscallMicros() + 2*r.cm.AddressSpaceSwitchMicros()
-	r.stats.VirtualMicros += opMicros
-	before := r.link.Clock()
-	res, err := r.client.CallRaw(r.server.Wire, proc, w)
-	r.stats.WireMicros += r.link.Clock() - before
-	r.stats.VirtualMicros += r.link.Clock() - before
-	if r.rec.Enabled() && err == nil {
-		opMicros += r.link.Clock() - before
-		r.rec.Observe("fsserver.op", opMicros)
-		r.rec.Observe(r.LatencyClass(), opMicros)
+		r.rec.Observe(r.class, opMicros)
 	}
 	if err != nil {
 		return wire.Args{}, r.mapCallError(err)
@@ -799,7 +709,7 @@ func (r *Remote) callRaw(proc uint32, w *wire.CallArgs) (wire.Args, error) {
 
 // resultFault folds a poisoned result cursor — a reply whose shape the
 // stub could not decode — into the transport-failure contract: one
-// typed ErrUnavailable, one degraded-op count, same as call.
+// typed ErrUnavailable, one degraded-op count.
 func (r *Remote) resultFault(res *wire.Args) error {
 	if err := res.Err(); err != nil {
 		r.stats.DegradedOps++
@@ -808,17 +718,15 @@ func (r *Remote) resultFault(res *wire.Args) error {
 	return nil
 }
 
-func (r *Remote) Open(path string) (int, error) {
-	if r.fo != nil {
-		out, err := r.call(ProcOpen, path)
-		if err != nil {
-			return -1, err
-		}
-		return int(out[0].(int64)), nil
-	}
-	w := r.client.NewCallArgs()
+// pathCall places proc with a single path argument.
+func (r *Remote) pathCall(proc uint32, path string) (wire.Args, error) {
+	w := r.fo.NewCallArgs()
 	w.String(path)
-	res, err := r.callRaw(ProcOpen, w)
+	return r.callRaw(proc, w)
+}
+
+// fdResult decodes the file-descriptor result of Open and Create.
+func (r *Remote) fdResult(res wire.Args, err error) (int, error) {
 	if err != nil {
 		return -1, err
 	}
@@ -829,52 +737,27 @@ func (r *Remote) Open(path string) (int, error) {
 	return fd, nil
 }
 
-func (r *Remote) Create(path string) (int, error) {
-	if r.fo != nil {
-		out, err := r.call(ProcCreate, path)
-		if err != nil {
-			return -1, err
-		}
-		return int(out[0].(int64)), nil
-	}
-	w := r.client.NewCallArgs()
-	w.String(path)
-	res, err := r.callRaw(ProcCreate, w)
-	if err != nil {
-		return -1, err
-	}
-	fd := int(res.Int64())
-	if err := r.resultFault(&res); err != nil {
-		return -1, err
-	}
-	return fd, nil
-}
-
-func (r *Remote) Close(fd int) error {
-	if r.fo != nil {
-		_, err := r.call(ProcClose, int64(fd))
-		return err
-	}
-	w := r.client.NewCallArgs()
-	w.Int64(int64(fd))
-	res, err := r.callRaw(ProcClose, w)
+// noResult concludes an op whose reply carries no results.
+func (r *Remote) noResult(res wire.Args, err error) error {
 	if err != nil {
 		return err
 	}
 	return r.resultFault(&res)
 }
 
+func (r *Remote) Open(path string) (int, error)   { return r.fdResult(r.pathCall(ProcOpen, path)) }
+func (r *Remote) Create(path string) (int, error) { return r.fdResult(r.pathCall(ProcCreate, path)) }
+func (r *Remote) Mkdir(path string) error         { return r.noResult(r.pathCall(ProcMkdir, path)) }
+func (r *Remote) Unlink(path string) error        { return r.noResult(r.pathCall(ProcUnlink, path)) }
+
+func (r *Remote) Close(fd int) error {
+	w := r.fo.NewCallArgs()
+	w.Int64(int64(fd))
+	return r.noResult(r.callRaw(ProcClose, w))
+}
+
 func (r *Remote) Read(fd, n int) ([]byte, error) {
-	if r.fo != nil {
-		out, err := r.call(ProcRead, int64(fd), int64(n))
-		if err != nil {
-			return nil, err
-		}
-		data := out[0].([]byte)
-		r.stats.PayloadBytes += int64(len(data))
-		return data, nil
-	}
-	w := r.client.NewCallArgs()
+	w := r.fo.NewCallArgs()
 	w.Int64(int64(fd))
 	w.Int64(int64(n))
 	res, err := r.callRaw(ProcRead, w)
@@ -894,14 +777,7 @@ func (r *Remote) Read(fd, n int) ([]byte, error) {
 
 func (r *Remote) Write(fd int, data []byte) (int, error) {
 	r.stats.PayloadBytes += int64(len(data))
-	if r.fo != nil {
-		out, err := r.call(ProcWrite, int64(fd), data)
-		if err != nil {
-			return 0, err
-		}
-		return int(out[0].(int64)), nil
-	}
-	w := r.client.NewCallArgs()
+	w := r.fo.NewCallArgs()
 	w.Int64(int64(fd))
 	w.Bytes(data)
 	res, err := r.callRaw(ProcWrite, w)
@@ -916,22 +792,7 @@ func (r *Remote) Write(fd int, data []byte) (int, error) {
 }
 
 func (r *Remote) Stat(path string) (fs.Stat, error) {
-	if r.fo != nil {
-		out, err := r.call(ProcStat, path)
-		if err != nil {
-			return fs.Stat{}, err
-		}
-		return fs.Stat{
-			Ino:    out[0].(uint64),
-			Kind:   fs.FileKind(out[1].(int64)),
-			Size:   int(out[2].(int64)),
-			Blocks: int(out[3].(int64)),
-			Nlink:  int(out[4].(int64)),
-		}, nil
-	}
-	w := r.client.NewCallArgs()
-	w.String(path)
-	res, err := r.callRaw(ProcStat, w)
+	res, err := r.pathCall(ProcStat, path)
 	if err != nil {
 		return fs.Stat{}, err
 	}
@@ -948,49 +809,8 @@ func (r *Remote) Stat(path string) (fs.Stat, error) {
 	return st, nil
 }
 
-func (r *Remote) Mkdir(path string) error {
-	if r.fo != nil {
-		_, err := r.call(ProcMkdir, path)
-		return err
-	}
-	w := r.client.NewCallArgs()
-	w.String(path)
-	res, err := r.callRaw(ProcMkdir, w)
-	if err != nil {
-		return err
-	}
-	return r.resultFault(&res)
-}
-
-func (r *Remote) Unlink(path string) error {
-	if r.fo != nil {
-		_, err := r.call(ProcUnlink, path)
-		return err
-	}
-	w := r.client.NewCallArgs()
-	w.String(path)
-	res, err := r.callRaw(ProcUnlink, w)
-	if err != nil {
-		return err
-	}
-	return r.resultFault(&res)
-}
-
 func (r *Remote) ReadDir(path string) ([]string, error) {
-	if r.fo != nil {
-		out, err := r.call(ProcReadDir, path)
-		if err != nil {
-			return nil, err
-		}
-		names := make([]string, len(out))
-		for i, v := range out {
-			names[i] = v.(string)
-		}
-		return names, nil
-	}
-	w := r.client.NewCallArgs()
-	w.String(path)
-	res, err := r.callRaw(ProcReadDir, w)
+	res, err := r.pathCall(ProcReadDir, path)
 	if err != nil {
 		return nil, err
 	}
@@ -1011,16 +831,11 @@ func (r *Remote) ReadDir(path string) ([]string, error) {
 // BackoffMicros, DeadlineExceeded) are this Remote's own.
 func (r *Remote) Stats() Stats {
 	s := r.stats
-	if r.cluster != nil {
-		serverStats := r.cluster.serverWireStats()
-		s.Wire = r.fo.Stats().Add(serverStats)
-		s.ServerRejected = serverStats.BadFrames
-		s.CrashesInjected = serverStats.Crashes
-		s.Recoveries, s.RecoveryReplayedOps = r.cluster.primary.Recoveries()
-		return s
-	}
 	serverStats := r.server.Wire.Stats()
-	s.Wire = r.client.Stats().Add(serverStats)
+	if r.cluster != nil {
+		serverStats = r.cluster.serverWireStats()
+	}
+	s.Wire = r.fo.Stats().Add(serverStats)
 	s.ServerRejected = serverStats.BadFrames
 	s.CrashesInjected = serverStats.Crashes
 	s.Recoveries, s.RecoveryReplayedOps = r.server.Recoveries()

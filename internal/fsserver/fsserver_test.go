@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"archos/internal/arch"
+	"archos/internal/faultplane"
 	"archos/internal/fs"
 	"archos/internal/ipc"
 	"archos/internal/ipc/wire"
@@ -181,12 +182,14 @@ func TestScriptSurvivesWireFaults(t *testing.T) {
 	// retransmission make the file service come out identical anyway.
 	cm := kernel.NewCostModel(arch.R3000)
 	link := wire.NewLink(ipc.NetworkConfig{Name: "flaky", BandwidthMbps: 1e6, PerPacketLatencyMicros: 0})
+	faults := &faultplane.Script{}
 	for _, n := range []int{5, 50, 500, 1500} {
-		link.CorruptFrame(n)
+		faults.Corrupt(n)
 	}
 	for _, n := range []int{20, 200, 2000} {
-		link.DropFrame(n)
+		faults.Drop(n)
 	}
+	link.SetFaultPlane(faults)
 	fsys := fs.New(256)
 	remote := NewRemoteOnLink(fsys, cm, link)
 	if _, err := DefaultAndrewMini().Run(remote); err != nil {

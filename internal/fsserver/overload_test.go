@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"archos/internal/arch"
+	"archos/internal/faultplane"
 	"archos/internal/fs"
 	"archos/internal/ipc"
 	"archos/internal/ipc/wire"
@@ -54,7 +55,9 @@ func TestOverloadErrorSplit(t *testing.T) {
 	// old catch-all, now strictly for non-overload failures.
 	remote.SetExpiry(0)
 	remote.Tune(0, 0)
-	link.DropFrame(link.Frames() + 1)
+	faults := &faultplane.Script{}
+	faults.Drop(link.Frames() + 1)
+	link.SetFaultPlane(faults)
 	err = remote.Mkdir("/lost")
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("lost op err = %v, want ErrUnavailable", err)
@@ -161,11 +164,8 @@ func TestShedRetransmitAcrossCrashRecovery(t *testing.T) {
 	link.AdvanceClock(100)
 
 	// Call 2, hand-crafted with an already-expired deadline: shed.
-	payload, err := wire.Marshal("/d/shed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	expired, err := wire.Encode(wire.Header{Kind: wire.KindCall, CallID: 2, ProcID: ProcMkdir, ClientID: remote.client.ClientID, Expiry: 1}, payload)
+	payload := wire.AppendString(nil, "/d/shed")
+	expired, err := wire.Encode(wire.Header{Kind: wire.KindCall, CallID: 2, ProcID: ProcMkdir, ClientID: remote.fo.ClientID(), Expiry: 1}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestShedRetransmitAcrossCrashRecovery(t *testing.T) {
 	}
 	// Drain the reject so the queue holds nothing for call 2.
 	for {
-		if _, err := link.RecvClient(wire.A, remote.client.ClientID); err != nil {
+		if _, err := link.RecvClient(wire.A, remote.fo.ClientID()); err != nil {
 			break
 		}
 	}
@@ -190,7 +190,7 @@ func TestShedRetransmitAcrossCrashRecovery(t *testing.T) {
 	// when deadlines are re-derived). The recovering server replays the
 	// WAL — which knows this client's last executed call is 1 — and
 	// must run call 2 fresh, not suppress it.
-	resend, err := wire.Encode(wire.Header{Kind: wire.KindCall, CallID: 2, ProcID: ProcMkdir, ClientID: remote.client.ClientID}, payload)
+	resend, err := wire.Encode(wire.Header{Kind: wire.KindCall, CallID: 2, ProcID: ProcMkdir, ClientID: remote.fo.ClientID()}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +229,7 @@ func TestShedRetransmitAcrossFailover(t *testing.T) {
 
 	// Call 2, already expired: the primary sheds it without executing,
 	// logging, or shipping.
-	payload, err := wire.Marshal("/shed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := wire.AppendString(nil, "/shed")
 	expired, err := wire.Encode(wire.Header{Kind: wire.KindCall, CallID: 2, ProcID: ProcMkdir, ClientID: clientID, Expiry: 1}, payload)
 	if err != nil {
 		t.Fatal(err)

@@ -61,6 +61,10 @@ const (
 // frame's 64KB payload limit.
 const snapChunkBytes = 32 << 10
 
+// maxScrubRanges bounds a scrub's fingerprint count, so the reply (8
+// bytes per range) always fits one frame.
+const maxScrubRanges = 4096
+
 // Promotion cost model: deterministic virtual-time charges analogous to
 // the recovery constants — a promotion is a recovery plus a role
 // change.
@@ -200,8 +204,12 @@ func (rp *replicator) shipTo(i int, w *fs.WAL, epoch uint32, target uint64, clie
 		if rec.Enabled() {
 			t0 = rp.link.Clock()
 		}
-		out, err := rp.clients[i].Call(rp.peers[i], ProcShip, epoch, payload)
-		if err != nil {
+		args := rp.clients[i].NewCallArgs()
+		args.Uint32(epoch)
+		args.Bytes(payload)
+		res, err := rp.clients[i].CallRaw(rp.peers[i], ProcShip, args)
+		seq := res.Uint64()
+		if err != nil || res.Err() != nil {
 			rp.stats.ShipFailures++
 			if rec.Enabled() {
 				rec.Emit(obs.Event{Layer: "repl", Name: "ship_fail",
@@ -209,7 +217,6 @@ func (rp *replicator) shipTo(i int, w *fs.WAL, epoch uint32, target uint64, clie
 			}
 			return
 		}
-		seq := out[0].(uint64)
 		if seq < rp.acked[i] {
 			// Cursor correction: the backup's true position is behind
 			// what we believed acknowledged — it revived from a kill and
@@ -263,14 +270,20 @@ func (rp *replicator) sendSnapshot(i int, w *fs.WAL, epoch uint32) bool {
 			end = len(data)
 		}
 		rp.stats.SnapChunks++
-		out, err := rp.clients[i].Call(rp.peers[i], ProcSnapInstall,
-			epoch, snapSeq, uint64(len(data)), sum, uint64(off), data[off:end])
-		if err != nil {
+		args := rp.clients[i].NewCallArgs()
+		args.Uint32(epoch)
+		args.Uint64(snapSeq)
+		args.Uint64(uint64(len(data)))
+		args.Uint32(sum)
+		args.Uint64(uint64(off))
+		args.Bytes(data[off:end])
+		res, err := rp.clients[i].CallRaw(rp.peers[i], ProcSnapInstall, args)
+		seq := res.Uint64()
+		if err != nil || res.Err() != nil {
 			rp.stats.ShipFailures++
 			return false
 		}
 		if end == len(data) {
-			seq := out[0].(uint64)
 			if seq < snapSeq {
 				rp.stats.ShipFailures++
 				return false
@@ -322,12 +335,15 @@ func (rp *replicator) ship(w *fs.WAL, epoch uint32, client, call uint32) {
 // crash (or promotion) interrupted.
 func (rp *replicator) resync(w *fs.WAL, epoch uint32) {
 	for i := range rp.clients {
-		out, err := rp.clients[i].Call(rp.peers[i], ProcReplSeq, epoch)
-		if err != nil {
+		args := rp.clients[i].NewCallArgs()
+		args.Uint32(epoch)
+		res, err := rp.clients[i].CallRaw(rp.peers[i], ProcReplSeq, args)
+		seq := res.Uint64()
+		if err != nil || res.Err() != nil {
 			rp.stats.ShipFailures++
 			continue
 		}
-		rp.acked[i] = out[0].(uint64)
+		rp.acked[i] = seq
 	}
 	rp.ship(w, epoch, 0, 0)
 }
@@ -476,28 +492,26 @@ func (b *Backup) recoverLocalLocked() {
 }
 
 // registerRepl binds the replication procedures on the backup's end of
-// the replication link.
+// the replication link. Every handler decodes its arguments and checks
+// the cursor before touching backup state, so malformed input earns an
+// error reply and changes nothing. Argument views die with the call
+// frame: the stage buffer copies chunks by append, and DecodeRecords
+// builds fresh records.
 func (b *Backup) registerRepl() {
-	b.Repl.Register(ProcShip, func(a []interface{}) ([]interface{}, error) {
-		epoch := a[0].(uint32)
-		recs, err := fs.DecodeRecords(a[1].([]byte))
+	b.Repl.RegisterRaw(ProcShip, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
+		epoch, batch := a.Uint32(), a.Bytes()
+		if err := a.Err(); err != nil {
+			return err
+		}
+		recs, err := fs.DecodeRecords(batch)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		if b.promoted {
-			// A deposed primary limping back must not write into the
-			// new primary's log — the replication-plane face of epoch
-			// fencing.
-			return nil, fmt.Errorf("fsserver: backup promoted (epoch %d); ship rejected", b.srv.Wire.Epoch())
+		if err := b.fenceLocked(epoch, "ship"); err != nil {
+			return err
 		}
-		if epoch < b.primaryEpoch {
-			// A shipper at a lower epoch than any primacy this backup
-			// has witnessed is deposed and does not know it yet.
-			return nil, fmt.Errorf("fsserver: stale primary epoch %d (current %d); ship rejected", epoch, b.primaryEpoch)
-		}
-		b.primaryEpoch = epoch
 		// The backup's client-facing link carries the cluster recorder;
 		// apply events keyed on the shipped record's trace context stitch
 		// the backup half of the replication span onto the client op.
@@ -514,11 +528,12 @@ func (b *Backup) registerRepl() {
 				// Reply the true position; the primary rewinds and
 				// re-ships from there.
 				b.cursorCorrections++
-				return []interface{}{b.appliedSeq}, nil
+				rep.Uint64(b.appliedSeq)
+				return nil
 			}
 			if err := b.wal.AppendShipped(r); err != nil {
 				b.seqViolations++
-				return nil, err
+				return err
 			}
 			res, aerr := b.srv.FS.Apply(r)
 			sess := fs.SessionRecord{Client: r.Client, Call: r.Call, Op: r.Op, Result: res}
@@ -540,61 +555,65 @@ func (b *Backup) registerRepl() {
 				panic(err)
 			}
 		}
-		return []interface{}{b.appliedSeq}, nil
+		rep.Uint64(b.appliedSeq)
+		return nil
 	})
-	b.Repl.Register(ProcReplSeq, func(a []interface{}) ([]interface{}, error) {
+	b.Repl.RegisterRaw(ProcReplSeq, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
+		var epoch uint32
+		if a.More() {
+			epoch = a.Uint32()
+		}
+		if err := a.Err(); err != nil {
+			return err
+		}
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		if len(a) > 0 {
-			// A caller announcing its epoch is (re)claiming primacy:
-			// stamp it so staler shippers are fenced even before the
-			// first record arrives.
-			if epoch := a[0].(uint32); epoch > b.primaryEpoch {
-				b.primaryEpoch = epoch
-			}
+		// A caller announcing its epoch is (re)claiming primacy: stamp it
+		// so staler shippers are fenced even before the first record
+		// arrives.
+		if epoch > b.primaryEpoch {
+			b.primaryEpoch = epoch
 		}
 		var promotedEpoch uint32
 		if b.promoted {
 			promotedEpoch = b.srv.Wire.Epoch()
 		}
-		return []interface{}{b.appliedSeq, promotedEpoch}, nil
+		rep.Uint64(b.appliedSeq)
+		rep.Uint32(promotedEpoch)
+		return nil
 	})
-	b.Repl.Register(ProcSnapInstall, func(a []interface{}) ([]interface{}, error) {
-		epoch := a[0].(uint32)
-		snapSeq := a[1].(uint64)
-		total := a[2].(uint64)
-		sum := a[3].(uint32)
-		offset := a[4].(uint64)
-		chunk := a[5].([]byte)
+	b.Repl.RegisterRaw(ProcSnapInstall, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
+		epoch, snapSeq, total, sum, offset := a.Uint32(), a.Uint64(), a.Uint64(), a.Uint32(), a.Uint64()
+		chunk := a.Bytes()
+		if err := a.Err(); err != nil {
+			return err
+		}
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		if b.promoted {
-			return nil, fmt.Errorf("fsserver: backup promoted (epoch %d); snapshot rejected", b.srv.Wire.Epoch())
+		if err := b.fenceLocked(epoch, "snapshot"); err != nil {
+			return err
 		}
-		if epoch < b.primaryEpoch {
-			return nil, fmt.Errorf("fsserver: stale primary epoch %d (current %d); snapshot rejected", epoch, b.primaryEpoch)
-		}
-		b.primaryEpoch = epoch
 		if offset == 0 {
 			b.stage = b.stage[:0]
 		}
 		if offset != uint64(len(b.stage)) {
 			staged := len(b.stage)
 			b.stage = b.stage[:0]
-			return nil, fmt.Errorf("fsserver: snapshot chunk at offset %d, staged %d", offset, staged)
+			return fmt.Errorf("fsserver: snapshot chunk at offset %d, staged %d", offset, staged)
 		}
 		b.stage = append(b.stage, chunk...)
 		if uint64(len(b.stage)) < total {
-			return []interface{}{b.appliedSeq}, nil
+			rep.Uint64(b.appliedSeq)
+			return nil
 		}
 		if crc32.ChecksumIEEE(b.stage) != sum {
 			b.stage = b.stage[:0]
-			return nil, fmt.Errorf("fsserver: snapshot transfer fails checksum")
+			return fmt.Errorf("fsserver: snapshot transfer fails checksum")
 		}
 		fsys, _, err := b.wal.InstallSnapshot(b.stage, snapSeq)
 		b.stage = b.stage[:0]
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b.srv.mu.Lock()
 		b.srv.FS = fsys
@@ -603,29 +622,50 @@ func (b *Backup) registerRepl() {
 		if rec := b.srv.link.Recorder(); rec.Enabled() {
 			rec.Emit(obs.Event{Layer: "repl", Name: "install", Val: float64(snapSeq)})
 		}
-		return []interface{}{b.appliedSeq}, nil
+		rep.Uint64(b.appliedSeq)
+		return nil
 	})
-	b.Repl.Register(ProcScrub, func(a []interface{}) ([]interface{}, error) {
-		epoch := a[0].(uint32)
-		n := int(a[1].(uint64))
+	b.Repl.RegisterRaw(ProcScrub, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
+		epoch, n := a.Uint32(), a.Uint64()
+		if err := a.Err(); err != nil {
+			return err
+		}
+		if n < 1 || n > maxScrubRanges {
+			return fmt.Errorf("fsserver: scrub of %d ranges outside [1, %d]", n, maxScrubRanges)
+		}
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		if b.promoted {
-			return nil, fmt.Errorf("fsserver: backup promoted (epoch %d); scrub rejected", b.srv.Wire.Epoch())
+		if err := b.fenceLocked(epoch, "scrub"); err != nil {
+			return err
 		}
-		if epoch < b.primaryEpoch {
-			return nil, fmt.Errorf("fsserver: stale primary epoch %d (current %d); scrub rejected", epoch, b.primaryEpoch)
-		}
-		b.primaryEpoch = epoch
 		b.srv.mu.Lock()
-		fps := b.srv.FS.RangeFingerprints(n)
+		fps := b.srv.FS.RangeFingerprints(int(n))
 		b.srv.mu.Unlock()
 		buf := make([]byte, 8*len(fps))
 		for i, fp := range fps {
 			binary.BigEndian.PutUint64(buf[i*8:], fp)
 		}
-		return []interface{}{b.appliedSeq, buf}, nil
+		rep.Uint64(b.appliedSeq)
+		rep.Bytes(buf)
+		return nil
 	})
+}
+
+// fenceLocked admits a primary-to-backup call stamped with epoch, or
+// rejects it: a promoted backup takes no writes from a deposed primary
+// limping back (the replication-plane face of epoch fencing), and a
+// caller below the highest primacy this backup has witnessed is deposed
+// and does not know it yet. An admitted epoch becomes the witnessed
+// one. Caller holds b.mu.
+func (b *Backup) fenceLocked(epoch uint32, what string) error {
+	if b.promoted {
+		return fmt.Errorf("fsserver: backup promoted (epoch %d); %s rejected", b.srv.Wire.Epoch(), what)
+	}
+	if epoch < b.primaryEpoch {
+		return fmt.Errorf("fsserver: stale primary epoch %d (current %d); %s rejected", epoch, b.primaryEpoch, what)
+	}
+	b.primaryEpoch = epoch
+	return nil
 }
 
 // AppliedSeq returns how far this backup has applied the shipped log.
@@ -796,14 +836,7 @@ func (c *Cluster) NewClient() *Remote {
 	}
 	fo := wire.NewFailoverClient(clients, servers)
 	fo.OnFailover(c.Failover)
-	return &Remote{
-		client:  clients[0],
-		server:  c.primary,
-		link:    c.primaryLink,
-		cm:      c.cm,
-		fo:      fo,
-		cluster: c,
-	}
+	return newRemote(fo, c.primary, c.primaryLink, c.cm, c)
 }
 
 // Failover is the promotion decision: if a failover has already

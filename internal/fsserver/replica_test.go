@@ -2,6 +2,7 @@ package fsserver
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -357,5 +358,46 @@ func TestDeposedPrimaryShipIsRejected(t *testing.T) {
 	}
 	if _, err := cluster.ActiveFS().Stat("/zombie"); err == nil {
 		t.Error("zombie ship mutated the promoted state")
+	}
+}
+
+func TestMalformedReplicationInputGetsErrorReply(t *testing.T) {
+	// The replication procedures decode wire input: a malformed call
+	// must earn an error reply and leave the backup serving — never
+	// crash the process with an index or type-assertion panic.
+	cm := kernel.NewCostModel(arch.R3000)
+	cluster := NewCluster(64, cm, DefaultReplicaConfig())
+	if err := cluster.NewClient().Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	backup := cluster.Backup(0)
+	before := backup.AppliedSeq()
+	ship := wire.NewClient(cluster.ReplLink(0), wire.A)
+	for _, tc := range []struct {
+		name string
+		proc uint32
+		args []interface{}
+	}{
+		{"ship without args", ProcShip, nil},
+		{"ship with (int64, string)", ProcShip, []interface{}{int64(1), "records"}},
+		{"snapshot install with only an epoch", ProcSnapInstall, []interface{}{uint32(1)}},
+		{"scrub with a string epoch", ProcScrub, []interface{}{"1", uint64(4)}},
+		{"scrub of too many ranges", ProcScrub, []interface{}{uint32(1), uint64(1) << 40}},
+		{"seq query with a string epoch", ProcReplSeq, []interface{}{"1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ship.Call(backup.Repl, tc.proc, tc.args...)
+			var remote *wire.RemoteError
+			if !errors.As(err, &remote) {
+				t.Fatalf("err = %v, want a *wire.RemoteError", err)
+			}
+		})
+	}
+	out, err := ship.Call(backup.Repl, ProcReplSeq)
+	if err != nil {
+		t.Fatalf("well-formed seq query after malformed input: %v", err)
+	}
+	if seq := out[0].(uint64); seq != before {
+		t.Errorf("applied seq = %d after malformed input, want %d unchanged", seq, before)
 	}
 }

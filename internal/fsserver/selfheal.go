@@ -180,7 +180,10 @@ func (c *Cluster) rejoinDeposedPrimaryLocked(now float64) {
 	p.mu.Unlock()
 	if oldRepl != nil && pick < len(oldRepl.clients) {
 		probe, _ := fs.EncodeRecords(nil)
-		if _, err := oldRepl.clients[pick].Call(oldRepl.peers[pick], ProcShip, oldEpoch, probe); err != nil {
+		args := oldRepl.clients[pick].NewCallArgs()
+		args.Uint32(oldEpoch)
+		args.Bytes(probe)
+		if _, err := oldRepl.clients[pick].CallRaw(oldRepl.peers[pick], ProcShip, args); err != nil {
 			c.fencedShips++
 		}
 	}
@@ -263,15 +266,17 @@ func (c *Cluster) scrubLocked() {
 		last := act.wal.LastSeq()
 		epoch := act.Wire.Epoch()
 		for i := range rp.clients {
-			out, err := rp.clients[i].Call(rp.peers[i], ProcScrub, epoch, uint64(n))
-			if err != nil {
+			args := rp.clients[i].NewCallArgs()
+			args.Uint32(epoch)
+			args.Uint64(uint64(n))
+			res, err := rp.clients[i].CallRaw(rp.peers[i], ProcScrub, args)
+			applied, buf := res.Uint64(), res.Bytes()
+			if err != nil || res.Err() != nil {
 				continue // down or deposed; not scrubbed this pass
 			}
-			applied := out[0].(uint64)
 			if applied != last {
 				continue // lagging; record shipping heals that
 			}
-			buf := out[1].([]byte)
 			mismatch := 0
 			for ri := 0; ri < n && ri*8+8 <= len(buf); ri++ {
 				if binary.BigEndian.Uint64(buf[ri*8:]) != local[ri] {

@@ -8,16 +8,22 @@ import (
 	"archos/internal/ipc"
 )
 
-// countingServer registers a non-idempotent handler on proc 1: it
-// increments a counter and returns the count, so any re-execution of a
-// retransmitted call is visible in the result.
+// counting is a non-idempotent handler: it increments *executions and
+// returns the count, so any re-execution of a retransmitted call is
+// visible in the result.
+func counting(executions *int) RawHandler {
+	return func(h Header, a *Args, rep *Reply) error {
+		*executions++
+		rep.Int64(int64(*executions))
+		return nil
+	}
+}
+
+// countingServer registers counting on proc 1.
 func countingServer(link *Link) (*Server, *int) {
 	server := NewServer(link, B)
 	executions := 0
-	server.Register(1, func(args []interface{}) ([]interface{}, error) {
-		executions++
-		return []interface{}{int64(executions)}, nil
-	})
+	server.RegisterRaw(1, counting(&executions))
 	return server, &executions
 }
 
@@ -27,7 +33,7 @@ func TestAtMostOnceOnDroppedReply(t *testing.T) {
 	link := NewLink(ipc.Ethernet10)
 	client := NewClient(link, A)
 	server, executions := countingServer(link)
-	link.DropFrame(2) // frame 1 = call, frame 2 = its reply
+	script(link).Drop(2) // frame 1 = call, frame 2 = its reply
 	out, err := client.Call(server, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +62,7 @@ func TestAtMostOnceAcrossSequentialCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Replay call 1's frame by hand: a late duplicate from the network.
-	payload, _ := Marshal()
-	stale, _ := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: client.ClientID}, payload)
+	stale, _ := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: client.ClientID}, nil)
 	link.Send(A, stale)
 	if _, err := client.Call(server, 1); err != nil {
 		t.Fatal(err)
@@ -71,46 +76,37 @@ func TestAtMostOnceAcrossSequentialCalls(t *testing.T) {
 }
 
 func TestEncodeErrorsAreCounted(t *testing.T) {
-	// A handler whose reply cannot be marshalled (unsupported type) and
-	// one whose reply cannot be encoded (oversize) must both land in
-	// EncodeErrors instead of vanishing; neither counts as Served, and
-	// neither may re-execute on retransmission.
-	for name, handler := range map[string]Handler{
-		"marshal": func(args []interface{}) ([]interface{}, error) {
-			return []interface{}{struct{}{}}, nil
-		},
-		"encode": func(args []interface{}) ([]interface{}, error) {
-			return []interface{}{make([]byte, maxPayload+1)}, nil
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			link := NewLink(ipc.Ethernet10)
-			client := NewClient(link, A)
-			client.MaxRetries = 2
-			server := NewServer(link, B)
-			executions := 0
-			server.Register(1, func(args []interface{}) ([]interface{}, error) {
-				executions++
-				return handler(args)
-			})
-			_, err := client.Call(server, 1)
-			if !errors.Is(err, ErrCallFailed) {
-				t.Fatalf("err = %v, want ErrCallFailed (no reply can arrive)", err)
-			}
-			if server.Stats().EncodeErrors != 1 {
-				t.Errorf("encode errors = %d, want 1", server.Stats().EncodeErrors)
-			}
-			if server.Stats().Served != 0 {
-				t.Errorf("served = %d, want 0 (no reply was transmitted)", server.Stats().Served)
-			}
-			if executions != 1 {
-				t.Errorf("handler executed %d times; retransmits must not re-run it", executions)
-			}
-			if server.Stats().DuplicatesSuppressed != client.Stats().Retries {
-				t.Errorf("suppressed %d duplicates for %d retries", server.Stats().DuplicatesSuppressed, client.Stats().Retries)
-			}
+	// A handler whose reply cannot be encoded (oversize) must land in
+	// EncodeErrors instead of vanishing; it does not count as Served,
+	// and it may not re-execute on retransmission.
+	t.Run("encode", func(t *testing.T) {
+		link := NewLink(ipc.Ethernet10)
+		client := NewClient(link, A)
+		client.MaxRetries = 2
+		server := NewServer(link, B)
+		executions := 0
+		server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
+			executions++
+			rep.Bytes(make([]byte, maxPayload+1))
+			return nil
 		})
-	}
+		_, err := client.Call(server, 1)
+		if !errors.Is(err, ErrCallFailed) {
+			t.Fatalf("err = %v, want ErrCallFailed (no reply can arrive)", err)
+		}
+		if server.Stats().EncodeErrors != 1 {
+			t.Errorf("encode errors = %d, want 1", server.Stats().EncodeErrors)
+		}
+		if server.Stats().Served != 0 {
+			t.Errorf("served = %d, want 0 (no reply was transmitted)", server.Stats().Served)
+		}
+		if executions != 1 {
+			t.Errorf("handler executed %d times; retransmits must not re-run it", executions)
+		}
+		if server.Stats().DuplicatesSuppressed != client.Stats().Retries {
+			t.Errorf("suppressed %d duplicates for %d retries", server.Stats().DuplicatesSuppressed, client.Stats().Retries)
+		}
+	})
 }
 
 func TestBackoffChargesVirtualClock(t *testing.T) {
@@ -118,9 +114,9 @@ func TestBackoffChargesVirtualClock(t *testing.T) {
 	client := NewClient(link, A)
 	client.MaxRetries = 4
 	server, _ := countingServer(link)
-	link.DropFrame(1)
-	link.DropFrame(2)
-	link.DropFrame(3)
+	script(link).Drop(1)
+	script(link).Drop(2)
+	script(link).Drop(3)
 	if _, err := client.Call(server, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +143,7 @@ func TestDeadlineBudgetExceeded(t *testing.T) {
 	client.DeadlineMicros = 500
 	server, _ := countingServer(link)
 	for i := 1; i <= 2000; i++ {
-		link.DropFrame(i)
+		script(link).Drop(i)
 	}
 	_, err := client.Call(server, 1)
 	if !errors.Is(err, ErrDeadlineExceeded) {

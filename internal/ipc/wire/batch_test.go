@@ -96,7 +96,7 @@ func TestBatchCorruptionDamagesWholeBatch(t *testing.T) {
 	link := NewLink(ipc.Ethernet10)
 	link.allocClientID()
 	link.EnableBatching(true)
-	link.CorruptFrame(1) // seq 1 is the container, not a staged frame
+	script(link).Corrupt(1) // seq 1 is the container, not a staged frame
 	link.Send(A, sealFrame(t, 1, []byte{1}))
 	link.Send(A, sealFrame(t, 2, []byte{2}))
 	got, err := link.Recv(B)

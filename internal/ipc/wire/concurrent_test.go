@@ -12,16 +12,6 @@ import (
 	"archos/internal/ipc"
 )
 
-// scriptedPlane injects a fixed decision per frame sequence number —
-// the surgical counterpart of the seeded plane, for table tests.
-type scriptedPlane struct {
-	decisions map[int]faultplane.Decision
-}
-
-func (p scriptedPlane) Decide(seq, frameBytes int) faultplane.Decision {
-	return p.decisions[seq]
-}
-
 func TestSendDecisionTable(t *testing.T) {
 	// Every combination of Drop/Corrupt/Duplicate/Reorder on one frame:
 	// a dropped frame never arrives; otherwise the frame arrives once
@@ -39,7 +29,7 @@ func TestSendDecisionTable(t *testing.T) {
 		name := fmt.Sprintf("drop=%v,corrupt=%v,dup=%v,reorder=%v", d.Drop, d.Corrupt, d.Duplicate, d.Reorder)
 		t.Run(name, func(t *testing.T) {
 			link := NewLink(ipc.Ethernet10)
-			link.SetFaultPlane(scriptedPlane{decisions: map[int]faultplane.Decision{1: d}})
+			script(link).Set(1, d)
 			frame, err := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1}, []byte("payload"))
 			if err != nil {
 				t.Fatal(err)
@@ -82,12 +72,10 @@ func TestReorderedDuplicateArrivesTwice(t *testing.T) {
 	// still reach the client twice — one copy answers the call, the
 	// other is discarded as a duplicate, not lost.
 	link := NewLink(ipc.Ethernet10)
-	link.SetFaultPlane(scriptedPlane{decisions: map[int]faultplane.Decision{
-		2: {Duplicate: true, Reorder: true}, // the reply frame
-	}})
+	script(link).Set(2, faultplane.Decision{Duplicate: true, Reorder: true}) // the reply frame
 	client := NewClient(link, A)
 	server := NewServer(link, B)
-	server.Register(1, func(args []interface{}) ([]interface{}, error) { return args, nil })
+	server.RegisterRaw(1, echoRaw)
 	out, err := client.Call(server, 1, "twice")
 	if err != nil {
 		t.Fatal(err)
@@ -105,11 +93,10 @@ func TestReorderedDuplicateArrivesTwice(t *testing.T) {
 }
 
 func TestCorruptFrameDamagesBareHeader(t *testing.T) {
-	// The deterministic CorruptFrame hook must damage even a frame with
-	// no payload (it flips the checksum field), not silently deliver it
-	// intact.
+	// A scripted corruption must damage even a frame with no payload
+	// (it flips the checksum field), not silently deliver it intact.
 	link := NewLink(ipc.Ethernet10)
-	link.CorruptFrame(1)
+	script(link).Corrupt(1)
 	frame, err := Encode(Header{Kind: KindAck, CallID: 9}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -135,10 +122,10 @@ func TestRecvClientKeepsOtherClientsReplies(t *testing.T) {
 	c1 := NewClient(link, A)
 	c2 := NewClient(link, A)
 	server := NewServer(link, B)
-	server.Register(1, func(args []interface{}) ([]interface{}, error) { return args, nil })
+	server.RegisterRaw(1, echoRaw)
 
 	for _, c := range []*Client{c1, c2} {
-		payload, err := Marshal(fmt.Sprintf("for-%d", c.ClientID))
+		payload, err := AppendMarshal(nil, fmt.Sprintf("for-%d", c.ClientID))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,13 +161,11 @@ func TestDeadlineCheckedBeforeSuccess(t *testing.T) {
 	// blown deadline even though the reply arrives — the old client only
 	// examined the budget when attempt > 0.
 	link := NewLink(ipc.Ethernet10)
-	link.SetFaultPlane(scriptedPlane{decisions: map[int]faultplane.Decision{
-		1: {DelayMicros: 1e6}, // the first call frame
-	}})
+	script(link).Set(1, faultplane.Decision{DelayMicros: 1e6}) // the first call frame
 	client := NewClient(link, A)
 	client.DeadlineMicros = 1000
 	server := NewServer(link, B)
-	server.Register(1, func(args []interface{}) ([]interface{}, error) { return args, nil })
+	server.RegisterRaw(1, echoRaw)
 	_, err := client.Call(server, 1, "late")
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
@@ -238,9 +223,10 @@ func TestNilCachedReplyIsSuppressedNotSent(t *testing.T) {
 	client.MaxRetries = 2
 	server := NewServer(link, B)
 	executions := 0
-	server.Register(1, func(args []interface{}) ([]interface{}, error) {
+	server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
 		executions++
-		return []interface{}{struct{}{}}, nil // unmarshalable reply
+		rep.Bytes(make([]byte, maxPayload+1)) // unencodable reply
+		return nil
 	})
 	if _, err := client.Call(server, 1); !errors.Is(err, ErrCallFailed) {
 		t.Fatalf("err = %v, want ErrCallFailed", err)
@@ -251,11 +237,7 @@ func TestNilCachedReplyIsSuppressedNotSent(t *testing.T) {
 	}
 
 	// A late retransmission of the same call, by hand.
-	payload, err := Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: client.ClientID}, payload)
+	frame, err := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: client.ClientID}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,10 +264,7 @@ func TestReplyCacheLRUEviction(t *testing.T) {
 	server := NewServer(link, B)
 	server.ConfigureReplyCache(1, 2)
 	executions := 0
-	server.Register(1, func(args []interface{}) ([]interface{}, error) {
-		executions++
-		return []interface{}{int64(executions)}, nil
-	})
+	server.RegisterRaw(1, counting(&executions))
 	c1 := NewClient(link, A)
 	c2 := NewClient(link, A)
 	c3 := NewClient(link, A)
@@ -300,11 +279,7 @@ func TestReplyCacheLRUEviction(t *testing.T) {
 
 	resend := func(c *Client) {
 		t.Helper()
-		payload, err := Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame, err := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: c.ClientID}, payload)
+		frame, err := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: c.ClientID}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,9 +321,9 @@ func TestManyClientsConcurrentChaosEcho(t *testing.T) {
 	link.SetFaultPlane(plane)
 	server := NewServer(link, B)
 	var executions atomic.Int64 // handlers for distinct clients run concurrently
-	server.Register(1, func(args []interface{}) ([]interface{}, error) {
+	server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
 		executions.Add(1)
-		return args, nil
+		return echoRaw(h, a, rep)
 	})
 
 	clients := make([]*Client, nClients)

@@ -55,7 +55,7 @@ func (a *sessionAuth) lookup(clientID uint32) (uint32, []byte, bool) {
 	if !ok {
 		return 0, nil, false
 	}
-	body, err := Marshal(true, a.vals[clientID])
+	body, err := AppendMarshal(nil, true, a.vals[clientID])
 	if err != nil {
 		return call, nil, true
 	}
@@ -90,12 +90,7 @@ func TestRestartHookRevivesServerIntoNewEpoch(t *testing.T) {
 	link := NewLink(ipc.Ethernet10)
 	client := NewClient(link, A)
 	server, executions := countingServer(link)
-	reg := func() {
-		server.Register(1, func(args []interface{}) ([]interface{}, error) {
-			*executions++
-			return []interface{}{int64(*executions)}, nil
-		})
-	}
+	reg := func() { server.RegisterRaw(1, counting(executions)) }
 	server.OnRestart(func() {
 		server.Restart()
 		reg()
@@ -134,13 +129,9 @@ func TestCrashPurgesPendingInput(t *testing.T) {
 	server, executions := countingServer(link)
 	server.OnRestart(func() {
 		server.Restart()
-		server.Register(1, func(args []interface{}) ([]interface{}, error) {
-			*executions++
-			return []interface{}{int64(*executions)}, nil
-		})
+		server.RegisterRaw(1, counting(executions))
 	})
-	payload, _ := Marshal()
-	orphan, _ := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: 999}, payload)
+	orphan, _ := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: 999}, nil)
 	link.Send(A, orphan)
 	server.ForceCrash()
 	if _, err := client.Call(server, 1); err != nil {
@@ -162,11 +153,12 @@ func TestPreReplyCrashAnsweredFromAuthority(t *testing.T) {
 	auth := newSessionAuth(server)
 	executions := 0
 	reg := func() {
-		server.RegisterH(1, func(h Header, args []interface{}) ([]interface{}, error) {
+		server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
 			executions++
 			v := int64(100 + executions)
 			auth.record(h, v)
-			return []interface{}{v}, nil
+			rep.Int64(v)
+			return nil
 		})
 	}
 	reg()

@@ -49,9 +49,14 @@ func (f *EpochFence) Max() uint32 {
 // there under the same call ID. Server-side errors (RemoteError) are
 // not failover triggers: the service answered; it said no.
 //
+// With one endpoint and no hook it is simply a caller of one server —
+// a transport failure surfaces as it is — so a service client holds a
+// FailoverClient whether or not it spans replicas, and places every
+// call on the one CallRaw path.
+//
 // Like Client, a FailoverClient is driven by one goroutine at a time;
 // concurrent callers each hold their own FailoverClient over the same
-// links.
+// links (Peer builds one).
 type FailoverClient struct {
 	clients []*Client
 	servers []*Server
@@ -94,6 +99,24 @@ func (f *FailoverClient) OnFailover(fn func() int) {
 	f.mu.Lock()
 	f.onFailover = fn
 	f.mu.Unlock()
+}
+
+// Peer builds another logical caller over the same endpoints: a fresh
+// client on each link (a new identity, shared across them), the same
+// servers, retry bound, deadline budget, and failover hook. Like a
+// second process dialling the same service, it starts on endpoint 0.
+func (f *FailoverClient) Peer() *FailoverClient {
+	clients := make([]*Client, len(f.clients))
+	for i, c := range f.clients {
+		clients[i] = NewClient(c.link, c.side)
+		clients[i].MaxRetries = c.MaxRetries
+		clients[i].DeadlineMicros = c.DeadlineMicros
+	}
+	p := NewFailoverClient(clients, f.servers)
+	f.mu.Lock()
+	p.onFailover = f.onFailover
+	f.mu.Unlock()
+	return p
 }
 
 // ClientID returns the shared caller identity.
@@ -160,15 +183,42 @@ func transportFailure(err error) bool {
 	return errors.Is(err, ErrCallFailed) || errors.Is(err, ErrDeadlineExceeded)
 }
 
-// Call invokes proc against the active endpoint, failing over — same
-// call ID, next endpoint — when the transport gives up and the failover
-// hook names a new primary. At-most-once holds across the switch: the
-// shared ClientID/CallID pair lets the new primary's reply cache and
-// durable dedup authority recognise a retransmission of an op the old
-// primary already executed and shipped. The virtual time from the first
-// transport failure to the first reply after a switch is observed as
-// the "client.failover" histogram class.
+// NewCallArgs returns a pooled argument builder for CallRaw.
+func (f *FailoverClient) NewCallArgs() *CallArgs { return f.clients[0].NewCallArgs() }
+
+// Call invokes proc with boxed args and returns the boxed results — the
+// codec adapter over CallRaw, for callers without a typed stub.
 func (f *FailoverClient) Call(proc uint32, args ...interface{}) ([]interface{}, error) {
+	w := f.NewCallArgs()
+	if err := w.marshal(args); err != nil {
+		return nil, err
+	}
+	res, err := f.CallRaw(proc, w)
+	if err != nil {
+		return nil, err
+	}
+	return Unmarshal(res.data)
+}
+
+// CallRaw invokes proc with the arguments staged in w against the
+// active endpoint, failing over — same call ID, next endpoint — when
+// the transport gives up and the failover hook names a new primary.
+// Each endpoint re-seals the same builder under its own client's expiry
+// stamp, and the builder is recycled once, when the call concludes.
+// At-most-once holds across the switch: the shared ClientID/CallID pair
+// lets the new primary's reply cache and durable dedup authority
+// recognise a retransmission of an op the old primary already executed
+// and shipped. The virtual time from the first transport failure to the
+// first reply after a switch is observed as the "client.failover"
+// histogram class.
+func (f *FailoverClient) CallRaw(proc uint32, w *CallArgs) (Args, error) {
+	res, err := f.callHops(proc, w)
+	w.release()
+	return res, err
+}
+
+// callHops is CallRaw's hop loop; the builder stays the caller's.
+func (f *FailoverClient) callHops(proc uint32, w *CallArgs) (Args, error) {
 	f.mu.Lock()
 	f.nextID++
 	id := f.nextID
@@ -183,7 +233,7 @@ func (f *FailoverClient) Call(proc uint32, args ...interface{}) ([]interface{}, 
 	for hops := 0; hops <= len(f.clients); hops++ {
 		c, s := f.clients[active], f.servers[active]
 		c.nextID = id // keep the shared sequence visible to the endpoint client
-		out, err := c.call(s, id, proc, args...)
+		res, err := c.callSealed(s, id, proc, w)
 		if err == nil {
 			if failedAt >= 0 {
 				d := c.link.Clock() - failedAt
@@ -191,10 +241,10 @@ func (f *FailoverClient) Call(proc uint32, args ...interface{}) ([]interface{}, 
 				rec.Event("client", "failover_done", c.ClientID, id,
 					"endpoint="+strconv.Itoa(active)+" micros="+strconv.FormatFloat(d, 'g', -1, 64))
 			}
-			return out, nil
+			return res, nil
 		}
 		if !transportFailure(err) {
-			return nil, err
+			return Args{}, err
 		}
 		if failedAt < 0 {
 			failedAt = c.link.Clock()
@@ -204,7 +254,7 @@ func (f *FailoverClient) Call(proc uint32, args ...interface{}) ([]interface{}, 
 			next = hook()
 		}
 		if next < 0 || next == active {
-			return nil, err
+			return Args{}, err
 		}
 		rec.Event("client", "failover", c.ClientID, id,
 			"from="+strconv.Itoa(active)+" to="+strconv.Itoa(next))
@@ -214,5 +264,5 @@ func (f *FailoverClient) Call(proc uint32, args ...interface{}) ([]interface{}, 
 		f.mu.Unlock()
 		active = next
 	}
-	return nil, ErrCallFailed
+	return Args{}, ErrCallFailed
 }

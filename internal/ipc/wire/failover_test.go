@@ -47,8 +47,9 @@ func replicaPair(t *testing.T) (*FailoverClient, []*Server, []*Link) {
 	s0, s1 := NewServer(l0, B), NewServer(l1, B)
 	for i, s := range []*Server{s0, s1} {
 		who := int64(i)
-		s.Register(1, func(a []interface{}) ([]interface{}, error) {
-			return []interface{}{who}, nil
+		s.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
+			rep.Int64(who)
+			return nil
 		})
 	}
 	c0, c1 := NewClient(l0, A), NewClient(l1, A)
@@ -100,8 +101,8 @@ func TestFailoverClientDoesNotMaskServerErrors(t *testing.T) {
 	// A RemoteError means the service answered; switching endpoints
 	// would retry an op the server deliberately refused.
 	fc, servers, _ := replicaPair(t)
-	servers[0].Register(2, func(a []interface{}) ([]interface{}, error) {
-		return nil, errors.New("no")
+	servers[0].RegisterRaw(2, func(h Header, a *Args, rep *Reply) error {
+		return errors.New("no")
 	})
 	hookCalled := false
 	fc.OnFailover(func() int { hookCalled = true; return 1 })
@@ -115,6 +116,67 @@ func TestFailoverClientDoesNotMaskServerErrors(t *testing.T) {
 	}
 	if fc.Active() != 0 {
 		t.Errorf("Active = %d, want 0 (no failover)", fc.Active())
+	}
+}
+
+func TestFailoverCallRawResealsOneBuilder(t *testing.T) {
+	// One builder, two endpoints: the call that fails over is re-sealed
+	// under the same call ID, so the promoted endpoint sees the same
+	// operation, and the cursor reads the endpoint that answered.
+	fc, servers, _ := replicaPair(t)
+	fc.Tune(2, 0)
+	var seen []uint32
+	for i, s := range servers {
+		who := int64(i)
+		s.RegisterRaw(3, func(h Header, a *Args, rep *Reply) error {
+			seen = append(seen, h.CallID)
+			rep.Int64(who + a.Int64())
+			return nil
+		})
+	}
+	fc.OnFailover(func() int { return 1 })
+	servers[0].SetCrasher(&fatalCrasher{fired: true})
+	servers[0].ForceCrash()
+	w := fc.NewCallArgs()
+	w.Int64(40)
+	res, err := fc.CallRaw(3, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Int64(); got != 41 || res.Err() != nil {
+		t.Fatalf("result = %d (%v), want 41 from endpoint 1", got, res.Err())
+	}
+	if len(seen) != 1 || seen[0] != 1 {
+		t.Errorf("endpoint 1 executed call IDs %v, want [1]", seen)
+	}
+	if fc.Active() != 1 || fc.Stats().Failovers != 1 {
+		t.Errorf("Active = %d, Failovers = %d, want 1 and 1", fc.Active(), fc.Stats().Failovers)
+	}
+}
+
+func TestFailoverClientPeerIsAFreshCallerOnTheSameEndpoints(t *testing.T) {
+	fc, servers, _ := replicaPair(t)
+	fc.Tune(5, 900)
+	hooked := 0
+	fc.OnFailover(func() int { hooked++; return -1 })
+	p := fc.Peer()
+	if p.ClientID() == fc.ClientID() {
+		t.Fatalf("peer shares ClientID %d", p.ClientID())
+	}
+	for i, c := range p.clients {
+		if c.ClientID != p.ClientID() || c.Fence != p.Fence() || c.Fence == fc.Fence() {
+			t.Errorf("endpoint %d: identity %d fence shared=%v, want the peer's own", i, c.ClientID, c.Fence == fc.Fence())
+		}
+		if c.MaxRetries != 5 || c.DeadlineMicros != 900 {
+			t.Errorf("endpoint %d tuning = %d/%v, want 5/900", i, c.MaxRetries, c.DeadlineMicros)
+		}
+		if p.servers[i] != servers[i] {
+			t.Errorf("endpoint %d serves a different server", i)
+		}
+	}
+	servers[0].ForceCrash()
+	if _, err := p.Call(1); !transportFailure(err) || hooked != 1 {
+		t.Errorf("err = %v, hook consulted %d times; want a transport failure after one consult", err, hooked)
 	}
 }
 
@@ -165,7 +227,7 @@ func TestSharedClockTicksAcrossLinks(t *testing.T) {
 	l0 := NewLinkOnClock(ipc.Ethernet10, clock)
 	l1 := NewLinkOnClock(ipc.Ethernet10, clock)
 	s := NewServer(l0, B)
-	s.Register(1, func(a []interface{}) ([]interface{}, error) { return nil, nil })
+	s.RegisterRaw(1, echoRaw)
 	c := NewClient(l0, A)
 	if _, err := c.Call(s, 1); err != nil {
 		t.Fatal(err)
@@ -187,7 +249,7 @@ func TestFencedStaleReplyIsDiscarded(t *testing.T) {
 	// dropped, not surfaced — the cross-endpoint stale-reply guard.
 	link := NewLink(ipc.Ethernet10)
 	s := NewServer(link, B)
-	s.Register(1, func(a []interface{}) ([]interface{}, error) { return []interface{}{int64(7)}, nil })
+	s.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error { rep.Int64(7); return nil })
 	c := NewClient(link, A)
 	c.Fence = &EpochFence{}
 	if !c.Fence.Admit(5) {

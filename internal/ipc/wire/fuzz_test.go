@@ -9,11 +9,11 @@ import (
 
 // The fuzz corpus is seeded with the corruption shapes the fault plane
 // actually produces on the wire — single flipped bits at varying
-// offsets (faultplane.CorruptFrame / Decision.CorruptOffset flip one
-// payload bit) — plus truncations and hostile length prefixes.
+// offsets (a Decision's CorruptOffset flips one payload bit) — plus
+// truncations and hostile length prefixes.
 
 // corruptionSeeds returns data plus single-bit-flip variants at a
-// spread of offsets, the shape CorruptFrame injects.
+// spread of offsets, the shape a corrupting Decision injects.
 func corruptionSeeds(data []byte) [][]byte {
 	out := [][]byte{data}
 	for off := 0; off < len(data); off += 1 + len(data)/8 {
@@ -25,7 +25,7 @@ func corruptionSeeds(data []byte) [][]byte {
 }
 
 func FuzzUnmarshal(f *testing.F) {
-	valid, err := Marshal(uint32(7), uint64(1<<40), int64(-9), true, 3.14, "path/name", []byte{1, 2, 3})
+	valid, err := AppendMarshal(nil, uint32(7), uint64(1<<40), int64(-9), true, 3.14, "path/name", []byte{1, 2, 3})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func FuzzUnmarshal(f *testing.F) {
 		// Accepted streams re-encode and re-decode to a fixpoint. (Byte
 		// identity does not hold — a bool body of 2 decodes true and
 		// re-encodes as 1 — but the value stream must be stable.)
-		enc, err := Marshal(vals...)
+		enc, err := AppendMarshal(nil, vals...)
 		if err != nil {
 			t.Fatalf("re-marshal of decoded values failed: %v", err)
 		}
@@ -123,7 +123,7 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 		if len(s) > maxPayload || len(by) > maxPayload {
 			return
 		}
-		data, err := Marshal(u32, u64, i64, b, f64, s, by)
+		data, err := AppendMarshal(nil, u32, u64, i64, b, f64, s, by)
 		if err != nil {
 			t.Fatalf("marshal of supported values failed: %v", err)
 		}
@@ -143,7 +143,7 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 }
 
 func FuzzDecode(f *testing.F) {
-	payload, err := Marshal(int64(5), "file", []byte{9, 9})
+	payload, err := AppendMarshal(nil, int64(5), "file", []byte{9, 9})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -52,10 +52,10 @@ func putBuf(b []byte) {
 
 // CallArgs builds one call's argument payload directly into a pooled
 // frame buffer, header space reserved up front. Obtain one from
-// Client.NewCallArgs, append the procedure's arguments with the typed
-// methods, and pass it to Client.CallRaw — which seals the frame,
-// drives the call, and recycles the buffer. The writers mirror the
-// Append* marshallers one-to-one.
+// NewCallArgs, append the procedure's arguments with the typed methods,
+// and pass it to CallRaw (of a Client or a FailoverClient) — which
+// seals the frame, drives the call, and recycles the buffer. The
+// writers mirror the Append* marshallers one-to-one.
 type CallArgs struct {
 	frame []byte
 }
@@ -94,6 +94,18 @@ func (w *CallArgs) String(v string) { w.frame = AppendString(w.frame, v) }
 
 // Bytes appends a byte-buffer argument.
 func (w *CallArgs) Bytes(v []byte) { w.frame = AppendBytes(w.frame, v) }
+
+// marshal appends boxed arguments — the codec half of the Call
+// adapters. On error the builder is released: the call is never placed.
+func (w *CallArgs) marshal(args []interface{}) error {
+	frame, err := AppendMarshal(w.frame, args...)
+	if err != nil {
+		w.release()
+		return err
+	}
+	w.frame = frame
+	return nil
+}
 
 // Abandon returns an unissued builder to the pools without sending —
 // the escape hatch for a caller that stages arguments and then decides

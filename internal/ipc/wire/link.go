@@ -12,11 +12,11 @@ import (
 
 // Link is a full-duplex in-memory network link between two endpoints,
 // with virtual-time accounting from the ipc network model and fault
-// injection from two composable sources: deterministic per-frame hooks
-// (corrupt or drop frame #n — the surgical tests) and an optional
-// seeded probabilistic fault plane (loss, corruption, duplication,
-// reordering, delay, bursts — the chaos soaks). Injected delay is
-// charged to the link's virtual clock.
+// injection from one optional source, a faultplane.Injector: a seeded
+// probabilistic Plane (loss, corruption, duplication, reordering,
+// delay, bursts — the chaos soaks) or a deterministic Script (corrupt
+// or drop frame #n — the surgical tests). Injected delay is charged to
+// the link's virtual clock.
 //
 // The link is shared by N concurrent callers: every method is safe
 // under concurrent use, and reply frames are demultiplexed into
@@ -43,13 +43,11 @@ type Link struct {
 	heldAB [][]byte
 	heldBA [][]byte
 
-	// fault injection: frame sequence numbers (1-based, per link) to
-	// corrupt or drop on transmission.
-	seq     int
-	corrupt map[int]bool
-	drop    map[int]bool
+	// seq numbers transmitted frames (1-based, per link) — the sequence
+	// fault decisions key on.
+	seq int
 
-	// probabilistic fault plane; nil means a clean wire.
+	// fault injector; nil means a clean wire.
 	plane faultplane.Injector
 
 	// Opportunistic batching (off by default): Send stages eligible
@@ -89,7 +87,7 @@ func NewLinkOnClock(net ipc.NetworkConfig, clock *VClock) *Link {
 	if clock == nil {
 		clock = NewVClock()
 	}
-	return &Link{Net: net, clock: clock, corrupt: map[int]bool{}, drop: map[int]bool{}}
+	return &Link{Net: net, clock: clock}
 }
 
 // VClock is a shared virtual-time source in microseconds. Every link
@@ -118,33 +116,18 @@ func (v *VClock) add(d float64) float64 {
 	return v.micros
 }
 
-// CorruptFrame arranges for the n-th transmitted frame (1-based) to
-// have a bit flipped in flight.
-func (l *Link) CorruptFrame(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.corrupt[n] = true
-}
-
-// DropFrame arranges for the n-th transmitted frame to vanish.
-func (l *Link) DropFrame(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.drop[n] = true
-}
-
 // Frames returns how many frames have been transmitted so far — the
-// 1-based sequence the per-frame fault hooks key on, so a test can aim
-// DropFrame/CorruptFrame at "the next frame" mid-run.
+// 1-based sequence fault decisions key on, so a test can aim a
+// faultplane.Script at "the next frame" mid-run.
 func (l *Link) Frames() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.seq
 }
 
-// SetFaultPlane attaches a probabilistic fault injector (package
-// faultplane); it composes with the deterministic per-frame hooks. Pass
-// nil to detach. The link's lock serialises Decide calls even with many
+// SetFaultPlane attaches the link's fault injector (package
+// faultplane: a seeded Plane or a per-frame Script). Pass nil to
+// detach. The link's lock serialises Decide calls even with many
 // concurrent senders.
 func (l *Link) SetFaultPlane(p faultplane.Injector) {
 	l.mu.Lock()
@@ -476,7 +459,7 @@ func (l *Link) transmitLocked(from Endpoint, frame []byte, owned bool) {
 				Client: clientID, Call: callID, Dur: d.DelayMicros})
 		}
 	}
-	if l.drop[l.seq] || d.Drop {
+	if d.Drop {
 		if l.obs != nil {
 			l.obs.EventAt(now, "fault", "drop", clientID, callID, "")
 		}
@@ -496,13 +479,8 @@ func (l *Link) transmitLocked(from Endpoint, frame []byte, owned bool) {
 	if !owned {
 		out = append(getBuf(), frame...)
 	}
-	if l.corrupt[l.seq] || d.Corrupt {
-		if l.corrupt[l.seq] {
-			flipBit(out, 0)
-		}
-		if d.Corrupt {
-			flipBit(out, d.CorruptOffset)
-		}
+	if d.Corrupt {
+		flipBit(out, d.CorruptOffset)
 		if l.obs != nil {
 			l.obs.EventAt(now, "fault", "corrupt", clientID, callID, "")
 		}

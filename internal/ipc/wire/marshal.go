@@ -12,12 +12,13 @@ import (
 // Supported types cover the paper's RPC workloads: integers, strings,
 // byte buffers, booleans, and float64s.
 //
-// Two API generations share the format. The reflective pair
-// (Marshal/Unmarshal over []interface{}) is the convenient path; the
-// specialized family (AppendUint32 … AppendBytes and the Args cursor)
-// is what a stub compiler would emit for a known signature — it writes
+// The typed family (AppendUint32 … AppendBytes and the Args cursor) is
+// what a stub compiler would emit for a known signature — it writes
 // into a caller-owned buffer and reads without boxing, so the steady-
-// state hot path allocates nothing in the codec.
+// state hot path allocates nothing in the codec. Every handler and
+// every stub uses it. The boxed pair (AppendMarshal/Unmarshal over
+// []interface{}) writes the same format; it serves only the Call codec
+// adapters, for callers without a typed stub.
 
 type tag byte
 
@@ -31,20 +32,14 @@ const (
 	tagBytes
 )
 
-// ErrBadArgument reports an unsupported type passed to Marshal.
+// ErrBadArgument reports an unsupported type passed to AppendMarshal.
 var ErrBadArgument = errors.New("wire: unsupported argument type")
 
 // ErrBadEncoding reports a malformed argument stream.
 var ErrBadEncoding = errors.New("wire: malformed argument encoding")
 
-// Marshal encodes a parameter list into stub wire format.
-func Marshal(args ...interface{}) ([]byte, error) {
-	return AppendMarshal(nil, args...)
-}
-
-// AppendMarshal encodes a parameter list into stub wire format,
-// appending to dst — the allocation-free variant of Marshal when dst
-// has capacity. On error dst is returned unchanged.
+// AppendMarshal encodes a boxed parameter list into stub wire format,
+// appending to dst. On error dst is returned unchanged.
 func AppendMarshal(dst []byte, args ...interface{}) ([]byte, error) {
 	out := dst
 	for _, a := range args {
@@ -134,9 +129,9 @@ func AppendBytes(dst []byte, b []byte) []byte {
 // Every kind decodes to the type it was marshalled as: uint32 and
 // uint64 stay unsigned at their width, int and int64 both decode to
 // int64, plus bool, float64, string, and []byte (copied). Length
-// prefixes are bounded by maxPayload, exactly as Marshal bounds them
-// on the way in, so a corrupted length can neither overflow int on
-// 32-bit platforms nor demand an absurd allocation.
+// prefixes are bounded by maxPayload, exactly as AppendMarshal bounds
+// them on the way in, so a corrupted length can neither overflow int
+// on 32-bit platforms nor demand an absurd allocation.
 func Unmarshal(data []byte) ([]interface{}, error) {
 	var out []interface{}
 	i := 0

@@ -32,7 +32,7 @@ func TestMarshalRoundTripExhaustive(t *testing.T) {
 	want := append([]interface{}{}, roundTripValues...)
 	want = append(want, int64(-42))
 
-	data, err := Marshal(in...)
+	data, err := AppendMarshal(nil, in...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestMarshalRoundTripExhaustive(t *testing.T) {
 
 	// Re-marshalling the decoded values reproduces the stream byte for
 	// byte: the decoded types are exactly the marshalled ones.
-	again, err := Marshal(out...)
+	again, err := AppendMarshal(nil, out...)
 	if err != nil {
 		t.Fatal(err)
 	}

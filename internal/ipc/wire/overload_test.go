@@ -20,8 +20,7 @@ func TestShedExpiredCall(t *testing.T) {
 
 	// Craft the frame by hand so the client's own pre-send shed cannot
 	// intercept: the server must be the one to refuse it.
-	payload, _ := Marshal()
-	frame, err := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: client.ClientID, Expiry: 1}, payload)
+	frame, err := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: client.ClientID, Expiry: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +48,7 @@ func TestShedDoesNotPoisonReplyCache(t *testing.T) {
 	server.SetAdmission(AdmissionConfig{ShedExpired: true})
 	link.AdvanceClock(10_000)
 
-	payload, _ := Marshal()
-	expired, err := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: client.ClientID, Expiry: 1}, payload)
+	expired, err := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: client.ClientID, Expiry: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +90,10 @@ func TestShedQueueFull(t *testing.T) {
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	server.Register(1, func(args []interface{}) ([]interface{}, error) {
+	server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
 		close(entered)
 		<-release
-		return nil, nil
+		return nil
 	})
 
 	var wg sync.WaitGroup
@@ -192,8 +190,7 @@ func TestServiceChargeConsumesVirtualTime(t *testing.T) {
 
 	// A retransmission answered from the cache must not pay the charge:
 	// replay call 1's frame and compare the clock delta.
-	payload, _ := Marshal()
-	dup, _ := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: client.ClientID}, payload)
+	dup, _ := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: client.ClientID}, nil)
 	before = link.Clock()
 	link.Send(A, dup)
 	server.Poll()
@@ -216,7 +213,7 @@ func TestRetryBudgetBoundsRetransmissions(t *testing.T) {
 	client.Budget = NewRetryBudget(0.25, 1)
 	client.Budget.Spend() // drain the initial burst allowance
 
-	link.DropFrame(1) // the only transmission is lost
+	script(link).Drop(1) // the only transmission is lost
 	_, err := client.Call(server, 1)
 	if !errors.Is(err, ErrCallFailed) {
 		t.Fatalf("err = %v, want ErrCallFailed", err)
@@ -239,7 +236,7 @@ func TestRetryBudgetBoundsRetransmissions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	link.DropFrame(link.Frames() + 1) // lose the next call's first attempt
+	script(link).Drop(link.Frames() + 1) // lose the next call's first attempt
 	if _, err := client.Call(server, 1); err != nil {
 		t.Fatalf("funded retry failed: %v", err)
 	}
@@ -261,10 +258,10 @@ func TestAllRejectsSurfacesOverloaded(t *testing.T) {
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	server.Register(1, func(args []interface{}) ([]interface{}, error) {
+	server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
 		close(entered)
 		<-release
-		return nil, nil
+		return nil
 	})
 
 	var wg sync.WaitGroup
@@ -314,7 +311,7 @@ func TestBackoffJitterDesynchronizes(t *testing.T) {
 		// produces no reply, so they are three consecutive frames.
 		base := link.Frames()
 		for n := 1; n <= 3; n++ {
-			link.DropFrame(base + n)
+			script(link).Drop(base + n)
 		}
 		if _, err := c.Call(server, 1); err != nil {
 			t.Fatal(err)

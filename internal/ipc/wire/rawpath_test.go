@@ -58,18 +58,14 @@ func TestCallRawRoundTrip(t *testing.T) {
 }
 
 func TestRawBoxedInterop(t *testing.T) {
-	// The two API generations share one wire format: a boxed Call served
-	// by a raw handler and a CallRaw served by a boxed handler both work,
-	// frame for frame.
+	// The boxed Call adapter and CallRaw write one wire format: a boxed
+	// call is served by the same raw handler, frame for frame.
 	link := NewLink(ipc.Ethernet10)
 	client := NewClient(link, A)
 	server := NewServer(link, B)
 	server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
 		rep.Int64(a.Int64() * 2)
 		return a.Err()
-	})
-	server.Register(2, func(args []interface{}) ([]interface{}, error) {
-		return []interface{}{args[0].(int64) * 3}, nil
 	})
 
 	out, err := client.Call(server, 1, int64(21)) // boxed client → raw handler
@@ -78,16 +74,6 @@ func TestRawBoxedInterop(t *testing.T) {
 	}
 	if out[0].(int64) != 42 {
 		t.Errorf("boxed→raw: got %v, want 42", out[0])
-	}
-
-	w := client.NewCallArgs() // raw client → boxed handler
-	w.Int64(14)
-	res, err := client.CallRaw(server, 2, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Int64(); got != 42 || res.Err() != nil {
-		t.Errorf("raw→boxed: got %d (err %v), want 42", got, res.Err())
 	}
 }
 
@@ -161,14 +147,14 @@ func TestHandlersRunConcurrentlyAcrossClients(t *testing.T) {
 	c2 := NewClient(link, A) // client 2 → shard 2
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	server.Register(1, func(args []interface{}) ([]interface{}, error) {
+	server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
 		close(entered)
 		<-release
-		return args, nil
+		return echoRaw(h, a, rep)
 	})
-	server.Register(2, func(args []interface{}) ([]interface{}, error) {
+	server.RegisterRaw(2, func(h Header, a *Args, rep *Reply) error {
 		close(release)
-		return args, nil
+		return echoRaw(h, a, rep)
 	})
 	done := make(chan error, 1)
 	go func() {

@@ -10,21 +10,16 @@ import (
 	"archos/internal/obs"
 )
 
-// Handler implements one remote procedure: arguments in, results out.
-type Handler func(args []interface{}) ([]interface{}, error)
-
-// HandlerH is a header-aware handler: it additionally receives the
-// decoded call header, so a service can thread the caller's identity
-// (ClientID, CallID) into durable records — the file server's
-// write-ahead log keys its at-most-once state on exactly this pair.
-type HandlerH func(h Header, args []interface{}) ([]interface{}, error)
-
-// RawHandler is the zero-allocation form of a handler: arguments are
-// read from a typed cursor in signature order and results appended to
-// the reply builder the same way — no boxed []interface{} on either
-// side, and the results land directly in the reply frame. A handler
-// that detects bad arguments may simply return; the dispatcher checks
-// the cursor's Err and converts the decode fault into an error reply.
+// RawHandler implements one remote procedure, the form a stub compiler
+// emits: arguments are read from a typed cursor in signature order and
+// results appended to the reply builder the same way — nothing boxed on
+// either side, and the results land directly in the reply frame. The
+// decoded call header carries the caller's identity (ClientID, CallID),
+// which a service can thread into durable records — the file server's
+// write-ahead log keys its at-most-once state on exactly this pair. A
+// handler that detects bad arguments may simply return; the dispatcher
+// checks the cursor's Err and converts the decode fault into an error
+// reply.
 type RawHandler func(h Header, args *Args, rep *Reply) error
 
 // DedupAuthority is the server's durable at-most-once record, consulted
@@ -43,7 +38,7 @@ type Stats struct {
 	// Server side.
 	Served               int // replies transmitted for freshly executed calls
 	BadFrames            int // frames the codec rejected (corruption, truncation)
-	EncodeErrors         int // replies lost to Marshal/Encode failures
+	EncodeErrors         int // replies lost because they could not be encoded (oversized)
 	DuplicatesSuppressed int // retransmitted calls answered from the reply cache
 	LogDuplicates        int // retransmitted calls answered from the durable log authority
 	StaleFrames          int // frames for a superseded call, discarded
@@ -119,8 +114,7 @@ type Server struct {
 	// the reply-cache pointer and geometry, the epoch, the crash flags,
 	// the admission policy, and the crash/restart/authority hooks.
 	mu         sync.Mutex
-	procs      map[uint32]HandlerH
-	rawProcs   map[uint32]RawHandler
+	procs      map[uint32]RawHandler
 	cache      *replyCache
 	shards     int
 	perShard   int
@@ -142,8 +136,7 @@ func NewServer(link *Link, side Endpoint) *Server {
 	return &Server{
 		link:     link,
 		side:     side,
-		procs:    map[uint32]HandlerH{},
-		rawProcs: map[uint32]RawHandler{},
+		procs:    map[uint32]RawHandler{},
 		cache:    newReplyCache(defaultCacheShards, defaultCachePerShard),
 		shards:   defaultCacheShards,
 		perShard: defaultCachePerShard,
@@ -151,28 +144,12 @@ func NewServer(link *Link, side Endpoint) *Server {
 	}
 }
 
-// Register binds a procedure ID to a handler.
-func (s *Server) Register(proc uint32, h Handler) {
-	s.RegisterH(proc, func(_ Header, args []interface{}) ([]interface{}, error) {
-		return h(args)
-	})
-}
-
-// RegisterH binds a procedure ID to a header-aware handler.
-func (s *Server) RegisterH(proc uint32, h HandlerH) {
-	s.mu.Lock()
-	s.procs[proc] = h
-	delete(s.rawProcs, proc)
-	s.mu.Unlock()
-}
-
-// RegisterRaw binds a procedure ID to a zero-allocation handler — the
-// hot-path registration. A raw binding replaces any boxed one for the
-// same procedure and vice versa.
+// RegisterRaw binds a procedure ID to its handler, replacing any
+// earlier binding. A call to an unbound procedure is answered with the
+// error reply ErrNoProc.
 func (s *Server) RegisterRaw(proc uint32, h RawHandler) {
 	s.mu.Lock()
-	s.rawProcs[proc] = h
-	delete(s.procs, proc)
+	s.procs[proc] = h
 	s.mu.Unlock()
 }
 
@@ -336,8 +313,7 @@ func (s *Server) Restart() {
 	s.mu.Lock()
 	s.epoch++
 	epoch := s.epoch
-	s.procs = map[uint32]HandlerH{}
-	s.rawProcs = map[uint32]RawHandler{}
+	s.procs = map[uint32]RawHandler{}
 	s.cache = newReplyCache(s.shards, s.perShard)
 	s.mu.Unlock()
 	s.count(func(st *Stats) { st.Restarts++ })
@@ -461,7 +437,6 @@ func (s *Server) dispatch(h Header, payload []byte) bool {
 	s.mu.Lock()
 	cache := s.cache
 	proc := s.procs[h.ProcID]
-	raw := s.rawProcs[h.ProcID]
 	auth := s.authority
 	adm := s.admission
 	charge := s.charge
@@ -544,7 +519,7 @@ func (s *Server) dispatch(h Header, payload []byte) bool {
 			}
 		}
 	}
-	return s.execute(rec, shard, proc, raw, h, payload, charge)
+	return s.execute(rec, shard, proc, h, payload, charge)
 }
 
 // reject declines a call without executing it: a one-byte KindReject
@@ -588,20 +563,13 @@ func rejectAttr(reason byte) string {
 // instead of replying — either the handler aborted with
 // ErrServerCrashed (the service's pre-apply window) or the pre-reply
 // window fired after the handler ran.
-func (s *Server) execute(rec *obs.Recorder, shard *cacheShard, proc HandlerH, raw RawHandler, h Header, payload []byte, charge float64) bool {
+func (s *Server) execute(rec *obs.Recorder, shard *cacheShard, proc RawHandler, h Header, payload []byte, charge float64) bool {
 	var execStart float64
 	if rec.Enabled() {
 		execStart = s.link.Clock()
 		rec.EmitAt(obs.Event{T: execStart, Layer: "server", Name: "execute", Client: h.ClientID, Call: h.CallID, Proc: h.ProcID})
 	}
-	var frame []byte
-	var err error
-	var crashed bool
-	if raw != nil {
-		frame, err, crashed = s.executeRaw(raw, h, payload)
-	} else {
-		frame, err, crashed = s.executeBoxed(proc, h, payload)
-	}
+	frame, err, crashed := s.runHandler(proc, h, payload)
 	if !crashed && charge > 0 {
 		// The opt-in service charge: the handler ran, so its virtual
 		// service time is consumed — whether the reply is good, bad, or
@@ -639,59 +607,20 @@ func (s *Server) execute(rec *obs.Recorder, shard *cacheShard, proc HandlerH, ra
 	return false
 }
 
-// executeBoxed runs a reflective handler and encodes its reply — the
-// compatibility path. A nil proc means the procedure is not registered
-// in either table.
-func (s *Server) executeBoxed(proc HandlerH, h Header, payload []byte) (frame []byte, encErr error, crashed bool) {
-	var results []interface{}
-	if proc == nil {
-		results = []interface{}{false, ErrNoProc.Error()}
-	} else {
-		// Decode before the handler: Unmarshal only reads the payload
-		// and needs none of the handler's ordering guarantees.
-		args, err := Unmarshal(payload)
-		if err == nil {
-			var out []interface{}
-			out, err = proc(h, args)
-			if err == nil {
-				results = append([]interface{}{true}, out...)
-			}
-		}
-		if errors.Is(err, ErrServerCrashed) {
-			// The crash schedule fired inside the handler — between the
-			// service's log append and its apply. The op is durable in
-			// the log; the process is gone.
-			s.enterCrashed(faultplane.CrashPreApply)
-			return nil, nil, true
-		}
-		if err != nil {
-			results = []interface{}{false, err.Error()}
-		}
-	}
-	if s.crashPoint(faultplane.CrashPreReply) {
-		// Logged, applied — and dead before the reply could leave. The
-		// retransmission will be answered from the durable log by the
-		// restarted server.
-		return nil, nil, true
-	}
-	body, err := Marshal(results...)
-	if err == nil {
-		frame, err = Encode(Header{Kind: KindReply, CallID: h.CallID, ProcID: h.ProcID, ClientID: h.ClientID, Epoch: s.Epoch()}, body)
-	}
-	return frame, err, false
-}
-
-// executeRaw runs a zero-allocation handler: the reply is built in
-// place in a pooled frame buffer — ok flag, then whatever results the
-// handler appends — and sealed with the header written over the space
-// reserved by BeginFrame. The crash windows and the error-reply wire
-// format are identical to the boxed path, so a procedure can migrate
-// between the two without clients noticing.
-func (s *Server) executeRaw(raw RawHandler, h Header, payload []byte) (frame []byte, encErr error, crashed bool) {
+// runHandler runs a handler and builds its reply in place in a pooled
+// frame buffer — ok flag, then whatever results the handler appends —
+// sealed with the header written over the space reserved by
+// BeginFrame. A failed call, an unbound procedure (nil proc) included,
+// is answered [false, message]; the pre-reply crash window is drawn for
+// every call that did not die in the handler.
+func (s *Server) runHandler(proc RawHandler, h Header, payload []byte) (frame []byte, encErr error, crashed bool) {
 	rc := rawCallPool.Get().(*rawCall)
 	rc.args = NewArgs(payload)
 	rc.rep = Reply{frame: AppendBool(BeginFrame(getBuf()), true)}
-	err := raw(h, &rc.args, &rc.rep)
+	err := ErrNoProc
+	if proc != nil {
+		err = proc(h, &rc.args, &rc.rep)
+	}
 	if err == nil && rc.args.Err() != nil {
 		// The handler mis-decoded (or ignored a malformed stream): the
 		// decode fault is the call's error.
@@ -704,6 +633,9 @@ func (s *Server) executeRaw(raw RawHandler, h Header, payload []byte) (frame []b
 	*rc = rawCall{}
 	rawCallPool.Put(rc)
 	if errors.Is(err, ErrServerCrashed) {
+		// The crash schedule fired inside the handler — between the
+		// service's log append and its apply. The op is durable in the
+		// log; the process is gone.
 		putBuf(replyFrame)
 		s.enterCrashed(faultplane.CrashPreApply)
 		return nil, nil, true
@@ -714,6 +646,9 @@ func (s *Server) executeRaw(raw RawHandler, h Header, payload []byte) (frame []b
 		replyFrame = AppendString(AppendBool(BeginFrame(replyFrame[:0]), false), err.Error())
 	}
 	if s.crashPoint(faultplane.CrashPreReply) {
+		// Logged, applied — and dead before the reply could leave. The
+		// retransmission will be answered from the durable log by the
+		// restarted server.
 		putBuf(replyFrame)
 		return nil, nil, true
 	}
@@ -879,47 +814,20 @@ func (c *Client) overExpiry() bool {
 	return c.Expiry > 0 && c.link.Clock() >= c.Expiry
 }
 
-// Call invokes proc with args against server, driving the server's
-// Poll between send and receive — the calling goroutine is the pump, so
-// concurrent callers pump for each other (and whoever pumps first after
-// a crash restarts the server). Lost or corrupted frames — including
-// calls that died with a crashed server — are retransmitted under
-// capped exponential backoff; the server's reply cache and durable log
-// guarantee the handler runs at most once however many retransmissions
-// and server restarts it takes. The deadline budget is checked on every
-// attempt, including the first, and again before a success is returned,
-// so injected delay on attempt zero cannot blow the budget undetected.
+// Call invokes proc with boxed args against server and returns the
+// boxed results — a codec adapter over CallRaw for callers without a
+// typed stub: the arguments are marshalled into the call builder and
+// the result stream unmarshalled, on the one call path.
 func (c *Client) Call(server *Server, proc uint32, args ...interface{}) ([]interface{}, error) {
-	c.nextID++
-	return c.call(server, c.nextID, proc, args...)
-}
-
-// call is Call with the call ID chosen by the caller — the form the
-// failover client uses to retransmit one logical call, same ID, against
-// a different endpoint, so the new primary's dedup machinery recognises
-// it as the same operation.
-func (c *Client) call(server *Server, id uint32, proc uint32, args ...interface{}) ([]interface{}, error) {
-	buf := getBuf()
-	payload, err := AppendMarshal(buf, args...)
-	if err != nil {
-		putBuf(buf)
+	w := c.NewCallArgs()
+	if err := w.marshal(args); err != nil {
 		return nil, err
 	}
-	frame, err := AppendEncode(getBuf(), Header{Kind: KindCall, CallID: id, ProcID: proc, ClientID: c.ClientID, Expiry: c.expiryStamp()}, payload)
-	putBuf(payload)
+	res, err := c.CallRaw(server, proc, w)
 	if err != nil {
 		return nil, err
 	}
-	results, err := c.drive(server, id, proc, frame)
-	putBuf(frame) // Send copies; once the retry loop is over the frame is ours again
-	if err != nil {
-		return nil, err
-	}
-	vals, err := Unmarshal(results)
-	if err != nil {
-		return nil, err
-	}
-	return vals, nil
+	return Unmarshal(res.data)
 }
 
 // okFlagBytes is the encoded size of the ok flag leading every reply
@@ -930,10 +838,10 @@ const okFlagBytes = 2
 // — capped exponential backoff with seed-derived jitter, deadline
 // budget, expiry shedding, retry budget, reply-protocol decode — until
 // the call concludes. On success it returns the reply's result stream:
-// the payload past the leading ok flag, ready for Unmarshal (the boxed
-// path) or an Args cursor (the raw path). The returned bytes view the
-// delivered frame, which the link never reuses. Frame bytes are not
-// retained: the caller may recycle frame when drive returns.
+// the payload past the leading ok flag, ready for an Args cursor. The
+// returned bytes view the delivered frame, which the link never reuses.
+// Frame bytes are not retained: the caller may recycle frame when drive
+// returns.
 func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]byte, error) {
 	rec := c.link.Recorder()
 	start := c.link.Clock()
@@ -1118,24 +1026,41 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 }
 
 // CallRaw invokes proc against server with the arguments staged in w —
-// the zero-allocation counterpart of Call. The builder must come from
-// this client's NewCallArgs; CallRaw seals it into the call frame,
-// drives the same retransmission machinery as Call, and recycles the
-// builder win or lose. On success the returned cursor is positioned at
-// the first result; it views link-delivered memory that is never
-// reused, so the caller may hold it as long as it likes (Bytes results
-// alias that memory — copy them to keep them past the reply).
+// the one call path, driving the server's Poll between send and receive
+// (the calling goroutine is the pump, so concurrent callers pump for
+// each other, and whoever pumps first after a crash restarts the
+// server). Lost or corrupted frames — including calls that died with a
+// crashed server — are retransmitted under capped exponential backoff;
+// the server's reply cache and durable log guarantee the handler runs at
+// most once however many retransmissions and server restarts it takes.
+// The deadline budget is checked on every attempt, including the first,
+// and again before a success is returned, so injected delay on attempt
+// zero cannot blow the budget undetected.
+//
+// The builder must come from NewCallArgs; CallRaw seals it into the
+// call frame and recycles it win or lose. On success the returned
+// cursor is positioned at the first result; it views link-delivered
+// memory that is never reused, so the caller may hold it as long as it
+// likes (Bytes results alias that memory — copy them to keep them past
+// the reply).
 func (c *Client) CallRaw(server *Server, proc uint32, w *CallArgs) (Args, error) {
 	c.nextID++
-	id := c.nextID
+	res, err := c.callSealed(server, c.nextID, proc, w)
+	w.release()
+	return res, err
+}
+
+// callSealed seals w as call id from this client — its identity, its
+// expiry stamp — and drives it. The builder stays the caller's: the
+// failover client re-seals the same one, same call ID, on each endpoint
+// it tries, so the new primary's dedup machinery recognises the
+// retransmission as the same operation.
+func (c *Client) callSealed(server *Server, id uint32, proc uint32, w *CallArgs) (Args, error) {
 	frame, err := FinishFrame(w.frame, Header{Kind: KindCall, CallID: id, ProcID: proc, ClientID: c.ClientID, Expiry: c.expiryStamp()})
 	if err != nil {
-		w.release()
 		return Args{}, err
 	}
-	w.frame = frame
 	results, err := c.drive(server, id, proc, frame)
-	w.release()
 	if err != nil {
 		return Args{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"archos/internal/faultplane"
 	"archos/internal/ipc"
 )
 
@@ -105,7 +106,7 @@ func TestEncodeRejectsOversize(t *testing.T) {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	in := []interface{}{uint32(42), uint64(1 << 40), int64(-7), true, false, 3.25, "andrew", []byte{1, 2, 3}}
-	data, err := Marshal(in...)
+	data, err := AppendMarshal(nil, in...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 func TestMarshalIntBecomesInt64(t *testing.T) {
-	data, err := Marshal(7)
+	data, err := AppendMarshal(nil, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestMarshalIntBecomesInt64(t *testing.T) {
 }
 
 func TestMarshalRejectsUnsupported(t *testing.T) {
-	if _, err := Marshal(struct{}{}); !errors.Is(err, ErrBadArgument) {
+	if _, err := AppendMarshal(nil, struct{}{}); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("struct: %v", err)
 	}
 }
@@ -167,7 +168,7 @@ func TestMarshalPropertyRoundTrip(t *testing.T) {
 		if math.IsNaN(e) {
 			e = 0
 		}
-		data, err := Marshal(a, b, c, d, e, s, bs)
+		data, err := AppendMarshal(nil, a, b, c, d, e, s, bs)
 		if err != nil {
 			return false
 		}
@@ -202,9 +203,7 @@ func newPair() (*Link, *Client, *Server) {
 
 func TestRPCEcho(t *testing.T) {
 	link, client, server := newPair()
-	server.Register(1, func(args []interface{}) ([]interface{}, error) {
-		return args, nil
-	})
+	server.RegisterRaw(1, echoRaw)
 	out, err := client.Call(server, 1, "ping", int64(99))
 	if err != nil {
 		t.Fatal(err)
@@ -222,12 +221,13 @@ func TestRPCEcho(t *testing.T) {
 
 func TestRPCComputation(t *testing.T) {
 	_, client, server := newPair()
-	server.Register(2, func(args []interface{}) ([]interface{}, error) {
+	server.RegisterRaw(2, func(h Header, a *Args, rep *Reply) error {
 		sum := int64(0)
-		for _, a := range args {
-			sum += a.(int64)
+		for a.More() {
+			sum += a.Int64()
 		}
-		return []interface{}{sum}, nil
+		rep.Int64(sum)
+		return nil
 	})
 	out, err := client.Call(server, 2, int64(3), int64(4), int64(5))
 	if err != nil {
@@ -242,15 +242,30 @@ func TestRPCUnknownProcedure(t *testing.T) {
 	_, client, server := newPair()
 	_, err := client.Call(server, 42, "x")
 	var re *RemoteError
-	if !errors.As(err, &re) {
-		t.Fatalf("err = %v, want RemoteError", err)
+	if !errors.As(err, &re) || re.Msg != ErrNoProc.Error() {
+		t.Fatalf("err = %v, want RemoteError %q", err, ErrNoProc)
+	}
+}
+
+func TestUnknownProcedureDrawsPreReplyCrash(t *testing.T) {
+	// The ErrNoProc reply leaves through the pre-reply crash window like
+	// every other reply: a seeded crash schedule must see the same draw
+	// sequence whether or not the procedure is bound.
+	_, client, server := newPair()
+	server.SetCrasher(&scriptedCrasher{point: faultplane.CrashPreReply, fire: map[int]bool{1: true}})
+	client.MaxRetries = 1
+	if _, err := client.Call(server, 42, "x"); !errors.Is(err, ErrCallFailed) {
+		t.Fatalf("err = %v, want ErrCallFailed (the server died before replying)", err)
+	}
+	if st := server.Stats(); st.Crashes != 1 || st.Served != 0 {
+		t.Errorf("stats = %+v, want 1 crash and nothing served", st)
 	}
 }
 
 func TestRPCHandlerError(t *testing.T) {
 	_, client, server := newPair()
-	server.Register(3, func(args []interface{}) ([]interface{}, error) {
-		return nil, errors.New("no such file")
+	server.RegisterRaw(3, func(h Header, a *Args, rep *Reply) error {
+		return errors.New("no such file")
 	})
 	_, err := client.Call(server, 3)
 	var re *RemoteError
@@ -263,8 +278,8 @@ func TestRPCRetransmitsOnCorruption(t *testing.T) {
 	// The first transmitted frame (the call) is corrupted in flight;
 	// the server's checksum rejects it and the client's retry succeeds.
 	link, client, server := newPair()
-	server.Register(1, func(args []interface{}) ([]interface{}, error) { return args, nil })
-	link.CorruptFrame(1)
+	server.RegisterRaw(1, echoRaw)
+	script(link).Corrupt(1)
 	out, err := client.Call(server, 1, "once more")
 	if err != nil {
 		t.Fatal(err)
@@ -282,9 +297,9 @@ func TestRPCRetransmitsOnCorruption(t *testing.T) {
 
 func TestRPCRetransmitsOnLoss(t *testing.T) {
 	link, client, server := newPair()
-	server.Register(1, func(args []interface{}) ([]interface{}, error) { return args, nil })
-	link.DropFrame(1) // lose the call
-	link.DropFrame(3) // then lose the retry's reply (frame 2 is the retry call)
+	server.RegisterRaw(1, echoRaw)
+	script(link).Drop(1) // lose the call
+	script(link).Drop(3) // then lose the retry's reply (frame 2 is the retry call)
 	out, err := client.Call(server, 1, int64(5))
 	if err != nil {
 		t.Fatal(err)
@@ -299,10 +314,10 @@ func TestRPCRetransmitsOnLoss(t *testing.T) {
 
 func TestRPCGivesUpAfterMaxRetries(t *testing.T) {
 	link, client, server := newPair()
-	server.Register(1, func(args []interface{}) ([]interface{}, error) { return args, nil })
+	server.RegisterRaw(1, echoRaw)
 	client.MaxRetries = 2
 	for i := 1; i <= 10; i++ {
-		link.DropFrame(i)
+		script(link).Drop(i)
 	}
 	if _, err := client.Call(server, 1); !errors.Is(err, ErrCallFailed) {
 		t.Errorf("err = %v, want ErrCallFailed", err)
@@ -313,13 +328,13 @@ func TestWireClockMatchesCostModel(t *testing.T) {
 	// The functional transport and the Table 3 cost model share the
 	// network model: a call+reply's wire time equals two PacketMicros.
 	link, client, server := newPair()
-	server.Register(1, func(args []interface{}) ([]interface{}, error) { return args, nil })
-	payload, _ := Marshal("x")
+	server.RegisterRaw(1, echoRaw)
+	payload, _ := AppendMarshal(nil, "x")
 	callFrame, _ := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1}, payload)
 	if _, err := client.Call(server, 1, "x"); err != nil {
 		t.Fatal(err)
 	}
-	reply, _ := Marshal(true, "x")
+	reply, _ := AppendMarshal(nil, true, "x")
 	replyFrame, _ := Encode(Header{Kind: KindReply, CallID: 1, ProcID: 1}, reply)
 	want := ipc.Ethernet10.PacketMicros(len(callFrame)) + ipc.Ethernet10.PacketMicros(len(replyFrame))
 	if diff := math.Abs(link.Clock() - want); diff > 1e-9 {

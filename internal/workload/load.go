@@ -577,11 +577,7 @@ func (r *loadRun) issue(op *lop) {
 	op.backoff = r.cfg.RetransmitMicros
 	op.fl = &flight{op: op, gen: op.gen}
 	if op.payload == nil {
-		p, err := wire.Marshal(op.path)
-		if err != nil {
-			panic(err) // a string argument always marshals
-		}
-		op.payload = p
+		op.payload = wire.AppendString(nil, op.path)
 	}
 	var expiry uint32
 	if r.cfg.Controls.PropagateDeadline {
