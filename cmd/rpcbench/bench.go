@@ -60,6 +60,40 @@ var benchProbes = []struct {
 	{"call/raw-1k", wirebench.RawCall1K},
 	{"throughput/8-clients-sharded", wirebench.Throughput(true, 8)},
 	{"throughput/8-clients-global-lock", wirebench.Throughput(false, 8)},
+	{"call/replicated-write", replicatedWrite},
+}
+
+// replicatedWrite times one 2 KiB Write through a primary with two
+// backups: the client call, the WAL append, and the ship of the record
+// to both backups before the reply. Every 64 writes the file is
+// re-created off the clock, so the state each node snapshots stays
+// bounded however large b.N grows.
+func replicatedWrite(b *testing.B) {
+	cfg := fsserver.DefaultReplicaConfig()
+	cfg.Backups = 2
+	r := fsserver.NewCluster(64, kernel.NewCostModel(arch.R3000), cfg).NewClient()
+	payload := make([]byte, 2048)
+	fd := -1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%64 == 0 {
+			b.StopTimer()
+			if fd >= 0 {
+				if err := r.Close(fd); err != nil {
+					b.Fatal("close failed:", err)
+				}
+			}
+			var err error
+			if fd, err = r.Create("/w"); err != nil {
+				b.Fatal("create failed:", err)
+			}
+			b.StartTimer()
+		}
+		if _, err := r.Write(fd, payload); err != nil {
+			b.Fatal("replicated write failed:", err)
+		}
+	}
 }
 
 // runBench measures every probe and the virtual-time percentiles,

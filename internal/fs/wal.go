@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -76,29 +78,22 @@ type Record struct {
 // recordSum computes the record's integrity checksum over every field
 // but Sum itself, via a canonical byte encoding. A record whose stored
 // Sum disagrees was torn — partially persisted by a crash mid-append,
-// or damaged in shipping.
+// or damaged in shipping. The fixed fields and the path share one
+// scratch buffer; the payload is checksummed in place.
 func recordSum(r Record) uint32 {
-	h := crc32.NewIEEE()
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], r.Seq)
-	h.Write(b[:])
-	binary.BigEndian.PutUint64(b[:], uint64(int64(r.Op)))
-	h.Write(b[:])
-	binary.BigEndian.PutUint64(b[:], uint64(len(r.Path)))
-	h.Write(b[:])
-	h.Write([]byte(r.Path))
-	binary.BigEndian.PutUint64(b[:], uint64(int64(r.FD)))
-	h.Write(b[:])
-	binary.BigEndian.PutUint64(b[:], uint64(int64(r.N)))
-	h.Write(b[:])
-	binary.BigEndian.PutUint64(b[:], uint64(len(r.Data)))
-	h.Write(b[:])
-	h.Write(r.Data)
-	binary.BigEndian.PutUint32(b[:4], r.Client)
-	h.Write(b[:4])
-	binary.BigEndian.PutUint32(b[:4], r.Call)
-	h.Write(b[:4])
-	return h.Sum32()
+	b := make([]byte, 0, 6*8+len(r.Path))
+	b = binary.BigEndian.AppendUint64(b, r.Seq)
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(r.Op)))
+	b = binary.BigEndian.AppendUint64(b, uint64(len(r.Path)))
+	b = append(b, r.Path...)
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(r.FD)))
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(r.N)))
+	b = binary.BigEndian.AppendUint64(b, uint64(len(r.Data)))
+	sum := crc32.Update(0, crc32.IEEETable, b)
+	sum = crc32.Update(sum, crc32.IEEETable, r.Data)
+	b = binary.BigEndian.AppendUint32(b[:0], r.Client)
+	b = binary.BigEndian.AppendUint32(b, r.Call)
+	return crc32.Update(sum, crc32.IEEETable, b)
 }
 
 // ApplyResult carries the operation's outputs: the allocated
@@ -507,22 +502,148 @@ func (w *WAL) CorruptSnapshotByte(off int) bool {
 	return true
 }
 
-// EncodeRecords serialises a batch of records for shipping.
+// recordsFormat is the leading byte of a shipped record batch.
+const recordsFormat byte = 1
+
+// minRecordBytes is the smallest encoded record: one byte for each of
+// its six varints and length prefixes, and its three 4-byte words.
+const minRecordBytes = 6 + 3*4
+
+// EncodeRecords serialises a batch of records for shipping: the format
+// byte, a uvarint record count, then each record's fields in
+// recordSum's order — uvarint Seq, varint Op, length-prefixed Path,
+// varint FD and N, length-prefixed Data, and Client, Call and Sum as
+// 4-byte big-endian words. The buffer is sized exactly before the
+// first append. An empty batch encodes to two bytes.
 func EncodeRecords(recs []Record) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
-		return nil, fmt.Errorf("fs: encode records: %w", err)
+	n := 1 + uvarintLen(uint64(len(recs)))
+	for i := range recs {
+		r := &recs[i]
+		n += uvarintLen(r.Seq) + varintLen(int64(r.Op)) +
+			uvarintLen(uint64(len(r.Path))) + len(r.Path) +
+			varintLen(int64(r.FD)) + varintLen(int64(r.N)) +
+			uvarintLen(uint64(len(r.Data))) + len(r.Data) + 3*4
 	}
-	return buf.Bytes(), nil
+	b := make([]byte, 0, n)
+	b = append(b, recordsFormat)
+	b = binary.AppendUvarint(b, uint64(len(recs)))
+	for i := range recs {
+		r := &recs[i]
+		b = binary.AppendUvarint(b, r.Seq)
+		b = binary.AppendVarint(b, int64(r.Op))
+		b = binary.AppendUvarint(b, uint64(len(r.Path)))
+		b = append(b, r.Path...)
+		b = binary.AppendVarint(b, int64(r.FD))
+		b = binary.AppendVarint(b, int64(r.N))
+		b = binary.AppendUvarint(b, uint64(len(r.Data)))
+		b = append(b, r.Data...)
+		b = binary.BigEndian.AppendUint32(b, r.Client)
+		b = binary.BigEndian.AppendUint32(b, r.Call)
+		b = binary.BigEndian.AppendUint32(b, r.Sum)
+	}
+	return b, nil
 }
 
-// DecodeRecords deserialises a shipped batch.
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length of x's zig-zag varint encoding.
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+// DecodeRecords deserialises a shipped batch. Every record's Path and
+// Data are copies, so the records outlive data — a view into a pooled
+// wire frame. Malformed input is an error, found before anything is
+// allocated for it: a wrong format byte, a count the remaining bytes
+// cannot hold, a length prefix that runs past the end, a truncated
+// field, or trailing bytes. Checksums are left to WAL.AppendShipped.
 func DecodeRecords(data []byte) ([]Record, error) {
-	var recs []Record
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("fs: decode records: %w", err)
+	if len(data) == 0 || data[0] != recordsFormat {
+		return nil, errors.New("fs: decode records: not a record batch")
+	}
+	d := batchReader{b: data[1:]}
+	count := d.uvarint()
+	if d.err == nil && count > uint64(len(d.b)/minRecordBytes) {
+		d.err = fmt.Errorf("count %d exceeds what %d bytes can hold", count, len(d.b))
+	}
+	if d.err != nil {
+		return nil, fmt.Errorf("fs: decode records: %w", d.err)
+	}
+	recs := make([]Record, count)
+	for i := range recs {
+		r := &recs[i]
+		r.Seq = d.uvarint()
+		r.Op = OpCode(d.varint())
+		r.Path = string(d.bytes())
+		r.FD = int(d.varint())
+		r.N = int(d.varint())
+		if p := d.bytes(); len(p) > 0 {
+			r.Data = append([]byte(nil), p...)
+		}
+		r.Client = d.uint32()
+		r.Call = d.uint32()
+		r.Sum = d.uint32()
+		if d.err != nil {
+			return nil, fmt.Errorf("fs: decode records: record %d: %w", i, d.err)
+		}
+	}
+	if len(d.b) != 0 {
+		return nil, fmt.Errorf("fs: decode records: %d trailing bytes", len(d.b))
 	}
 	return recs, nil
+}
+
+// batchReader is DecodeRecords' cursor over a batch. The first
+// malformed field sets err; every later read returns a zero value.
+type batchReader struct {
+	b   []byte
+	err error
+}
+
+func (d *batchReader) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.err = errors.New("malformed uvarint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// varint undoes the zig-zag mapping binary.AppendVarint applies.
+func (d *batchReader) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// bytes returns a view of the next length-prefixed field.
+func (d *batchReader) bytes() []byte {
+	n := d.uvarint()
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.b)) {
+		d.err = fmt.Errorf("length %d runs past the %d bytes left", n, len(d.b))
+		return nil
+	}
+	p := d.b[:n]
+	d.b = d.b[n:]
+	return p
+}
+
+func (d *batchReader) uint32() uint32 {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.b) < 4 {
+		d.err = errors.New("truncated 4-byte word")
+		return 0
+	}
+	v := binary.BigEndian.Uint32(d.b)
+	d.b = d.b[4:]
+	return v
 }
 
 // Commit records the outcome of an applied op in the client's session

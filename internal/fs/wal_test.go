@@ -3,13 +3,14 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // logged wraps an op through the WAL discipline the server uses:
 // append, then apply, then commit — so tests replay realistic logs.
-func logged(t *testing.T, w *WAL, f *FS, r Record) ApplyResult {
+func logged(t testing.TB, w *WAL, f *FS, r Record) ApplyResult {
 	t.Helper()
 	r = w.Append(r)
 	res, err := f.Apply(r)
@@ -25,7 +26,7 @@ func logged(t *testing.T, w *WAL, f *FS, r Record) ApplyResult {
 // files, interleaved reads and writes (offsets matter), an unlink, and
 // descriptors deliberately left open so recovery must rebuild the fd
 // table, not just the tree.
-func workout(t *testing.T, w *WAL, f *FS) {
+func workout(t testing.TB, w *WAL, f *FS) {
 	t.Helper()
 	call := uint32(0)
 	do := func(r Record) ApplyResult {
@@ -344,21 +345,38 @@ func TestRecordBatchCodecRoundTrips(t *testing.T) {
 	w.EnableShipping()
 	workout(t, w, f)
 	recs := w.RecordsSince(0)
+	// Then a 2 KiB payload and the widest Seq, Client and Call.
+	for _, c := range sumRecords[3:5] {
+		r := c.r
+		r.Sum = c.sum
+		recs = append(recs, r)
+	}
 	enc, err := EncodeRecords(recs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cap(enc) != len(enc) {
+		t.Errorf("encoded batch has cap %d for %d bytes: the buffer was not sized exactly", cap(enc), len(enc))
 	}
 	dec, err := DecodeRecords(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dec) != len(recs) {
-		t.Fatalf("decoded %d records, want %d", len(dec), len(recs))
+	if !reflect.DeepEqual(dec, recs) {
+		t.Fatalf("decoded batch differs from the encoded records\ngot  %+v\nwant %+v", dec, recs)
 	}
 	for i := range dec {
 		if dec[i].Sum != recordSum(dec[i]) {
 			t.Errorf("record %d lost integrity across the codec", i)
 		}
+	}
+	// The demotion fencing probe ships an empty batch.
+	empty, err := EncodeRecords(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec, err := DecodeRecords(empty); err != nil || len(dec) != 0 {
+		t.Errorf("empty batch decodes to %d records, %v", len(dec), err)
 	}
 	if _, err := DecodeRecords([]byte("not a batch")); err == nil {
 		t.Error("garbage decoded without error")

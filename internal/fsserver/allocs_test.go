@@ -1,6 +1,7 @@
 package fsserver
 
 import (
+	"bytes"
 	"testing"
 
 	"archos/internal/arch"
@@ -80,5 +81,57 @@ func TestTracingAddsNoAllocationInRemote(t *testing.T) {
 	t.Logf("allocs/op: Stat %.1f untraced, %.1f traced", plainStat, tracedStat)
 	if tracedStat != plainStat {
 		t.Errorf("traced Stat allocates %.1f per op, untraced %.1f", tracedStat, plainStat)
+	}
+}
+
+// writeAllocs measures the steady-state allocations of one 2 KiB Write
+// and of one Mkdir+Unlink pair through r, after a warm-up.
+func writeAllocs(t *testing.T, r *Remote) (write, pair float64) {
+	t.Helper()
+	fd, err := r.Create("/w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0x5a}, 2048)
+	doWrite := func() {
+		if n, err := r.Write(fd, payload); err != nil || n != len(payload) {
+			t.Fatalf("Write = %d, %v", n, err)
+		}
+	}
+	doPair := func() {
+		if err := r.Mkdir("/p"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Unlink("/p"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		doWrite()
+		doPair()
+	}
+	return testing.AllocsPerRun(300, doWrite), testing.AllocsPerRun(300, doPair)
+}
+
+func TestReplicatedWriteAllocationsPerBackup(t *testing.T) {
+	// Every logged op is shipped to each backup before it is
+	// acknowledged, so a replicated write pays the ship codec, the ship
+	// call and the backup's apply once per backup. That price is bounded
+	// per backup and per logged op against the same op on one server.
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const backups, bound = 2, 16
+	cm := kernel.NewCostModel(arch.R3000)
+	singleWrite, singlePair := writeAllocs(t, NewRemoteOnLink(fs.New(64), cm, wire.NewLink(localNet)))
+	cluster := NewCluster(64, cm, ReplicaConfig{Backups: backups, Failover: true, AckTimeoutMicros: 2e6, AckRetries: 64})
+	replWrite, replPair := writeAllocs(t, cluster.NewClient())
+	t.Logf("allocs/op: 2 KiB Write %.1f single, %.1f replicated; Mkdir+Unlink %.1f single, %.1f replicated",
+		singleWrite, replWrite, singlePair, replPair)
+	if per := (replWrite - singleWrite) / backups; per > bound {
+		t.Errorf("replicated Write costs %.1f allocs per backup per logged op, want at most %d", per, bound)
+	}
+	if per := (replPair - singlePair) / backups / 2; per > bound {
+		t.Errorf("replicated Mkdir+Unlink costs %.1f allocs per backup per logged op, want at most %d", per, bound)
 	}
 }

@@ -29,11 +29,11 @@ import (
 // primary→backup links (disjoint from the client-facing file procs).
 const (
 	// ProcShip carries a batch of WAL records: args are the primary's
-	// epoch (uint32) and the gob-encoded batch ([]byte); the reply is
-	// the backup's applied sequence number (uint64) — the ack cursor.
-	// A reply below the primary's cursor is a cursor correction: the
-	// backup lost records (revival, quarantine) and the primary must
-	// rewind and re-ship.
+	// epoch (uint32) and the batch in fs.EncodeRecords' binary format
+	// ([]byte); the reply is the backup's applied sequence number
+	// (uint64) — the ack cursor. A reply below the primary's cursor is
+	// a cursor correction: the backup lost records (revival,
+	// quarantine) and the primary must rewind and re-ship.
 	ProcShip uint32 = iota + 100
 	// ProcReplSeq queries the backup's applied sequence number — how a
 	// restarted primary re-learns its shipping cursor. An optional

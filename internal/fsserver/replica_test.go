@@ -373,6 +373,16 @@ func TestMalformedReplicationInputGetsErrorReply(t *testing.T) {
 	backup := cluster.Backup(0)
 	before := backup.AppliedSeq()
 	ship := wire.NewClient(cluster.ReplLink(0), wire.A)
+	// A sealed successor record: only the damage to its batch stands
+	// between it and the backup's log.
+	w := fs.NewWAL(64)
+	for w.LastSeq() < before {
+		w.Append(fs.Record{Op: fs.OpMkdir, Path: "/d"})
+	}
+	batch, err := fs.EncodeRecords([]fs.Record{w.Append(fs.Record{Op: fs.OpMkdir, Path: "/e"})})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		proc uint32
@@ -380,6 +390,8 @@ func TestMalformedReplicationInputGetsErrorReply(t *testing.T) {
 	}{
 		{"ship without args", ProcShip, nil},
 		{"ship with (int64, string)", ProcShip, []interface{}{int64(1), "records"}},
+		{"ship of a batch cut short", ProcShip, []interface{}{uint32(1), batch[:len(batch)-1]}},
+		{"ship of a batch with a trailing byte", ProcShip, []interface{}{uint32(1), append(batch, 0)}},
 		{"snapshot install with only an epoch", ProcSnapInstall, []interface{}{uint32(1)}},
 		{"scrub with a string epoch", ProcScrub, []interface{}{"1", uint64(4)}},
 		{"scrub of too many ranges", ProcScrub, []interface{}{uint32(1), uint64(1) << 40}},
