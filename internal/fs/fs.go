@@ -28,6 +28,7 @@ var (
 	ErrBadFD      = errors.New("fs: bad file descriptor")
 	ErrNotEmpty   = errors.New("fs: directory not empty")
 	ErrNameTooBig = errors.New("fs: name too long")
+	ErrBadCount   = errors.New("fs: negative byte count")
 )
 
 // BlockBytes is the file-system block size (the paper's machines use
@@ -265,6 +266,25 @@ func (f *FS) Read(fdno int, buf []byte) (int, error) {
 	f.touchBlocks(n, d.offset, c)
 	d.offset += c
 	return c, nil
+}
+
+// ReadN reads up to n bytes at the descriptor's offset into a buffer
+// of its own, for callers that hold a byte count rather than a buffer:
+// a read request, live or replayed from the log. The buffer is capped
+// at the bytes the file holds past the offset, so a huge count
+// allocates no more than the read can return; a negative count is
+// refused with ErrBadCount before anything is allocated.
+func (f *FS) ReadN(fdno, n int) ([]byte, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("%w: %d", ErrBadCount, n)
+	}
+	left := 0
+	if d, ok := f.fds[fdno]; ok {
+		left = len(f.inodes[d.ino].data) - d.offset
+	}
+	buf := make([]byte, max(min(n, left), 0))
+	c, err := f.Read(fdno, buf)
+	return buf[:c], err
 }
 
 // Write writes buf at the descriptor's offset, extending the file.

@@ -203,6 +203,36 @@ func TestBlockCacheBehaviour(t *testing.T) {
 	}
 }
 
+func TestReadNRefusesNegativeCountAndCapsBuffer(t *testing.T) {
+	f := New(16)
+	if err := f.WriteFile("/f", []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := f.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := f.ReadN(fd, -1); !errors.Is(err, ErrBadCount) || data != nil {
+		t.Errorf("ReadN(fd, -1) = %q, %v; want nil, ErrBadCount", data, err)
+	}
+	// A logged read replays through Apply and must fail the same way.
+	if _, err := f.Apply(Record{Op: OpRead, FD: fd, N: -3}); !errors.Is(err, ErrBadCount) {
+		t.Errorf("Apply(read of -3 bytes) = %v, want ErrBadCount", err)
+	}
+	// The refused reads left the offset alone; a count far past the
+	// file allocates only what the read returns.
+	data, err := f.ReadN(fd, 1<<30)
+	if err != nil || string(data) != "0123456789" || cap(data) != 10 {
+		t.Errorf("ReadN(fd, 1<<30) = %q (cap %d), %v; want the 10-byte file, cap 10", data, cap(data), err)
+	}
+	if data, err := f.ReadN(fd, 5); err != nil || len(data) != 0 {
+		t.Errorf("ReadN at EOF = %q, %v", data, err)
+	}
+	if _, err := f.ReadN(99, 5); !errors.Is(err, ErrBadFD) {
+		t.Errorf("ReadN(99, 5) = %v, want ErrBadFD", err)
+	}
+}
+
 func TestOpCounts(t *testing.T) {
 	f := New(16)
 	f.Mkdir("/d")

@@ -123,9 +123,8 @@ func (f *FS) Apply(r Record) (ApplyResult, error) {
 	case OpClose:
 		return ApplyResult{}, f.Close(r.FD)
 	case OpRead:
-		buf := make([]byte, r.N)
-		n, err := f.Read(r.FD, buf)
-		return ApplyResult{N: n, Data: buf[:n]}, err
+		data, err := f.ReadN(r.FD, r.N)
+		return ApplyResult{N: len(data), Data: data}, err
 	case OpWrite:
 		n, err := f.Write(r.FD, r.Data)
 		return ApplyResult{N: n}, err
@@ -270,21 +269,27 @@ func (w *WAL) AppendShipped(r Record) error {
 // snapshot. The two are disjoint by construction — tail records are
 // strictly above snapSeq — so the merge never duplicates and never
 // gaps as long as seq is at or above ShipFloor.
+//
+// Both slices ascend in Seq, so each contributes one contiguous run,
+// found by binary search; the batch is copied into one allocation of
+// exactly its size, and an empty batch is nil.
 func (w *WAL) RecordsSince(seq uint64) []Record {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var out []Record
-	for _, r := range w.shipBuf {
-		if r.Seq > seq && r.Seq <= w.snapSeq {
-			out = append(out, r)
-		}
+	ship := w.shipBuf[seqAbove(w.shipBuf, seq):seqAbove(w.shipBuf, max(seq, w.snapSeq))]
+	tail := w.tail[seqAbove(w.tail, seq):]
+	if len(ship)+len(tail) == 0 {
+		return nil
 	}
-	for _, r := range w.tail {
-		if r.Seq > seq {
-			out = append(out, r)
-		}
-	}
-	return out
+	out := make([]Record, 0, len(ship)+len(tail))
+	out = append(out, ship...)
+	return append(out, tail...)
+}
+
+// seqAbove returns the index of the first record in recs, which ascend
+// in Seq, whose Seq is above seq.
+func seqAbove(recs []Record, seq uint64) int {
+	return sort.Search(len(recs), func(i int) bool { return recs[i].Seq > seq })
 }
 
 // ShipFloor returns the lowest acknowledged cursor this log can serve

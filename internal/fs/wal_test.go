@@ -680,3 +680,125 @@ func TestQuarantineSnapshotResetsToGenesis(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 snapshot and 1 tail record quarantined", st)
 	}
 }
+
+// recordsSinceRef is the linear filter RecordsSince replaced, kept as
+// its reference: every ship-buffer record the snapshot folded away,
+// then every tail record, above the cursor.
+func recordsSinceRef(w *WAL, seq uint64) []Record {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var out []Record
+	for _, r := range w.shipBuf {
+		if r.Seq > seq && r.Seq <= w.snapSeq {
+			out = append(out, r)
+		}
+	}
+	for _, r := range w.tail {
+		if r.Seq > seq {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func TestRecordsSinceMatchesLinearFilter(t *testing.T) {
+	f := New(64)
+	w := NewWAL(64)
+	w.EnableShipping()
+	call := uint32(0)
+	appendN := func(n int) {
+		for i := 0; i < n; i++ {
+			call++
+			logged(t, w, f, Record{Op: OpMkdir, Path: fmt.Sprintf("/d%d", call), Client: 1, Call: call})
+		}
+	}
+	// check compares every cursor from below the ship floor to past the
+	// last record; below the floor the batch has gaps, but it must
+	// still be the same batch.
+	check := func(step string) {
+		t.Helper()
+		for cursor := uint64(0); cursor <= w.LastSeq()+1; cursor++ {
+			got, want := w.RecordsSince(cursor), recordsSinceRef(w, cursor)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: RecordsSince(%d) = %v, reference %v", step, cursor, seqs(got), seqs(want))
+			}
+			if got != nil && (len(got) == 0 || len(got) != cap(got)) {
+				t.Fatalf("%s: RecordsSince(%d) has len %d cap %d, want nil or len == cap", step, cursor, len(got), cap(got))
+			}
+		}
+	}
+	check("empty log")
+	appendN(6)
+	check("append")
+	if err := w.Snapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	check("snapshot with records unacknowledged")
+	appendN(4)
+	check("append after snapshot")
+	w.AckShipped(3)
+	check("AckShipped mid ship buffer")
+	w.DiscardFrom(9)
+	check("DiscardFrom")
+	appendN(3)
+	check("append after discard")
+	w.QuarantineFrom(5) // below the snapshot: rewinds the log under snapSeq
+	check("QuarantineFrom below the snapshot")
+	appendN(3)
+	check("append below the snapshot")
+	if err := w.Snapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	w.AckShipped(w.LastSeq() - 2)
+	appendN(2)
+	check("second snapshot, partial ack")
+
+	src, sw := New(64), NewWAL(64)
+	workout(t, sw, src)
+	if err := sw.Snapshot(src); err != nil {
+		t.Fatal(err)
+	}
+	data, snapSeq := sw.SnapshotBytes()
+	if _, _, err := w.InstallSnapshot(data, snapSeq); err != nil {
+		t.Fatal(err)
+	}
+	check("InstallSnapshot")
+	appendN(3)
+	check("append after InstallSnapshot")
+	w.AckShipped(w.LastSeq())
+	check("full ack")
+}
+
+// seqs lists a batch's sequence numbers, for failure messages.
+func seqs(recs []Record) []uint64 {
+	out := make([]uint64, len(recs))
+	for i, r := range recs {
+		out[i] = r.Seq
+	}
+	return out
+}
+
+// batchSink keeps the benchmarked batch from being optimised away.
+var batchSink []Record
+
+// BenchmarkRecordsSince measures the per-op ship batch: one new record
+// above the cursor, on a 256-record tail.
+func BenchmarkRecordsSince(b *testing.B) {
+	f := New(64)
+	w := NewWAL(64)
+	w.EnableShipping()
+	fd, err := f.Create("/x")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 256; i++ {
+		logged(b, w, f, Record{Op: OpWrite, FD: fd, Data: make([]byte, 64), Client: 1, Call: uint32(i + 1)})
+	}
+	cursor := w.LastSeq() - 1
+	w.AckShipped(cursor)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batchSink = w.RecordsSince(cursor)
+	}
+}

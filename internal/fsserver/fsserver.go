@@ -115,9 +115,7 @@ func (d *Direct) ReadDir(path string) ([]string, error) { d.charge(); return d.F
 
 func (d *Direct) Read(fd, n int) ([]byte, error) {
 	d.charge()
-	buf := make([]byte, n)
-	c, err := d.FS.Read(fd, buf)
-	return buf[:c], err
+	return d.FS.ReadN(fd, n)
 }
 
 func (d *Direct) Write(fd int, data []byte) (int, error) {

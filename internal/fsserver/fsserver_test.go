@@ -177,6 +177,133 @@ func TestBlockCacheVisibleThroughService(t *testing.T) {
 	}
 }
 
+// TestBlockCacheStatsPinned pins the hits and misses of the andrew
+// script on the monolithic arrangement, at capacities that never evict
+// (512) and that evict throughout (64, 16, 4). The values were taken
+// from the stamp-and-scan cache the linked-list LRU replaced, so they
+// pin its victim order end to end.
+func TestBlockCacheStatsPinned(t *testing.T) {
+	cm := kernel.NewCostModel(arch.R3000)
+	for _, c := range []struct {
+		blocks       int
+		hits, misses int64
+	}{{512, 832, 104}, {64, 789, 147}, {16, 730, 206}, {4, 641, 295}} {
+		direct := NewDirect(fs.New(c.blocks), cm)
+		if _, err := DefaultAndrewMini().Run(direct); err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses := direct.FS.CacheStats(); hits != c.hits || misses != c.misses {
+			t.Errorf("%d blocks: hits=%d misses=%d, want %d/%d", c.blocks, hits, misses, c.hits, c.misses)
+		}
+	}
+}
+
+// negativeReadScript writes a 10-byte file and reads it back through a
+// read with a negative byte count, which must fail like any other
+// failing op and leave the descriptor and the service answering.
+func negativeReadScript(t *testing.T, svc Service) {
+	t.Helper()
+	if err := svc.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := svc.Create("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Write(fd, []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	if fd, err = svc.Open("/d/f"); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := svc.Read(fd, -1); err == nil {
+		t.Fatalf("Read(fd, -1) = %q, want an error", data)
+	}
+	if data, err := svc.Read(fd, 4); err != nil || string(data) != "0123" {
+		t.Fatalf("Read(fd, 4) after the refused read = %q, %v; want \"0123\"", data, err)
+	}
+	if err := svc.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := svc.Stat("/d/f"); err != nil || st.Size != 10 {
+		t.Fatalf("Stat after the refused read = %+v, %v", st, err)
+	}
+}
+
+// TestNegativeReadCountIsAnOrdinaryError: a read request carries its
+// byte count into the log, so a negative count reaches the primary's
+// apply, every backup's (ship runs before apply) and recovery's replay.
+// Each must fail the op with an error rather than panic allocating the
+// buffer, and every node must end on the monolith's state.
+func TestNegativeReadCountIsAnOrdinaryError(t *testing.T) {
+	cm := kernel.NewCostModel(arch.R3000)
+	mono := fs.New(64)
+	direct := NewDirect(mono, cm)
+	negativeReadScript(t, direct)
+	if _, err := direct.Read(-1, -1); !errors.Is(err, fs.ErrBadCount) {
+		t.Errorf("Direct.Read(-1, -1) = %v, want fs.ErrBadCount", err)
+	}
+	want := mono.Fingerprint()
+
+	t.Run("single server", func(t *testing.T) {
+		link := wire.NewLink(ipc.NetworkConfig{Name: "local", BandwidthMbps: 1e6})
+		remote := NewRemoteOnLink(fs.New(64), cm, link)
+		negativeReadScript(t, remote)
+		// Recovery replays the logged negative read from the WAL.
+		remote.server.Crash()
+		if _, err := remote.Stat("/d/f"); err != nil {
+			t.Fatalf("Stat after recovery: %v", err)
+		}
+		if n, _ := remote.server.Recoveries(); n != 1 {
+			t.Fatalf("server recovered %d times, want 1", n)
+		}
+		if got := remote.ServerFS().Fingerprint(); got != want {
+			t.Error("recovered server diverged from the monolith")
+		}
+	})
+
+	t.Run("2-backup cluster", func(t *testing.T) {
+		cluster := NewCluster(64, cm, ReplicaConfig{Backups: 2, Failover: true, AckTimeoutMicros: 2e6, AckRetries: 64})
+		negativeReadScript(t, cluster.NewClient())
+		if err := cluster.Audit(); err != nil {
+			t.Error(err)
+		}
+		fps := cluster.NodeFingerprints()
+		if len(fps) != 3 {
+			t.Fatalf("%d node fingerprints, want 3", len(fps))
+		}
+		for i, fp := range fps {
+			if fp != want {
+				t.Errorf("node %d diverged from the monolith", i)
+			}
+		}
+	})
+}
+
+func TestDirectReadBufferCappedAtFileSize(t *testing.T) {
+	direct := NewDirect(fs.New(64), kernel.NewCostModel(arch.R3000))
+	fd, err := direct.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := direct.Write(fd, []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.FS.Seek(fd, 0); err != nil {
+		t.Fatal(err)
+	}
+	data, err := direct.Read(fd, 1<<20)
+	if err != nil || string(data) != "0123456789" {
+		t.Fatalf("Read(fd, 1<<20) = %q, %v", data, err)
+	}
+	if cap(data) > 10 {
+		t.Errorf("Read(fd, 1<<20) of a 10-byte file allocated cap %d, want ≤ 10", cap(data))
+	}
+}
+
 func TestScriptSurvivesWireFaults(t *testing.T) {
 	// Corrupt and drop frames mid-script: the transport's checksums and
 	// retransmission make the file service come out identical anyway.

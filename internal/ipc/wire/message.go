@@ -76,23 +76,41 @@ var (
 // "only real computation in RPC, in the traditional sense ... memory
 // intensive and not compute intensive; each checksum addition is paired
 // with a load."
+//
+// The sum is computed 16 bytes per step: big-endian 32-bit words go
+// into four 64-bit accumulators, and the last 0–15 bytes are added as
+// 16-bit words. A 32-bit word is congruent to the sum of its two
+// 16-bit halves mod 0xFFFF, so the folded result is bit-identical to
+// summing 16-bit words one at a time.
 func Checksum(data []byte) uint16 {
 	return fold(addWords(0, data))
 }
 
-// addWords accumulates data into a running ones-complement sum as
-// big-endian 16-bit words, padding a trailing odd byte high. Callers
-// splitting a buffer must split at even offsets to preserve word
-// alignment.
+// addWords accumulates data into a running ones-complement sum of
+// big-endian 16-bit words, padding a trailing odd byte high. The
+// returned value is reduced with end-around carry, which preserves it
+// mod 0xFFFF and never turns a nonzero sum into zero (RFC 1071 §2), so
+// only fold's result is meaningful. Callers splitting a buffer must
+// split at even offsets to preserve word alignment.
 func addWords(sum uint32, data []byte) uint32 {
+	var s0, s1, s2, s3 uint64
+	for ; len(data) >= 16; data = data[16:] {
+		s0 += uint64(binary.BigEndian.Uint32(data[0:4]))
+		s1 += uint64(binary.BigEndian.Uint32(data[4:8]))
+		s2 += uint64(binary.BigEndian.Uint32(data[8:12]))
+		s3 += uint64(binary.BigEndian.Uint32(data[12:16]))
+	}
+	acc := uint64(sum) + s0 + s1 + s2 + s3
 	n := len(data)
 	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
+		acc += uint64(data[i])<<8 | uint64(data[i+1])
 	}
 	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
+		acc += uint64(data[n-1]) << 8
 	}
-	return sum
+	acc = acc&0xFFFFFFFF + acc>>32
+	acc = acc&0xFFFFFFFF + acc>>32
+	return uint32(acc)
 }
 
 // fold reduces the running sum to ones-complement 16 bits.
