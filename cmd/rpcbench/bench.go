@@ -98,14 +98,32 @@ func replicatedWrite(b *testing.B) {
 
 // runBench measures every probe and the virtual-time percentiles,
 // prints the table, writes benchout if given, and compares against
-// benchcompare if given (exiting nonzero on regression).
+// benchcompare if given (exiting nonzero on regression). A probe that
+// fails is named and left out of the table and the file; the others
+// still run and print, and the command exits nonzero.
 func runBench(benchout, benchcompare string) {
+	// Outside `go test` the testing flags are unregistered, and a probe's
+	// b.Error or b.Fatal would dereference them.
+	testing.Init()
 	cur := benchFile{
 		Note:       "RPC hot-path trajectory; regenerate with `make bench` (rpcbench -bench -benchout BENCH_rpc.json)",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
+	var failed []string
 	for _, p := range benchProbes {
-		r := testing.Benchmark(p.probe)
+		// A failure after the first round shows only on the B: the
+		// result holds the failed round. A zero result (first round
+		// failed or skipped) would put NaN in the file.
+		ok := true
+		r := testing.Benchmark(func(b *testing.B) {
+			defer func() { ok = !b.Failed() }()
+			p.probe(b)
+		})
+		if !ok || r.N == 0 {
+			fmt.Fprintf(os.Stderr, "benchmark probe %s failed\n", p.name)
+			failed = append(failed, p.name)
+			continue
+		}
 		cur.Benchmarks = append(cur.Benchmarks, benchResult{
 			Name:        p.name,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
@@ -134,7 +152,9 @@ func runBench(benchout, benchcompare string) {
 	}
 	fmt.Println(vt)
 
-	if benchout != "" {
+	if benchout != "" && len(failed) > 0 {
+		fmt.Fprintf(os.Stderr, "benchmark trajectory not written to %s: %d probe(s) failed\n", benchout, len(failed))
+	} else if benchout != "" {
 		data, err := json.MarshalIndent(cur, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench encode failed:", err)
@@ -146,10 +166,11 @@ func runBench(benchout, benchcompare string) {
 		}
 		fmt.Printf("benchmark trajectory written to %s\n", benchout)
 	}
-	if benchcompare != "" {
-		if !compareBench(benchcompare, cur) {
-			os.Exit(1)
-		}
+	if benchcompare != "" && !compareBench(benchcompare, cur) {
+		os.Exit(1)
+	}
+	if len(failed) > 0 {
+		os.Exit(1)
 	}
 }
 

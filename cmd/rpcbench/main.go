@@ -70,16 +70,23 @@ func main() {
 		runLoad(*seed, *loadout, *loadcompare, *flightdump)
 		return
 	}
+	// A soak that fails, or prints a ✗ verdict, exits 1, so a script
+	// or CI step running it fails with it.
+	soak := func(ok bool) {
+		if !ok {
+			os.Exit(1)
+		}
+	}
 	if *replicas > 0 {
-		printReplicas(*replicas, *seed, *rejoin, *traceOut, *jsonlOut)
+		soak(printReplicas(*replicas, *seed, *rejoin, *traceOut, *jsonlOut))
 		return
 	}
 	if *clients > 0 {
-		printClients(*clients, *chaos, *batch, *seed, *traceOut, *jsonlOut)
+		soak(printClients(*clients, *chaos, *batch, *seed, *traceOut, *jsonlOut))
 		return
 	}
 	if *chaos || *crash {
-		printChaos(*seed, *crash, *batch, *traceOut, *jsonlOut)
+		soak(printChaos(*seed, *crash, *batch, *traceOut, *jsonlOut))
 		return
 	}
 
@@ -101,14 +108,14 @@ func main() {
 // schedule additionally kills the server mid-soak — including between
 // the WAL append and the reply — and recovery must hold the same
 // end-state identity. Same seed, same output — down to the virtual
-// clock.
-func printChaos(seed int64, crash, batch bool, traceOut, jsonlOut string) {
+// clock. Reports whether the soak ran and its verdict held.
+func printChaos(seed int64, crash, batch bool, traceOut, jsonlOut string) bool {
 	cm := kernel.NewCostModel(arch.R3000)
 
 	clean := fs.New(256)
 	if _, err := fsserver.DefaultAndrewMini().Run(fsserver.NewDirect(clean, cm)); err != nil {
 		fmt.Println("monolithic baseline failed:", err)
-		return
+		return false
 	}
 
 	link := wire.NewLink(ipc.NetworkConfig{Name: "chaos-local", BandwidthMbps: 1e6})
@@ -129,7 +136,7 @@ func printChaos(seed int64, crash, batch bool, traceOut, jsonlOut string) {
 	ops, err := fsserver.DefaultAndrewMini().Run(remote)
 	if err != nil {
 		fmt.Println("chaos run failed:", err)
-		return
+		return false
 	}
 
 	policy := plane.Policy()
@@ -179,7 +186,8 @@ func printChaos(seed int64, crash, batch bool, traceOut, jsonlOut string) {
 
 	fmt.Println(obs.LatencyTable(rec, "Latency distribution under chaos (virtual µs)"))
 
-	if remote.ServerFS().Fingerprint() == clean.Fingerprint() {
+	ok := remote.ServerFS().Fingerprint() == clean.Fingerprint()
+	if ok {
 		fmt.Println("exactly-once effects: decomposed state identical to fault-free monolithic run ✓")
 	} else {
 		fmt.Println("STATE DIVERGED: at-most-once violated ✗")
@@ -187,6 +195,7 @@ func printChaos(seed int64, crash, batch bool, traceOut, jsonlOut string) {
 	fmt.Printf("virtual time %.0f µs, %d trace events (bit-for-bit reproducible for seed %d)\n",
 		link.Clock(), rec.EventCount(), seed)
 	writeExports(rec, traceOut, jsonlOut)
+	return ok
 }
 
 // crashSummaryTable renders the crash–recovery accounting of a soak:
@@ -223,14 +232,15 @@ func crashSummaryTable(cc faultplane.CrashCounts, st fsserver.Stats, recovery *o
 // must heal, the deposed primary demotes and rejoins as a backup, and
 // the anti-entropy scrub repairs silent divergence — so every node dies
 // at least once yet the run ends at full replication factor. Same seed,
-// same output — down to the virtual clock.
-func printReplicas(backups int, seed int64, rejoin bool, traceOut, jsonlOut string) {
+// same output — down to the virtual clock. Reports whether the soak ran
+// and every verdict held.
+func printReplicas(backups int, seed int64, rejoin bool, traceOut, jsonlOut string) bool {
 	cm := kernel.NewCostModel(arch.R3000)
 
 	clean := fs.New(256)
 	if _, err := fsserver.DefaultAndrewMini().Run(fsserver.NewDirect(clean, cm)); err != nil {
 		fmt.Println("monolithic baseline failed:", err)
-		return
+		return false
 	}
 
 	cfg := fsserver.DefaultReplicaConfig()
@@ -267,7 +277,7 @@ func printReplicas(backups int, seed int64, rejoin bool, traceOut, jsonlOut stri
 	ops, err := fsserver.DefaultAndrewMini().Run(remote)
 	if err != nil {
 		fmt.Println("failover soak failed:", err)
-		return
+		return false
 	}
 	if rejoin {
 		// Drain to full replication factor before accounting: force the
@@ -305,8 +315,10 @@ func printReplicas(backups int, seed int64, rejoin bool, traceOut, jsonlOut stri
 		rec.Histogram("server.promotion"), rec.Histogram("client.failover"),
 		rec.Histogram("repl.rejoin")))
 
+	ok := true
 	if err := cluster.Audit(); err != nil {
 		fmt.Println("REPLICATION AUDIT FAILED:", err, "✗")
+		ok = false
 	} else {
 		fmt.Println("replication audit: shipped stream applied in sequence, no record twice ✓")
 	}
@@ -314,6 +326,7 @@ func printReplicas(backups int, seed int64, rejoin bool, traceOut, jsonlOut stri
 		fmt.Println("exactly-once effects: promoted state identical to fault-free monolithic run ✓")
 	} else {
 		fmt.Println("STATE DIVERGED: at-most-once violated across failover ✗")
+		ok = false
 	}
 	if rejoin {
 		fps := cluster.NodeFingerprints()
@@ -327,11 +340,13 @@ func printReplicas(backups int, seed int64, rejoin bool, traceOut, jsonlOut stri
 			fmt.Printf("full replication factor: all %d nodes hold the monolithic fingerprint ✓\n", len(fps))
 		} else {
 			fmt.Println("REPLICATION FACTOR NOT RESTORED: node fingerprints diverge ✗")
+			ok = false
 		}
 	}
 	fmt.Printf("virtual time %.0f µs, %d trace events (bit-for-bit reproducible for seed %d)\n",
 		cluster.Clock().Clock(), rec.EventCount(), seed)
 	writeExports(rec, traceOut, jsonlOut)
+	return ok
 }
 
 // replicaSummaryTable renders the replication and failover accounting
@@ -402,8 +417,9 @@ func writeExports(rec *obs.Recorder, traceOut, jsonlOut string) {
 // subtree. With -chaos the shared medium also runs the reference fault
 // policy. Reports aggregate throughput, per-client latency, and
 // verifies the combined final state against the same scripts replayed
-// sequentially on the fault-free monolithic arrangement.
-func printClients(n int, chaos, batch bool, seed int64, traceOut, jsonlOut string) {
+// sequentially on the fault-free monolithic arrangement. Reports
+// whether every client ran and the combined state matched.
+func printClients(n int, chaos, batch bool, seed int64, traceOut, jsonlOut string) bool {
 	cm := kernel.NewCostModel(arch.R3000)
 	script := func(i int) fsserver.AndrewMini {
 		a := fsserver.DefaultAndrewMini()
@@ -417,7 +433,7 @@ func printClients(n int, chaos, batch bool, seed int64, traceOut, jsonlOut strin
 	for i := 0; i < n; i++ {
 		if _, err := script(i).Run(direct); err != nil {
 			fmt.Println("monolithic baseline failed:", err)
-			return
+			return false
 		}
 	}
 
@@ -470,7 +486,7 @@ func printClients(n int, chaos, batch bool, seed int64, traceOut, jsonlOut strin
 	for i, err := range errs {
 		if err != nil {
 			fmt.Printf("client %d failed: %v\n", i, err)
-			return
+			return false
 		}
 	}
 
@@ -509,7 +525,8 @@ func printClients(n int, chaos, batch bool, seed int64, traceOut, jsonlOut strin
 		fmt.Printf("fault plane: %d frames, %d dropped, %d corrupted, %d duplicated, %d reordered\n",
 			c.Frames, c.Dropped, c.Corrupted, c.Duplicated, c.Reordered)
 	}
-	if fsys.Fingerprint() == clean.Fingerprint() {
+	ok := fsys.Fingerprint() == clean.Fingerprint()
+	if ok {
 		fmt.Println("combined state identical to sequential fault-free monolithic run ✓")
 	} else {
 		fmt.Println("STATE DIVERGED ✗")
@@ -517,6 +534,7 @@ func printClients(n int, chaos, batch bool, seed int64, traceOut, jsonlOut strin
 	// Concurrent clients interleave nondeterministically, so this trace
 	// is race-safe but not byte-reproducible; use -chaos alone for that.
 	writeExports(rec, traceOut, jsonlOut)
+	return ok
 }
 
 // clientRow is one line of the per-client latency table; split from the

@@ -330,7 +330,9 @@ func (f *FS) touchBlocks(n *inode, off, length int) {
 }
 
 // Unlink removes a file (or an empty directory via Rmdir semantics
-// when kind is a directory with no children).
+// when kind is a directory with no children). Descriptors open on a
+// removed file close with it, so no descriptor outlives its inode:
+// later calls on them get ErrBadFD.
 func (f *FS) Unlink(path string) error {
 	f.ops["unlink"]++
 	dir, name, err := f.walkParent(path)
@@ -352,6 +354,11 @@ func (f *FS) Unlink(path string) error {
 	n.nlink--
 	if n.nlink <= 0 || n.kind == KindDir {
 		delete(f.inodes, ino)
+		for no, d := range f.fds {
+			if d.ino == ino {
+				delete(f.fds, no)
+			}
+		}
 	}
 	return nil
 }

@@ -1,14 +1,16 @@
 package fs
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -193,7 +195,7 @@ type WAL struct {
 	mu          sync.Mutex
 	cacheBlocks int
 	nextSeq     uint64
-	snapshot    []byte // gob-encoded snapState; nil until first Snapshot
+	snapshot    []byte // snapshot image (see encodeImage); nil until first Snapshot
 	snapSeq     uint64 // sequence number the snapshot covers through
 	tail        []Record
 	sessions    map[uint32]SessionRecord
@@ -566,10 +568,7 @@ func DecodeRecords(data []byte) ([]Record, error) {
 		return nil, errors.New("fs: decode records: not a record batch")
 	}
 	d := batchReader{b: data[1:]}
-	count := d.uvarint()
-	if d.err == nil && count > uint64(len(d.b)/minRecordBytes) {
-		d.err = fmt.Errorf("count %d exceeds what %d bytes can hold", count, len(d.b))
-	}
+	count := d.count(minRecordBytes)
 	if d.err != nil {
 		return nil, fmt.Errorf("fs: decode records: %w", d.err)
 	}
@@ -597,8 +596,9 @@ func DecodeRecords(data []byte) ([]Record, error) {
 	return recs, nil
 }
 
-// batchReader is DecodeRecords' cursor over a batch. The first
-// malformed field sets err; every later read returns a zero value.
+// batchReader is the decoders' cursor over a record batch or a
+// snapshot image. The first malformed field sets err; every later read
+// returns a zero value.
 type batchReader struct {
 	b   []byte
 	err error
@@ -636,6 +636,34 @@ func (d *batchReader) bytes() []byte {
 	p := d.b[:n]
 	d.b = d.b[n:]
 	return p
+}
+
+// count reads a uvarint count of items, each at least minBytes long,
+// refusing one the remaining bytes cannot hold.
+func (d *batchReader) count(minBytes int) int {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.b)/minBytes) {
+		d.err = fmt.Errorf("count %d exceeds what %d bytes can hold", n, len(d.b))
+		return 0
+	}
+	return int(n)
+}
+
+// int reads a uvarint that must fit a non-negative int.
+func (d *batchReader) int() int {
+	v := d.uvarint()
+	if v > math.MaxInt {
+		d.err = fmt.Errorf("value %d overflows an int", v)
+		return 0
+	}
+	return int(v)
+}
+
+// fail records a malformed structure, unless a field already failed.
+func (d *batchReader) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
 }
 
 func (d *batchReader) uint32() uint32 {
@@ -692,124 +720,257 @@ func (w *WAL) Stats() WALStats {
 	return w.stats
 }
 
-// Snapshot capture types. Maps are flattened to sorted slices so the
-// encoding is a pure function of the logical state.
-type snapDirent struct {
-	Name string
-	Ino  uint64
-}
+// snapFormat is the leading byte of a snapshot image.
+const snapFormat byte = 1
 
-type snapInode struct {
-	Ino      uint64
-	Kind     FileKind
-	Data     []byte
-	Children []snapDirent
-	Nlink    int
-}
-
-type snapFD struct {
-	FD     int
-	Ino    uint64
-	Offset int
-}
-
-type snapState struct {
-	CacheBlocks int
-	NextIno     uint64
-	NextFD      int
-	Inodes      []snapInode
-	FDs         []snapFD
-	Sessions    []SessionRecord
-	Seq         uint64
-}
+// The smallest encoded inode, directory entry, descriptor and session:
+// the bounds a decoded count is checked against.
+const minInodeBytes, minEntryBytes, minFDBytes, minSessionBytes = 4, 2, 3, 2*4 + 5
 
 // Snapshot captures f — which must reflect every record in the log
 // through the tail — and truncates the tail. The session table rides
-// inside the snapshot.
+// inside the snapshot. The error is always nil.
 func (w *WAL) Snapshot(f *FS) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	st := snapState{
-		CacheBlocks: w.cacheBlocks,
-		NextIno:     f.nextIno,
-		NextFD:      f.nextFD,
-		Seq:         w.nextSeq,
-	}
-	inos := make([]uint64, 0, len(f.inodes))
-	for ino := range f.inodes {
-		inos = append(inos, ino)
-	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-	for _, ino := range inos {
-		n := f.inodes[ino]
-		si := snapInode{Ino: n.ino, Kind: n.kind, Data: n.data, Nlink: n.nlink}
-		if n.kind == KindDir {
-			names := make([]string, 0, len(n.children))
-			for name := range n.children {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			si.Children = make([]snapDirent, 0, len(names))
-			for _, name := range names {
-				si.Children = append(si.Children, snapDirent{Name: name, Ino: n.children[name]})
-			}
-		}
-		st.Inodes = append(st.Inodes, si)
-	}
-	fdnos := make([]int, 0, len(f.fds))
-	for fdno := range f.fds {
-		fdnos = append(fdnos, fdno)
-	}
-	sort.Ints(fdnos)
-	for _, fdno := range fdnos {
-		d := f.fds[fdno]
-		st.FDs = append(st.FDs, snapFD{FD: fdno, Ino: d.ino, Offset: d.offset})
-	}
-	clients := make([]uint32, 0, len(w.sessions))
-	for c := range w.sessions {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	for _, c := range clients {
-		st.Sessions = append(st.Sessions, w.sessions[c])
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return fmt.Errorf("fs: snapshot encode: %w", err)
-	}
-	w.snapshot = buf.Bytes()
+	w.snapshot = encodeImage(w.cacheBlocks, f, w.sessions)
 	w.snapSeq = w.nextSeq
 	w.stats.Snapshots++
-	w.stats.SnapshotBytes = buf.Len()
+	w.stats.SnapshotBytes = len(w.snapshot)
 	w.stats.Truncated += len(w.tail)
 	w.tail = nil
 	return nil
 }
 
-// restore rebuilds a file system from an encoded snapshot.
-func restore(snapshot []byte) (*FS, []SessionRecord, error) {
-	var st snapState
-	if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&st); err != nil {
-		return nil, nil, fmt.Errorf("fs: snapshot decode: %w", err)
+// encodeImage serialises f and the session table as a snapshot image
+// (DESIGN.md §9): the format byte, then varints and length-prefixed
+// bytes in a sorted walk — inodes by number, each directory's entries
+// by name, descriptors by number, sessions by client — so the image is
+// a pure function of the logical state, and last a CRC-32 (IEEE) of
+// everything before it. One buffer is sized exactly before the first
+// append, and each file's bytes are copied into it once.
+func encodeImage(cacheBlocks int, f *FS, sessions map[uint32]SessionRecord) []byte {
+	nodes := make([]*inode, 0, len(f.inodes))
+	for _, n := range f.inodes {
+		nodes = append(nodes, n)
 	}
-	f := New(st.CacheBlocks)
-	f.inodes = make(map[uint64]*inode, len(st.Inodes))
-	for _, si := range st.Inodes {
-		n := &inode{ino: si.Ino, kind: si.Kind, data: si.Data, nlink: si.Nlink}
-		if si.Kind == KindDir {
-			n.children = make(map[string]uint64, len(si.Children))
-			for _, de := range si.Children {
-				n.children[de.Name] = de.Ino
+	slices.SortFunc(nodes, func(a, b *inode) int { return cmp.Compare(a.ino, b.ino) })
+	fdnos, clients := sortedKeys(f.fds), sortedKeys(sessions)
+
+	size := 1 + varintLen(int64(cacheBlocks)) + uvarintLen(f.nextIno) + uvarintLen(uint64(f.nextFD)) +
+		uvarintLen(uint64(len(nodes))) + uvarintLen(uint64(len(fdnos))) + uvarintLen(uint64(len(clients))) + 4
+	widest := 0
+	for _, n := range nodes {
+		size += uvarintLen(n.ino) + uvarintLen(uint64(n.kind)) + uvarintLen(uint64(n.nlink))
+		if n.kind != KindDir {
+			size += uvarintLen(uint64(len(n.data))) + len(n.data)
+			continue
+		}
+		size += uvarintLen(uint64(len(n.children)))
+		for name, ino := range n.children {
+			size += uvarintLen(uint64(len(name))) + len(name) + uvarintLen(ino)
+		}
+		widest = max(widest, len(n.children))
+	}
+	for _, no := range fdnos {
+		size += uvarintLen(uint64(no)) + uvarintLen(f.fds[no].ino) + uvarintLen(uint64(f.fds[no].offset))
+	}
+	for _, c := range clients {
+		s := sessions[c]
+		size += 2*4 + varintLen(int64(s.Op)) + varintLen(int64(s.Result.FD)) + varintLen(int64(s.Result.N)) +
+			uvarintLen(uint64(len(s.Result.Data))) + len(s.Result.Data) + uvarintLen(uint64(len(s.Err))) + len(s.Err)
+	}
+
+	b := make([]byte, 0, size)
+	b = append(b, snapFormat)
+	b = binary.AppendVarint(b, int64(cacheBlocks))
+	b = binary.AppendUvarint(b, f.nextIno)
+	b = binary.AppendUvarint(b, uint64(f.nextFD))
+	b = binary.AppendUvarint(b, uint64(len(nodes)))
+	names := make([]string, 0, widest)
+	for _, n := range nodes {
+		b = binary.AppendUvarint(b, n.ino)
+		b = binary.AppendUvarint(b, uint64(n.kind))
+		b = binary.AppendUvarint(b, uint64(n.nlink))
+		if n.kind != KindDir {
+			b = binary.AppendUvarint(b, uint64(len(n.data)))
+			b = append(b, n.data...)
+			continue
+		}
+		names = names[:0]
+		for name := range n.children {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		b = binary.AppendUvarint(b, uint64(len(names)))
+		for _, name := range names {
+			b = binary.AppendUvarint(b, uint64(len(name)))
+			b = append(b, name...)
+			b = binary.AppendUvarint(b, n.children[name])
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(fdnos)))
+	for _, no := range fdnos {
+		b = binary.AppendUvarint(b, uint64(no))
+		b = binary.AppendUvarint(b, f.fds[no].ino)
+		b = binary.AppendUvarint(b, uint64(f.fds[no].offset))
+	}
+	b = binary.AppendUvarint(b, uint64(len(clients)))
+	for _, c := range clients {
+		s := sessions[c]
+		b = binary.BigEndian.AppendUint32(b, s.Client)
+		b = binary.BigEndian.AppendUint32(b, s.Call)
+		b = binary.AppendVarint(b, int64(s.Op))
+		b = binary.AppendVarint(b, int64(s.Result.FD))
+		b = binary.AppendVarint(b, int64(s.Result.N))
+		b = binary.AppendUvarint(b, uint64(len(s.Result.Data)))
+		b = append(b, s.Result.Data...)
+		b = binary.AppendUvarint(b, uint64(len(s.Err)))
+		b = append(b, s.Err...)
+	}
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// restore rebuilds a file system and its session table from a snapshot
+// image. It checks the checksum first, then every count and length
+// before allocating for it, and refuses any structure a live file
+// system cannot have (DESIGN.md §9 lists them). File data and session
+// results are copied out of the image: FS.Write changes file data in
+// place, and the image may rot or be reused once restore returns.
+func restore(img []byte) (*FS, []SessionRecord, error) {
+	if len(img) < 1+4 || img[0] != snapFormat {
+		return nil, nil, errors.New("fs: snapshot decode: not a snapshot image")
+	}
+	body := img[:len(img)-4]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(img[len(body):]) {
+		return nil, nil, errors.New("fs: snapshot decode: checksum mismatch")
+	}
+	d := batchReader{b: body[1:]}
+	f := New(int(d.varint()))
+	f.nextIno, f.nextFD = d.uvarint(), d.int()
+	nodes := make([]inode, d.count(minInodeBytes))
+	f.inodes = make(map[uint64]*inode, len(nodes))
+	// kids[first[i]:first[i+1]] are the inodes node i's entries name.
+	first := make([]int, len(nodes)+1)
+	var kids []uint64
+	for i := 0; i < len(nodes) && d.err == nil; i++ {
+		n := &nodes[i]
+		n.ino, n.kind, n.nlink = d.uvarint(), FileKind(d.uvarint()), d.int()
+		if i > 0 && n.ino <= nodes[i-1].ino {
+			d.fail("inode %d follows inode %d", n.ino, nodes[i-1].ino)
+		}
+		switch {
+		case n.kind == KindFile && n.nlink == 1:
+			if p := d.bytes(); len(p) > 0 {
+				n.data = append([]byte(nil), p...)
+			}
+		case n.kind == KindDir:
+			entries := d.count(minEntryBytes)
+			n.children = make(map[string]uint64, entries)
+			prev := ""
+			for j := 0; j < entries && d.err == nil; j++ {
+				name, ino := string(d.bytes()), d.uvarint()
+				if !validName(name) || name <= prev {
+					d.fail("directory %d: entry %q out of order or not a name", n.ino, name)
+				}
+				n.children[name] = ino
+				kids = append(kids, ino)
+				prev = name
+			}
+		default:
+			d.fail("inode %d: kind %d with link count %d", n.ino, n.kind, n.nlink)
+		}
+		first[i+1] = len(kids)
+		f.inodes[n.ino] = n
+	}
+	switch {
+	case d.err != nil:
+	case len(nodes) == 0 || nodes[0].ino != 1 || nodes[0].kind != KindDir:
+		d.fail("no root directory")
+	case f.nextIno < nodes[len(nodes)-1].ino:
+		d.fail("next inode %d is below inode %d", f.nextIno, nodes[len(nodes)-1].ino)
+	default:
+		d.err = checkTree(nodes, first, kids)
+	}
+
+	fds := make([]fd, d.count(minFDBytes))
+	f.fds = make(map[int]*fd, len(fds))
+	for i, prev := 0, 0; i < len(fds) && d.err == nil; i++ {
+		no := d.int()
+		fds[i].ino, fds[i].offset = d.uvarint(), d.int()
+		if n := f.inodes[fds[i].ino]; no <= prev || no > f.nextFD || n == nil || n.kind != KindFile {
+			d.fail("descriptor %d on inode %d: out of order, above %d, or not on a file", no, fds[i].ino, f.nextFD)
+		}
+		f.fds[no] = &fds[i]
+		prev = no
+	}
+	sessions := make([]SessionRecord, d.count(minSessionBytes))
+	for i := 0; i < len(sessions) && d.err == nil; i++ {
+		s := &sessions[i]
+		s.Client, s.Call, s.Op = d.uint32(), d.uint32(), OpCode(d.varint())
+		s.Result.FD, s.Result.N = int(d.varint()), int(d.varint())
+		if p := d.bytes(); len(p) > 0 {
+			s.Result.Data = append([]byte(nil), p...)
+		}
+		s.Err = string(d.bytes())
+		if i > 0 && s.Client <= sessions[i-1].Client {
+			d.fail("session for client %d follows client %d", s.Client, sessions[i-1].Client)
+		}
+	}
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("%d trailing bytes", len(d.b))
+	}
+	if d.err != nil {
+		return nil, nil, fmt.Errorf("fs: snapshot decode: %w", d.err)
+	}
+	return f, sessions, nil
+}
+
+// checkTree walks the decoded inodes breadth-first from the root,
+// nodes[0], and refuses anything but a tree: an entry naming a missing
+// inode, the root or an inode already named, a directory whose link
+// count is not two plus its subdirectories, or an inode never reached.
+func checkTree(nodes []inode, first []int, kids []uint64) error {
+	seen := make([]bool, len(nodes))
+	seen[0] = true
+	queue := append(make([]int, 0, len(nodes)), 0)
+	for q := 0; q < len(queue); q++ {
+		dir, subdirs := queue[q], 0
+		for _, ino := range kids[first[dir]:first[dir+1]] {
+			i, found := slices.BinarySearchFunc(nodes, ino, func(n inode, ino uint64) int { return cmp.Compare(n.ino, ino) })
+			if !found || i == 0 || seen[i] {
+				return fmt.Errorf("directory %d names inode %d: missing, the root, or named twice", nodes[dir].ino, ino)
+			}
+			seen[i] = true
+			queue = append(queue, i)
+			if nodes[i].kind == KindDir {
+				subdirs++
 			}
 		}
-		f.inodes[si.Ino] = n
+		if n := &nodes[dir]; n.kind == KindDir && n.nlink != 2+subdirs {
+			return fmt.Errorf("directory %d has link count %d and %d subdirectories", n.ino, n.nlink, subdirs)
+		}
 	}
-	f.nextIno = st.NextIno
-	f.nextFD = st.NextFD
-	for _, sd := range st.FDs {
-		f.fds[sd.FD] = &fd{ino: sd.Ino, offset: sd.Offset}
+	if len(queue) != len(nodes) {
+		return fmt.Errorf("%d inodes unreachable from the root", len(nodes)-len(queue))
 	}
-	return f, st.Sessions, nil
+	return nil
+}
+
+// validName reports whether name can be a directory entry: a path
+// component split would keep.
+func validName(name string) bool {
+	return name != "" && name != "." && name != ".." && len(name) <= maxName && !strings.Contains(name, "/")
 }
 
 // Recover rebuilds the file system a crashed server lost: restore the
@@ -870,12 +1031,7 @@ func Recover(w *WAL) (*FS, []SessionRecord, int, error) {
 	}
 	w.sessions = sessions
 	out := make([]SessionRecord, 0, len(sessions))
-	clients := make([]uint32, 0, len(sessions))
-	for c := range sessions {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	for _, c := range clients {
+	for _, c := range sortedKeys(sessions) {
 		out = append(out, sessions[c])
 	}
 	return f, out, len(w.tail), nil

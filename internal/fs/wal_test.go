@@ -653,9 +653,8 @@ func TestQuarantineSnapshotResetsToGenesis(t *testing.T) {
 		t.Fatal(err)
 	}
 	logged(t, w, f, Record{Op: OpMkdir, Path: "/post", Client: 9, Call: 1})
-	// A single flipped bit deep in the image may decode cleanly (that is
-	// the silent divergence the scrubber exists for); mangling the gob
-	// header is the deterministic way to make the snapshot undecodable.
+	// Mangle the image's header: its checksum refuses any damaged
+	// byte (TestSnapshotRefusesEveryBitFlip flips each one alone).
 	for off := 0; off < 8; off++ {
 		if !w.CorruptSnapshotByte(off) {
 			t.Fatal("no snapshot to damage")

@@ -189,7 +189,7 @@ func NewServer(fsys *fs.FS, link *wire.Link, side wire.Endpoint) *Server {
 		SnapshotEvery: defaultSnapshotEvery,
 	}
 	if err := s.wal.Snapshot(fsys); err != nil {
-		panic(err) // gob over our own in-memory structs: cannot fail
+		panic(err) // encodes in-memory structures only: always nil
 	}
 	s.Wire.OnRestart(s.recoverNow)
 	s.Wire.SetDedupAuthority(s.replayFor)

@@ -412,7 +412,7 @@ func newBackup(blocks int, clientLink, replLink *wire.Link) *Backup {
 	fsys := fs.New(blocks)
 	wal := fs.NewWAL(blocks)
 	if err := wal.Snapshot(fsys); err != nil {
-		panic(err)
+		panic(err) // encodes in-memory structures only: always nil
 	}
 	b := &Backup{
 		Repl: wire.NewServer(replLink, wire.B),

@@ -431,7 +431,12 @@ func TestRejoinSoakEveryNodeDiesAndHeals(t *testing.T) {
 	cm := kernel.NewCostModel(arch.R3000)
 	want := cleanMonolithicFingerprint(t, cm)
 	quarantinedAnywhere := false
-	for _, seed := range []int64{1991, 42, 7} {
+	// Seeds 252 and 148 flip a bit in a reviving node's snapshot image
+	// that still decodes as gob: one image named a missing inode and
+	// panicked the rejoin's replay, the other lost an open descriptor.
+	// The checksummed image refuses both flips, and the node heals by
+	// state transfer.
+	for _, seed := range []int64{1991, 42, 7, 252, 148} {
 		out := rejoinSoak(t, cm, seed, false)
 		if out.crashes.Crashes != 3 {
 			t.Errorf("seed %d: primary crashed %d times, want 3 (the third permanent)", seed, out.crashes.Crashes)
