@@ -107,36 +107,40 @@ func New(cacheBlocks int) *FS {
 	return f
 }
 
-// split breaks an absolute path into components.
-func split(path string) ([]string, error) {
+// pathDepth is how many components a lookup resolves in an array on
+// its own stack; a deeper path spills to the heap and still resolves.
+const pathDepth = 16
+
+// components appends the components of an absolute path to dst: empty
+// and "." components are skipped, and ".." drops the component before
+// it, never rising above the root. A relative path is ErrNotExist and a
+// component over maxName bytes ErrNameTooBig.
+func components(dst []string, path string) ([]string, error) {
 	if path == "" || path[0] != '/' {
 		return nil, fmt.Errorf("%w: %q (need absolute path)", ErrNotExist, path)
 	}
-	var parts []string
-	for _, c := range strings.Split(path, "/") {
+	for rest := path; rest != ""; {
+		var c string
+		c, rest, _ = strings.Cut(rest, "/")
 		switch c {
 		case "", ".":
 		case "..":
-			if len(parts) > 0 {
-				parts = parts[:len(parts)-1]
+			if len(dst) > 0 {
+				dst = dst[:len(dst)-1]
 			}
 		default:
 			if len(c) > maxName {
 				return nil, ErrNameTooBig
 			}
-			parts = append(parts, c)
+			dst = append(dst, c)
 		}
 	}
-	return parts, nil
+	return dst, nil
 }
 
-// walk resolves a path to its inode, charging cache accesses for each
-// directory it reads.
-func (f *FS) walk(path string) (*inode, error) {
-	parts, err := split(path)
-	if err != nil {
-		return nil, err
-	}
+// descend follows the directory components parts down from the root,
+// charging a cache access for each directory it reads.
+func (f *FS) descend(path string, parts []string) (*inode, error) {
 	cur := f.inodes[1]
 	for _, p := range parts {
 		if cur.kind != KindDir {
@@ -152,32 +156,34 @@ func (f *FS) walk(path string) (*inode, error) {
 	return cur, nil
 }
 
+// walk resolves a path to its inode.
+func (f *FS) walk(path string) (*inode, error) {
+	var stack [pathDepth]string
+	parts, err := components(stack[:0], path)
+	if err != nil {
+		return nil, err
+	}
+	return f.descend(path, parts)
+}
+
 // walkParent resolves the directory containing path and the final name.
 func (f *FS) walkParent(path string) (*inode, string, error) {
-	parts, err := split(path)
+	var stack [pathDepth]string
+	parts, err := components(stack[:0], path)
 	if err != nil {
 		return nil, "", err
 	}
 	if len(parts) == 0 {
 		return nil, "", fmt.Errorf("%w: %s", ErrExist, path)
 	}
-	dirParts, name := parts[:len(parts)-1], parts[len(parts)-1]
-	cur := f.inodes[1]
-	for _, p := range dirParts {
-		if cur.kind != KindDir {
-			return nil, "", fmt.Errorf("%w: %s", ErrNotDir, path)
-		}
-		f.cache.access(cur.ino, 0)
-		ino, ok := cur.children[p]
-		if !ok {
-			return nil, "", fmt.Errorf("%w: %s", ErrNotExist, path)
-		}
-		cur = f.inodes[ino]
+	cur, err := f.descend(path, parts[:len(parts)-1])
+	if err != nil {
+		return nil, "", err
 	}
 	if cur.kind != KindDir {
 		return nil, "", fmt.Errorf("%w: %s", ErrNotDir, path)
 	}
-	return cur, name, nil
+	return cur, parts[len(parts)-1], nil
 }
 
 // Mkdir creates a directory.

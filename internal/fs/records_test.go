@@ -114,14 +114,41 @@ func FuzzDecodeRecords(f *testing.F) {
 	f.Add(enc)
 	f.Add(empty)
 	f.Add([]byte("not a batch"))
+	// stale fills a reused destination: a decoder that left any field
+	// of an appended record unwritten would leak it into the batch.
+	stale := Record{Seq: 99, Op: OpWrite, Path: "/stale", FD: 9, N: 9, Data: []byte("stale"), Client: 9, Call: 9, Sum: 9}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := DecodeRecords(data)
+		in := append([]byte(nil), data...)
+		recs, err := DecodeRecords(in)
+		dst := make([]Record, 2+len(recs))
+		for i := range dst {
+			dst[i] = stale
+		}
+		reused, rerr := AppendDecodedRecords(dst[:1], data)
+		if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+			t.Fatalf("decoding into a reused slice: error %v, fresh decode %v", rerr, err)
+		}
+		if len(reused) != 1+len(recs) || !reflect.DeepEqual(reused[0], stale) ||
+			len(recs) > 0 && !reflect.DeepEqual(reused[1:], recs) {
+			t.Fatalf("decoding into a reused slice differs from a fresh decode\ngot  %+v\nwant %+v", reused, recs)
+		}
 		if err != nil {
 			return
+		}
+		// The records own their bytes: overwriting the input after the
+		// decode leaves them as they were decoded.
+		for i := range in {
+			in[i] ^= 0xff
+		}
+		if fresh, _ := DecodeRecords(data); !reflect.DeepEqual(recs, fresh) {
+			t.Fatalf("decoded records changed when the input was overwritten\ngot  %+v\nwant %+v", recs, fresh)
 		}
 		again, err := EncodeRecords(recs)
 		if err != nil {
 			t.Fatalf("re-encoding a decoded batch: %v", err)
+		}
+		if prefixed := AppendRecords([]byte("prefix"), recs); !bytes.Equal(prefixed[len("prefix"):], again) {
+			t.Fatal("AppendRecords behind a prefix differs from EncodeRecords")
 		}
 		back, err := DecodeRecords(again)
 		if err != nil {

@@ -80,10 +80,17 @@ type Record struct {
 // recordSum computes the record's integrity checksum over every field
 // but Sum itself, via a canonical byte encoding. A record whose stored
 // Sum disagrees was torn — partially persisted by a crash mid-append,
-// or damaged in shipping. The fixed fields and the path share one
-// scratch buffer; the payload is checksummed in place.
+// or damaged in shipping.
 func recordSum(r Record) uint32 {
-	b := make([]byte, 0, 6*8+len(r.Path))
+	sum, _ := recordSumIn(make([]byte, 0, 6*8+len(r.Path)), &r)
+	return sum
+}
+
+// recordSumIn is recordSum with the fixed fields and the path encoded
+// in scratch, returned for reuse; the payload is checksummed in place.
+// crc32.Update's argument escapes, so the WAL owns the scratch.
+func recordSumIn(scratch []byte, r *Record) (uint32, []byte) {
+	b := slices.Grow(scratch[:0], 6*8+len(r.Path))
 	b = binary.BigEndian.AppendUint64(b, r.Seq)
 	b = binary.BigEndian.AppendUint64(b, uint64(int64(r.Op)))
 	b = binary.BigEndian.AppendUint64(b, uint64(len(r.Path)))
@@ -95,7 +102,7 @@ func recordSum(r Record) uint32 {
 	sum = crc32.Update(sum, crc32.IEEETable, r.Data)
 	b = binary.BigEndian.AppendUint32(b[:0], r.Client)
 	b = binary.BigEndian.AppendUint32(b, r.Call)
-	return crc32.Update(sum, crc32.IEEETable, b)
+	return crc32.Update(sum, crc32.IEEETable, b), b
 }
 
 // ApplyResult carries the operation's outputs: the allocated
@@ -209,6 +216,7 @@ type WAL struct {
 	// records a backup still needs.
 	shipping bool
 	shipBuf  []Record
+	sumBuf   []byte // checksum scratch (sumLocked), one path long at most
 }
 
 // NewWAL creates an empty log for a file system with the given block
@@ -225,13 +233,19 @@ func (w *WAL) Append(r Record) Record {
 	defer w.mu.Unlock()
 	w.nextSeq++
 	r.Seq = w.nextSeq
-	r.Sum = recordSum(r)
+	r.Sum = w.sumLocked(&r)
 	w.tail = append(w.tail, r)
 	w.stats.Appends++
 	if w.shipping {
 		w.shipBuf = append(w.shipBuf, r)
 	}
 	return r
+}
+
+// sumLocked is recordSum in the WAL's own scratch. Caller holds w.mu.
+func (w *WAL) sumLocked(r *Record) (sum uint32) {
+	sum, w.sumBuf = recordSumIn(w.sumBuf, r)
+	return sum
 }
 
 // EnableShipping turns on ship-buffer retention: from now on every
@@ -253,7 +267,7 @@ func (w *WAL) AppendShipped(r Record) error {
 	if r.Seq != w.nextSeq+1 {
 		return fmt.Errorf("fs: shipped record seq %d, log expects %d", r.Seq, w.nextSeq+1)
 	}
-	if r.Sum != recordSum(r) {
+	if r.Sum != w.sumLocked(&r) {
 		return fmt.Errorf("fs: shipped record seq %d fails checksum", r.Seq)
 	}
 	w.nextSeq = r.Seq
@@ -275,17 +289,20 @@ func (w *WAL) AppendShipped(r Record) error {
 // Both slices ascend in Seq, so each contributes one contiguous run,
 // found by binary search; the batch is copied into one allocation of
 // exactly its size, and an empty batch is nil.
-func (w *WAL) RecordsSince(seq uint64) []Record {
+func (w *WAL) RecordsSince(seq uint64) []Record { return w.AppendRecordsSince(nil, seq) }
+
+// AppendRecordsSince appends RecordsSince(seq) to dst, growing it once
+// to exactly the length needed if it lacks room. The records share
+// Path and Data with the log: scratch that outlives them is cleared.
+func (w *WAL) AppendRecordsSince(dst []Record, seq uint64) []Record {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	ship := w.shipBuf[seqAbove(w.shipBuf, seq):seqAbove(w.shipBuf, max(seq, w.snapSeq))]
 	tail := w.tail[seqAbove(w.tail, seq):]
-	if len(ship)+len(tail) == 0 {
-		return nil
+	if n := len(dst) + len(ship) + len(tail); n > cap(dst) {
+		dst = append(make([]Record, 0, n), dst...)
 	}
-	out := make([]Record, 0, len(ship)+len(tail))
-	out = append(out, ship...)
-	return append(out, tail...)
+	return append(append(dst, ship...), tail...)
 }
 
 // seqAbove returns the index of the first record in recs, which ascend
@@ -311,15 +328,20 @@ func (w *WAL) ShipFloor() uint64 {
 
 // AckShipped trims the ship buffer through seq: every backup has
 // acknowledged the log that far, so the primary no longer needs to
-// retain it for re-shipping.
+// retain it for re-shipping. Trimmed slots are cleared. A prefix of at
+// least half the buffer (every steady-state ack empties it) is trimmed
+// by moving the rest to the front, so appends reuse the array; a
+// shorter one, as in a long catch-up, is resliced past, so no ack
+// copies the whole backlog: amortised O(1) per record either way.
 func (w *WAL) AckShipped(seq uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	i := 0
-	for i < len(w.shipBuf) && w.shipBuf[i].Seq <= seq {
-		i++
+	if i := seqAbove(w.shipBuf, seq); 2*i >= len(w.shipBuf) {
+		w.shipBuf = slices.Delete(w.shipBuf, 0, i)
+	} else {
+		clear(w.shipBuf[:i])
+		w.shipBuf = w.shipBuf[i:]
 	}
-	w.shipBuf = w.shipBuf[i:]
 }
 
 // ShipBacklog returns how many appended records await acknowledgement.
@@ -516,12 +538,9 @@ const recordsFormat byte = 1
 // its six varints and length prefixes, and its three 4-byte words.
 const minRecordBytes = 6 + 3*4
 
-// EncodeRecords serialises a batch of records for shipping: the format
-// byte, a uvarint record count, then each record's fields in
-// recordSum's order — uvarint Seq, varint Op, length-prefixed Path,
-// varint FD and N, length-prefixed Data, and Client, Call and Sum as
-// 4-byte big-endian words. The buffer is sized exactly before the
-// first append. An empty batch encodes to two bytes.
+// EncodeRecords serialises a batch of records for shipping into a
+// buffer sized exactly before the first append (see AppendRecords for
+// the format). The error is always nil.
 func EncodeRecords(recs []Record) ([]byte, error) {
 	n := 1 + uvarintLen(uint64(len(recs)))
 	for i := range recs {
@@ -531,8 +550,17 @@ func EncodeRecords(recs []Record) ([]byte, error) {
 			varintLen(int64(r.FD)) + varintLen(int64(r.N)) +
 			uvarintLen(uint64(len(r.Data))) + len(r.Data) + 3*4
 	}
-	b := make([]byte, 0, n)
-	b = append(b, recordsFormat)
+	return AppendRecords(make([]byte, 0, n), recs), nil
+}
+
+// AppendRecords appends the ship-batch encoding of recs to dst and
+// returns the extended buffer: the format byte, a uvarint record count,
+// then each record's fields in recordSum's order — uvarint Seq, varint
+// Op, length-prefixed Path, varint FD and N, length-prefixed Data, and
+// Client, Call and Sum as 4-byte big-endian words. An empty batch
+// encodes to two bytes. Encoding cannot fail.
+func AppendRecords(dst []byte, recs []Record) []byte {
+	b := append(dst, recordsFormat)
 	b = binary.AppendUvarint(b, uint64(len(recs)))
 	for i := range recs {
 		r := &recs[i]
@@ -548,7 +576,7 @@ func EncodeRecords(recs []Record) ([]byte, error) {
 		b = binary.BigEndian.AppendUint32(b, r.Call)
 		b = binary.BigEndian.AppendUint32(b, r.Sum)
 	}
-	return b, nil
+	return b
 }
 
 // uvarintLen is the length of x's uvarint encoding.
@@ -557,43 +585,46 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // varintLen is the length of x's zig-zag varint encoding.
 func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 
-// DecodeRecords deserialises a shipped batch. Every record's Path and
-// Data are copies, so the records outlive data — a view into a pooled
-// wire frame. Malformed input is an error, found before anything is
-// allocated for it: a wrong format byte, a count the remaining bytes
+// DecodeRecords is AppendDecodedRecords into a fresh slice.
+func DecodeRecords(data []byte) ([]Record, error) { return AppendDecodedRecords(nil, data) }
+
+// AppendDecodedRecords appends the records of a shipped batch to dst,
+// writing every field whatever dst's spare capacity held. Each Path
+// and Data is a copy, so the records outlive data — a view into a
+// pooled wire frame. Malformed input is an error, found before anything
+// is allocated for it: a wrong format byte, a count the remaining bytes
 // cannot hold, a length prefix that runs past the end, a truncated
-// field, or trailing bytes. Checksums are left to WAL.AppendShipped.
-func DecodeRecords(data []byte) ([]Record, error) {
+// field, or trailing bytes; dst then comes back as it was passed, with
+// nothing decoded left in it. Checksums are left to WAL.AppendShipped.
+func AppendDecodedRecords(dst []Record, data []byte) ([]Record, error) {
 	if len(data) == 0 || data[0] != recordsFormat {
-		return nil, errors.New("fs: decode records: not a record batch")
+		return dst, errors.New("fs: decode records: not a record batch")
 	}
 	d := batchReader{b: data[1:]}
 	count := d.count(minRecordBytes)
 	if d.err != nil {
-		return nil, fmt.Errorf("fs: decode records: %w", d.err)
+		return dst, fmt.Errorf("fs: decode records: %w", d.err)
 	}
-	recs := make([]Record, count)
+	dst = slices.Grow(dst, count)
+	recs := dst[len(dst) : len(dst)+count]
 	for i := range recs {
-		r := &recs[i]
-		r.Seq = d.uvarint()
-		r.Op = OpCode(d.varint())
-		r.Path = string(d.bytes())
-		r.FD = int(d.varint())
-		r.N = int(d.varint())
+		r := Record{Seq: d.uvarint(), Op: OpCode(d.varint()), Path: string(d.bytes()),
+			FD: int(d.varint()), N: int(d.varint())}
 		if p := d.bytes(); len(p) > 0 {
 			r.Data = append([]byte(nil), p...)
 		}
-		r.Client = d.uint32()
-		r.Call = d.uint32()
-		r.Sum = d.uint32()
+		r.Client, r.Call, r.Sum = d.uint32(), d.uint32(), d.uint32()
 		if d.err != nil {
-			return nil, fmt.Errorf("fs: decode records: record %d: %w", i, d.err)
+			clear(recs[:i])
+			return dst, fmt.Errorf("fs: decode records: record %d: %w", i, d.err)
 		}
+		recs[i] = r
 	}
 	if len(d.b) != 0 {
-		return nil, fmt.Errorf("fs: decode records: %d trailing bytes", len(d.b))
+		clear(recs)
+		return dst, fmt.Errorf("fs: decode records: %d trailing bytes", len(d.b))
 	}
-	return recs, nil
+	return dst[:len(dst)+count], nil
 }
 
 // batchReader is the decoders' cursor over a record batch or a
@@ -994,7 +1025,7 @@ func Recover(w *WAL) (*FS, []SessionRecord, int, error) {
 	// anywhere else means the log itself is damaged: replaying past the
 	// hole would diverge, so recovery refuses.
 	for i, r := range w.tail {
-		if r.Sum == recordSum(r) {
+		if r.Sum == w.sumLocked(&r) {
 			continue
 		}
 		if i != len(w.tail)-1 {

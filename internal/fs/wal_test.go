@@ -308,6 +308,52 @@ func TestShippingCursorRetainsUntilAcked(t *testing.T) {
 	}
 }
 
+func TestWALSteadyStateAllocatesNothingPerRecord(t *testing.T) {
+	// The write path's per-record scratch belongs to the log: the
+	// checksum buffer is the WAL's, and the acknowledged ship buffer is
+	// compacted in place rather than resliced past. Once warm, Append
+	// followed by AckShipped on a primary and AppendShipped on a backup
+	// allocate nothing per record. (The tail grows by amortised
+	// doubling, which the per-run average rounds away.)
+	const runs = 500
+	rec := Record{Op: OpWrite, FD: 3, Path: "/a/b/x", Data: make([]byte, 2048), Client: 1}
+	primary := NewWAL(64)
+	primary.EnableShipping()
+	for i := 0; i < 16; i++ {
+		primary.Append(rec)
+		primary.AckShipped(primary.LastSeq())
+	}
+	if got := testing.AllocsPerRun(runs, func() {
+		primary.Append(rec)
+		primary.AckShipped(primary.LastSeq())
+	}); got != 0 {
+		t.Errorf("Append+AckShipped allocates %.1f times per record, want 0", got)
+	}
+	if n := primary.ShipBacklog(); n != 0 {
+		t.Fatalf("ship backlog %d after every record was acknowledged", n)
+	}
+
+	src := NewWAL(64)
+	shipped := make([]Record, runs+1+16)
+	for i := range shipped {
+		shipped[i] = src.Append(rec)
+	}
+	backup := NewWAL(64)
+	next := 0
+	appendShipped := func() {
+		if err := backup.AppendShipped(shipped[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < 16; i++ {
+		appendShipped()
+	}
+	if got := testing.AllocsPerRun(runs, appendShipped); got != 0 {
+		t.Errorf("AppendShipped allocates %.1f times per record, want 0", got)
+	}
+}
+
 func TestAppendShippedEnforcesContiguityAndChecksum(t *testing.T) {
 	// The backup's append: only the exact successor with a valid
 	// checksum is accepted — a gap or a damaged record is a replication

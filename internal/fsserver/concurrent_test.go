@@ -125,3 +125,82 @@ func TestPeersShareServerSideCounters(t *testing.T) {
 		t.Errorf("server-side served = %d, %d, want the shared aggregate 2", s1.Wire.Served, s2.Wire.Served)
 	}
 }
+
+func TestConcurrentShipsToOneBackup(t *testing.T) {
+	// A backup decodes every ship into one record slice it reuses, under
+	// its lock, because several callers may drive its replication server
+	// at once. Four extra shippers re-send records the backup already
+	// holds while the primary keeps writing and shipping: each re-sent
+	// record is skipped exactly once per call, and the backup ends level
+	// with the primary, in the monolith's state.
+	const shippers, calls = 4, 25
+	cm := kernel.NewCostModel(arch.R3000)
+	cluster := NewCluster(64, cm, DefaultReplicaConfig())
+	remote := cluster.NewClient()
+	mono := fs.New(64)
+	mkdir := func(path string) {
+		t.Helper()
+		if err := remote.Mkdir(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := mono.Mkdir(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		mkdir(fmt.Sprintf("/a%d", i))
+	}
+	held := cluster.Primary().wal.RecordsSince(0)
+	batch, err := fs.EncodeRecords(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := cluster.Primary().Wire.Epoch()
+
+	var wg sync.WaitGroup
+	errs := make([]error, shippers)
+	for g := 0; g < shippers; g++ {
+		ship := wire.NewClient(cluster.ReplLink(0), wire.A)
+		wg.Add(1)
+		go func(g int, ship *wire.Client) {
+			defer wg.Done()
+			for k := 0; k < calls; k++ {
+				out, err := ship.Call(cluster.Backup(0).Repl, ProcShip, epoch, batch)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				if seq := out[0].(uint64); seq < uint64(len(held)) {
+					errs[g] = fmt.Errorf("re-ship acknowledged %d, below the %d records held", seq, len(held))
+					return
+				}
+			}
+		}(g, ship)
+	}
+	for i := 0; i < 8; i++ {
+		mkdir(fmt.Sprintf("/b%d", i))
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("shipper %d: %v", g, err)
+		}
+	}
+
+	st := cluster.Stats()
+	if got := cluster.Backup(0).AppliedSeq(); got != st.PrimarySeq {
+		t.Errorf("backup applied %d of %d", got, st.PrimarySeq)
+	}
+	if want := shippers * calls * len(held); st.Reships != want || st.SeqViolations != 0 {
+		t.Errorf("Reships %d (want %d), SeqViolations %d (want 0)", st.Reships, want, st.SeqViolations)
+	}
+	if err := cluster.Audit(); err != nil {
+		t.Error(err)
+	}
+	want := mono.Fingerprint()
+	for i, fp := range cluster.NodeFingerprints() {
+		if fp != want {
+			t.Errorf("node %d diverged from the monolithic state", i)
+		}
+	}
+}

@@ -29,7 +29,7 @@ import (
 // primary→backup links (disjoint from the client-facing file procs).
 const (
 	// ProcShip carries a batch of WAL records: args are the primary's
-	// epoch (uint32) and the batch in fs.EncodeRecords' binary format
+	// epoch (uint32) and the batch in fs.AppendRecords' binary format
 	// ([]byte); the reply is the backup's applied sequence number
 	// (uint64) — the ack cursor. A reply below the primary's cursor is
 	// a cursor correction: the backup lost records (revival,
@@ -161,6 +161,12 @@ type replicator struct {
 	acked   []uint64
 	stats   ReplStats
 	link    *wire.Link // primary link: shared clock + recorder for ship spans
+
+	// The round's shared batch, keyed on the round and cursor it was
+	// built for, and the scratch its records are gathered in (chunk).
+	round, batchRound, batchFrom uint64
+	batch                        []byte
+	gather                       []fs.Record
 }
 
 // shipTo pushes records to backup i until its cursor reaches target or
@@ -168,7 +174,8 @@ type replicator struct {
 // op whose acknowledgement is waiting on this ship (0,0 for catch-up
 // traffic with no waiting op). A cursor that has fallen behind the
 // log's retained floor — the backup lost too much to catch up record
-// by record — is healed by state transfer first.
+// by record — is healed by state transfer first. Callers begin a round
+// (rp.round++) before shipping.
 func (rp *replicator) shipTo(i int, w *fs.WAL, epoch uint32, target uint64, client, call uint32) {
 	rec := rp.link.Recorder()
 	for rp.acked[i] < target {
@@ -178,25 +185,8 @@ func (rp *replicator) shipTo(i int, w *fs.WAL, epoch uint32, target uint64, clie
 			}
 			continue
 		}
-		batch := w.RecordsSince(rp.acked[i])
-		if len(batch) == 0 {
-			return
-		}
-		chunk := batch
-		if len(chunk) > maxShipRecords {
-			chunk = chunk[:maxShipRecords]
-		}
-		bytes := 0
-		for j, r := range chunk {
-			bytes += len(r.Data) + len(r.Path)
-			if bytes > maxShipBytes && j > 0 {
-				chunk = chunk[:j]
-				break
-			}
-		}
-		payload, err := fs.EncodeRecords(chunk)
-		if err != nil {
-			rp.stats.ShipFailures++
+		payload := rp.chunk(w, rp.acked[i])
+		if payload == nil {
 			return
 		}
 		rp.stats.ShipCalls++
@@ -246,6 +236,36 @@ func (rp *replicator) shipTo(i int, w *fs.WAL, epoch uint32, target uint64, clie
 				Client: client, Call: call, Val: float64(seq)})
 		}
 	}
+}
+
+// chunk returns the encoded batch for a backup at cursor from (nil if
+// nothing is retained above it): at most maxShipRecords records, cut
+// before the one whose Path and Data carry the total past maxShipBytes.
+// It is encoded once per round and cursor, so every backup at the same
+// cursor (all of them, in the steady state) is sent the same bytes.
+func (rp *replicator) chunk(w *fs.WAL, from uint64) []byte {
+	if rp.batch != nil && rp.batchRound == rp.round && rp.batchFrom == from {
+		return rp.batch
+	}
+	recs := w.AppendRecordsSince(rp.gather[:0], from)
+	if len(recs) == 0 {
+		return nil
+	}
+	n, bytes := min(len(recs), maxShipRecords), 0
+	for j, r := range recs[:n] {
+		bytes += len(r.Data) + len(r.Path)
+		if bytes > maxShipBytes && j > 0 {
+			n = j
+			break
+		}
+	}
+	rp.batch = fs.AppendRecords(rp.batch[:0], recs[:n])
+	rp.batchRound, rp.batchFrom = rp.round, from
+	clear(recs) // pins no acknowledged record's Path or Data
+	if rp.gather = recs[:0]; cap(recs) > maxShipRecords {
+		rp.gather = nil // a catch-up's backlog: keep one frame's worth
+	}
+	return rp.batch
 }
 
 // sendSnapshot streams the log's snapshot to peer i in bounded chunks
@@ -308,6 +328,7 @@ func (rp *replicator) sendSnapshot(i int, w *fs.WAL, epoch uint32) bool {
 // lag lands in the repl.lag histogram — the distribution companion of
 // the point-in-time gauge.
 func (rp *replicator) ship(w *fs.WAL, epoch uint32, client, call uint32) {
+	rp.round++
 	target := w.LastSeq()
 	minAcked := target
 	lagged := false
@@ -397,6 +418,8 @@ type Backup struct {
 	// State-transfer staging: snapshot chunks accumulate here until the
 	// final chunk's checksum verifies and the whole installs.
 	stage []byte
+
+	decoded []fs.Record // ship decode scratch, cleared after each ship
 
 	// Self-healing: the seeded at-rest damage schedule consulted when
 	// this node revives (nil = pristine storage), and the kill plane
@@ -495,20 +518,26 @@ func (b *Backup) recoverLocalLocked() {
 // the replication link. Every handler decodes its arguments and checks
 // the cursor before touching backup state, so malformed input earns an
 // error reply and changes nothing. Argument views die with the call
-// frame: the stage buffer copies chunks by append, and DecodeRecords
-// builds fresh records.
+// frame: the stage buffer copies chunks by append, and the ship decode
+// copies every Path and Data into the backup's reused record slice.
 func (b *Backup) registerRepl() {
 	b.Repl.RegisterRaw(ProcShip, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
 		epoch, batch := a.Uint32(), a.Bytes()
 		if err := a.Err(); err != nil {
 			return err
 		}
-		recs, err := fs.DecodeRecords(batch)
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		recs, err := fs.AppendDecodedRecords(b.decoded[:0], batch)
 		if err != nil {
 			return err
 		}
-		b.mu.Lock()
-		defer b.mu.Unlock()
+		defer func() {
+			clear(recs) // the log keeps their Path and Data
+			if b.decoded = recs[:0]; cap(recs) > maxShipRecords {
+				b.decoded = nil
+			}
+		}()
 		if err := b.fenceLocked(epoch, "ship"); err != nil {
 			return err
 		}

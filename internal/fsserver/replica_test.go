@@ -3,6 +3,7 @@ package fsserver
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -232,6 +233,88 @@ func TestReplicationPartitionCatchUp(t *testing.T) {
 	}
 	t.Logf("partitions=%d dropped=%d shipCalls=%d shipFailures=%d reships=%d lagOps=%d",
 		pc.Partitions, pc.Dropped, st.ShipCalls, st.ShipFailures, st.Reships, st.LagOps)
+}
+
+func TestLaggingBackupShipsFromItsOwnCursor(t *testing.T) {
+	// Backups standing at the same cursor in a ship round are sent one
+	// shared batch; a backup whose cursor diverged must be shipped from
+	// its own. A script drops every frame on one backup's replication
+	// link for a stretch of writes, so that backup falls behind while
+	// the other keeps up; once the link heals, the very next op must
+	// bring it level with the log, and neither backup may be sent a
+	// record it already holds. Both backups take a turn lagging: the
+	// one shipped first and the one shipped second.
+	const retries, stretch = 2, 12
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 256)
+	for lag := 0; lag < 2; lag++ {
+		cm := kernel.NewCostModel(arch.R3000)
+		cluster := NewCluster(64, cm, ReplicaConfig{Backups: 2, AckTimeoutMicros: 2e6, AckRetries: retries})
+		remote := cluster.NewClient()
+		mono := fs.New(64)
+		write := func(path string) {
+			t.Helper()
+			fd, err := remote.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := remote.Write(fd, payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := remote.Close(fd); err != nil {
+				t.Fatal(err)
+			}
+			if err := mono.WriteFile(path, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write("/before")
+
+		link := cluster.ReplLink(lag)
+		faults := &faultplane.Script{}
+		link.SetFaultPlane(faults)
+		// Each logged op makes one ship call to the lagging backup, and
+		// each of its retries-plus-one frames is dropped.
+		first, last := link.Frames()+1, link.Frames()+3*stretch*(retries+1)
+		for n := first; n <= last; n++ {
+			faults.Drop(n)
+		}
+		for i := 0; i < stretch; i++ {
+			write(fmt.Sprintf("/f%d", i))
+		}
+		if got := link.Frames(); got != last {
+			t.Fatalf("lag %d: the stretch sent %d frames on the dropped link, want %d", lag, got-first+1, last-first+1)
+		}
+		behind, ahead := cluster.Backup(lag).AppliedSeq(), cluster.Backup(1-lag).AppliedSeq()
+		if behind >= ahead {
+			t.Fatalf("lag %d: backup cursors %d and %d did not diverge", lag, behind, ahead)
+		}
+
+		if err := remote.Mkdir("/healed"); err != nil {
+			t.Fatal(err)
+		}
+		if err := mono.Mkdir("/healed"); err != nil {
+			t.Fatal(err)
+		}
+		st := cluster.Stats()
+		for i := 0; i < 2; i++ {
+			if got := cluster.Backup(i).AppliedSeq(); got != st.PrimarySeq {
+				t.Errorf("lag %d: backup %d applied %d of %d after the link healed", lag, i, got, st.PrimarySeq)
+			}
+		}
+		if st.LagOps != 3*stretch || st.Reships != 0 || st.CursorCorrections != 0 || st.SeqViolations != 0 {
+			t.Errorf("lag %d: LagOps %d (want %d), Reships %d, CursorCorrections %d, SeqViolations %d (want 0)",
+				lag, st.LagOps, 3*stretch, st.Reships, st.CursorCorrections, st.SeqViolations)
+		}
+		if err := cluster.Audit(); err != nil {
+			t.Errorf("lag %d: %v", lag, err)
+		}
+		want := mono.Fingerprint()
+		for i, fp := range cluster.NodeFingerprints() {
+			if fp != want {
+				t.Errorf("lag %d: node %d diverged from the monolithic state", lag, i)
+			}
+		}
+	}
 }
 
 // failoverRun replays the script against a replica set under chaos on

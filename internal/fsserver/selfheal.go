@@ -236,6 +236,7 @@ func (c *Cluster) rejoinDeposedPrimaryLocked(now float64) {
 		rp.clients = append(rp.clients, ship)
 		rp.peers = append(rp.peers, nb.Repl)
 		rp.acked = append(rp.acked, applied)
+		rp.round++
 		rp.shipTo(len(rp.clients)-1, npSrv.wal, newEpoch, npSrv.wal.LastSeq(), 0, 0)
 	}
 	npSrv.mu.Unlock()

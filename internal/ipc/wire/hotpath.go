@@ -16,16 +16,17 @@ import "sync"
 // memory forever.
 var bufPool = sync.Pool{
 	New: func() interface{} {
-		b := make([]byte, 0, 512)
-		return &b
+		p := hdrPool.Get().(*[]byte)
+		*p = make([]byte, 0, 512)
+		return p
 	},
 }
 
 // hdrPool recycles the *[]byte boxes the buffer pool traffics in:
 // without it every putBuf would heap-allocate a fresh slice header to
 // hand to sync.Pool, costing an allocation to save one. Headers cycle
-// between the two pools — getBuf frees a header that the next putBuf
-// reuses — so the steady state allocates neither buffers nor boxes.
+// between the pools — getBuf frees a header that the next putBuf or
+// bufPool miss reuses — so the steady state allocates no buffer or box.
 var hdrPool = sync.Pool{New: func() interface{} { return new([]byte) }}
 
 // maxPooledBuf bounds what returns to the pool: a frame is at most

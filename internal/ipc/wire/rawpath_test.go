@@ -251,9 +251,11 @@ func TestCallRawAllocsSteady(t *testing.T) {
 	// The raw path's whole-call allocation budget. The codec contributes
 	// zero (pinned separately); what remains is the delivered reply
 	// frame, which the result cursor views and the pool therefore never
-	// gets back — the one allocation the zero-copy contract costs. The
-	// bound allows one more for pool/map jitter. (The boxed equivalent
-	// measures 7; the original reflective path measured 17.)
+	// gets back — the one allocation the zero-copy contract costs, and
+	// the one this call measures: the pool miss that replaces it boxes
+	// its buffer in a recycled header. The bound allows one more for
+	// pool/map jitter. (The boxed equivalent measured 7 with its own
+	// server path; the original reflective path measured 17.)
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
@@ -281,7 +283,7 @@ func TestCallRawAllocsSteady(t *testing.T) {
 		}
 	})
 	t.Logf("allocs/op for small raw call: %.1f", allocs)
-	if allocs > 3 {
-		t.Errorf("small raw call allocates %.1f times per op, want <= 3", allocs)
+	if allocs > 2 {
+		t.Errorf("small raw call allocates %.1f times per op, want <= 2", allocs)
 	}
 }
