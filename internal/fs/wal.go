@@ -289,16 +289,23 @@ func (w *WAL) AppendShipped(r Record) error {
 // Both slices ascend in Seq, so each contributes one contiguous run,
 // found by binary search; the batch is copied into one allocation of
 // exactly its size, and an empty batch is nil.
-func (w *WAL) RecordsSince(seq uint64) []Record { return w.AppendRecordsSince(nil, seq) }
+func (w *WAL) RecordsSince(seq uint64) []Record {
+	return w.AppendRecordsSince(nil, seq, math.MaxInt)
+}
 
-// AppendRecordsSince appends RecordsSince(seq) to dst, growing it once
-// to exactly the length needed if it lacks room. The records share
-// Path and Data with the log: scratch that outlives them is cleared.
-func (w *WAL) AppendRecordsSince(dst []Record, seq uint64) []Record {
+// AppendRecordsSince appends the first limit records of
+// RecordsSince(seq) to dst, growing it once to exactly the length
+// needed if it lacks room. The limit keeps a catch-up linear: a
+// shipper that sends one bounded chunk at a time gathers one chunk,
+// not the whole backlog above the cursor. The records share Path and
+// Data with the log: scratch that outlives them is cleared.
+func (w *WAL) AppendRecordsSince(dst []Record, seq uint64, limit int) []Record {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	ship := w.shipBuf[seqAbove(w.shipBuf, seq):seqAbove(w.shipBuf, max(seq, w.snapSeq))]
+	ship = ship[:min(len(ship), limit)]
 	tail := w.tail[seqAbove(w.tail, seq):]
+	tail = tail[:min(len(tail), limit-len(ship))]
 	if n := len(dst) + len(ship) + len(tail); n > cap(dst) {
 		dst = append(make([]Record, 0, n), dst...)
 	}

@@ -3,6 +3,7 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -728,18 +729,18 @@ func TestQuarantineSnapshotResetsToGenesis(t *testing.T) {
 
 // recordsSinceRef is the linear filter RecordsSince replaced, kept as
 // its reference: every ship-buffer record the snapshot folded away,
-// then every tail record, above the cursor.
-func recordsSinceRef(w *WAL, seq uint64) []Record {
+// then every tail record, above the cursor, stopping at limit records.
+func recordsSinceRef(w *WAL, seq uint64, limit int) []Record {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var out []Record
 	for _, r := range w.shipBuf {
-		if r.Seq > seq && r.Seq <= w.snapSeq {
+		if r.Seq > seq && r.Seq <= w.snapSeq && len(out) < limit {
 			out = append(out, r)
 		}
 	}
 	for _, r := range w.tail {
-		if r.Seq > seq {
+		if r.Seq > seq && len(out) < limit {
 			out = append(out, r)
 		}
 	}
@@ -758,17 +759,24 @@ func TestRecordsSinceMatchesLinearFilter(t *testing.T) {
 		}
 	}
 	// check compares every cursor from below the ship floor to past the
-	// last record; below the floor the batch has gaps, but it must
-	// still be the same batch.
+	// last record, under limits that cut the batch inside the ship
+	// buffer, inside the tail and not at all; below the floor the batch
+	// has gaps, but it must still be the same batch. RecordsSince is
+	// the unlimited case.
 	check := func(step string) {
 		t.Helper()
 		for cursor := uint64(0); cursor <= w.LastSeq()+1; cursor++ {
-			got, want := w.RecordsSince(cursor), recordsSinceRef(w, cursor)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: RecordsSince(%d) = %v, reference %v", step, cursor, seqs(got), seqs(want))
-			}
-			if got != nil && (len(got) == 0 || len(got) != cap(got)) {
-				t.Fatalf("%s: RecordsSince(%d) has len %d cap %d, want nil or len == cap", step, cursor, len(got), cap(got))
+			for _, limit := range []int{0, 1, 2, 3, 5, 8, math.MaxInt} {
+				got, want := w.RecordsSince(cursor), recordsSinceRef(w, cursor, limit)
+				if limit < math.MaxInt {
+					got = w.AppendRecordsSince(nil, cursor, limit)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: AppendRecordsSince(nil, %d, %d) = %v, reference %v", step, cursor, limit, seqs(got), seqs(want))
+				}
+				if got != nil && (len(got) == 0 || len(got) != cap(got)) {
+					t.Fatalf("%s: AppendRecordsSince(nil, %d, %d) has len %d cap %d, want nil or len == cap", step, cursor, limit, len(got), cap(got))
+				}
 			}
 		}
 	}

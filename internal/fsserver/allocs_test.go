@@ -2,9 +2,12 @@ package fsserver
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"archos/internal/arch"
+	"archos/internal/faultplane"
 	"archos/internal/fs"
 	"archos/internal/ipc/wire"
 	"archos/internal/kernel"
@@ -136,5 +139,57 @@ func TestReplicatedWriteAllocationsPerBackup(t *testing.T) {
 	}
 	if per := (replPair - singlePair) / backups / 2; per > bound {
 		t.Errorf("replicated Mkdir+Unlink costs %.1f allocs per backup per logged op, want at most %d", per, bound)
+	}
+}
+
+// dropAll is a fault plane that drops every frame: a link cut for as
+// long as it is attached.
+type dropAll struct{}
+
+func (dropAll) Decide(int, int) faultplane.Decision { return faultplane.Decision{Drop: true} }
+
+// healingBytes cuts the replication link for n Mkdirs, so the backup
+// falls n records behind, heals it and returns the bytes allocated by
+// the next Mkdir — the op whose ship carries the whole catch-up.
+func healingBytes(t *testing.T, n int) uint64 {
+	t.Helper()
+	cluster := NewCluster(64, kernel.NewCostModel(arch.R3000), ReplicaConfig{Backups: 1, AckTimeoutMicros: 2e6, AckRetries: 1})
+	remote := cluster.NewClient()
+	cluster.ReplLink(0).SetFaultPlane(dropAll{})
+	for i := 0; i < n; i++ {
+		if err := remote.Mkdir(fmt.Sprintf("/d%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lag := cluster.Stats().ReplicationLag; lag != uint64(n) {
+		t.Fatalf("backup lags %d records after a %d-op partition, want %d", lag, n, n)
+	}
+	cluster.ReplLink(0).SetFaultPlane(nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := remote.Mkdir("/healed"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if st := cluster.Stats(); st.BackupSeq != st.PrimarySeq {
+		t.Fatalf("backup applied %d of %d after the link healed", st.BackupSeq, st.PrimarySeq)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+func TestCatchUpAllocationsGrowLinearly(t *testing.T) {
+	// The healing op ships the backlog in chunks of at most
+	// maxShipRecords; gathering one chunk per ship, not the whole
+	// backlog above the cursor, keeps its cost linear in the backlog.
+	// Four times the backlog is 4× the bytes when linear and 16× when
+	// quadratic; the bound leaves room for map and slice growth.
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	small, large := healingBytes(t, 1024), healingBytes(t, 4096)
+	growth := float64(large) / float64(small)
+	t.Logf("healing op allocated %d B after 1,024 partitioned Mkdirs, %d B after 4,096 (%.1f×)", small, large, growth)
+	if growth > 6 {
+		t.Errorf("4× the backlog cost %.1f× the healing op's bytes, want at most 6×", growth)
 	}
 }

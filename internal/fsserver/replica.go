@@ -247,12 +247,12 @@ func (rp *replicator) chunk(w *fs.WAL, from uint64) []byte {
 	if rp.batch != nil && rp.batchRound == rp.round && rp.batchFrom == from {
 		return rp.batch
 	}
-	recs := w.AppendRecordsSince(rp.gather[:0], from)
+	recs := w.AppendRecordsSince(rp.gather[:0], from, maxShipRecords)
 	if len(recs) == 0 {
 		return nil
 	}
-	n, bytes := min(len(recs), maxShipRecords), 0
-	for j, r := range recs[:n] {
+	n, bytes := len(recs), 0
+	for j, r := range recs {
 		bytes += len(r.Data) + len(r.Path)
 		if bytes > maxShipBytes && j > 0 {
 			n = j
@@ -262,9 +262,7 @@ func (rp *replicator) chunk(w *fs.WAL, from uint64) []byte {
 	rp.batch = fs.AppendRecords(rp.batch[:0], recs[:n])
 	rp.batchRound, rp.batchFrom = rp.round, from
 	clear(recs) // pins no acknowledged record's Path or Data
-	if rp.gather = recs[:0]; cap(recs) > maxShipRecords {
-		rp.gather = nil // a catch-up's backlog: keep one frame's worth
-	}
+	rp.gather = recs[:0]
 	return rp.batch
 }
 

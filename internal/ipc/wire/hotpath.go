@@ -10,9 +10,10 @@ import "sync"
 // payload→frame copy, no fresh frame buffer.
 
 // bufPool recycles frame buffers. Buffers enter the pool when a cached
-// reply frame is replaced or evicted and when a call frame finishes its
-// retry loop; they leave it for the next call or reply built on this
-// process. Oversized buffers are dropped so one huge payload cannot pin
+// reply frame is replaced or evicted, when a call frame finishes its
+// retry loop and when a header-only receive (Link.RecvClientHeader)
+// has read a frame; they leave it for the next call or reply built on
+// this process. Oversized buffers are dropped so one huge payload cannot pin
 // memory forever.
 var bufPool = sync.Pool{
 	New: func() interface{} {

@@ -471,8 +471,9 @@ func (l *Link) transmitLocked(from Endpoint, frame []byte, owned bool) {
 	// The in-flight copy (the sender may reuse its buffer immediately)
 	// comes from the frame pool; the terminal consumer recycles it — the
 	// server's pump after dispatch, the client's reply filter for
-	// discarded frames. An accepted reply is the exception: its payload
-	// is handed to the caller as a view and the buffer is never reused.
+	// discarded frames, a header-only receive for every frame. An
+	// accepted reply is the exception: its payload is handed to the
+	// caller as a view and the buffer is never reused.
 	// An owned frame is already the link's pooled copy and goes out as
 	// it is.
 	out := frame
@@ -617,4 +618,19 @@ func (l *Link) RecvClient(at Endpoint, clientID uint32) ([]byte, error) {
 		return f, nil
 	}
 	return nil, ErrEmpty
+}
+
+// RecvClientHeader is RecvClient for a caller that reads only headers:
+// it pops the client's next frame, decodes and verifies it, returns the
+// buffer to the frame pool — a damaged frame too — and hands back the
+// header alone, so no view into the recycled buffer escapes. A damaged
+// frame returns its decode error, an empty queue ErrEmpty.
+func (l *Link) RecvClientHeader(at Endpoint, clientID uint32) (Header, error) {
+	frame, err := l.RecvClient(at, clientID)
+	if err != nil {
+		return Header{}, err
+	}
+	h, _, err := Decode(frame)
+	putBuf(frame)
+	return h, err
 }

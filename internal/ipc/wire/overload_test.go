@@ -37,6 +37,35 @@ func TestShedExpiredCall(t *testing.T) {
 	}
 }
 
+// TestExpiryStamp pins the one encoding of a deadline into the
+// header's 32-bit Expiry field, which the client engine and the load
+// generator both stamp: a deadline under 1 µs stamps 1, never the 0
+// that means "no deadline", and one past the field's range saturates
+// instead of wrapping into the past.
+func TestExpiryStamp(t *testing.T) {
+	const top = 1<<32 - 1
+	for _, c := range []struct {
+		micros float64
+		want   uint32
+	}{
+		{0.5, 1},
+		{1, 1},
+		{20_000.75, 20_000},
+		{top, top},
+		{1 << 32, top},
+		{5e9, top},
+	} {
+		if got := ExpiryStamp(c.micros); got != c.want {
+			t.Errorf("ExpiryStamp(%g) = %d, want %d", c.micros, got, c.want)
+		}
+		client := NewClient(NewLink(ipc.Ethernet10), A)
+		client.Expiry = c.micros
+		if got := client.expiryStamp(); got != c.want {
+			t.Errorf("client with Expiry %g stamps %d, want %d", c.micros, got, c.want)
+		}
+	}
+}
+
 // TestShedDoesNotPoisonReplyCache: after a call is shed, a later
 // retransmission of the same call ID must be served as a fresh call —
 // the shed left no at-most-once record to confuse dedup — and it must

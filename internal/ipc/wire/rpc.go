@@ -790,8 +790,7 @@ func (c *Client) overDeadline(start float64) bool {
 
 // expiryStamp derives the absolute deadline propagated in a call
 // header: Expiry when the caller set one, else now+DeadlineMicros,
-// else 0 (no deadline). Saturated to the 32-bit header field — about
-// 71 virtual minutes, beyond every soak's horizon.
+// else 0 (no deadline).
 func (c *Client) expiryStamp() uint32 {
 	e := c.Expiry
 	if e <= 0 {
@@ -800,13 +799,23 @@ func (c *Client) expiryStamp() uint32 {
 		}
 		e = c.link.Clock() + c.DeadlineMicros
 	}
-	if e >= float64(^uint32(0)) {
+	return ExpiryStamp(e)
+}
+
+// ExpiryStamp encodes an absolute virtual-time deadline (µs) for a call
+// header's Expiry field, the one encoding every client engine stamps.
+// It saturates at the 32-bit field's top, about 71 virtual minutes,
+// beyond every soak's horizon; a plain conversion would wrap there and
+// stamp a deadline that has already passed. It never stamps 0, which
+// means "no deadline": a deadline below 1 µs stamps 1.
+func ExpiryStamp(micros float64) uint32 {
+	if micros >= float64(^uint32(0)) {
 		return ^uint32(0)
 	}
-	if e < 1 {
+	if micros < 1 {
 		return 1
 	}
-	return uint32(e)
+	return uint32(micros)
 }
 
 // overExpiry reports whether the caller's absolute expiry has passed.

@@ -341,3 +341,45 @@ func TestWireClockMatchesCostModel(t *testing.T) {
 		t.Errorf("wire clock %.3f µs, want %.3f", link.Clock(), want)
 	}
 }
+
+// TestRecvClientHeaderRecyclesWithoutAllocating: the header-only
+// receive returns an intact reply's verified header and a damaged
+// one's decode error, and sends both buffers back to the frame pool.
+// The link copies every sent frame into a pooled buffer, so a round
+// that sends and receives two frames allocates nothing once each
+// receive recycles what it took.
+func TestRecvClientHeaderRecyclesWithoutAllocating(t *testing.T) {
+	link := NewLink(ipc.Ethernet10)
+	c := NewClient(link, A)
+	want := Header{Kind: KindReply, CallID: 7, ProcID: 3, ClientID: c.ClientID, Payload: len("payload")}
+	frame, err := Encode(want, []byte("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun makes one warm-up call and then rounds more; the
+	// second frame of every round is damaged in flight.
+	const rounds = 100
+	for n := 2; n <= 2*(rounds+1); n += 2 {
+		script(link).Corrupt(n)
+	}
+	round := func() {
+		link.Send(B, frame)
+		if h, err := link.RecvClientHeader(A, c.ClientID); err != nil || h != want {
+			t.Fatalf("intact reply: header %+v, err %v; want %+v", h, err, want)
+		}
+		link.Send(B, frame)
+		if _, err := link.RecvClientHeader(A, c.ClientID); !errors.Is(err, ErrBadChecksum) {
+			t.Fatalf("damaged reply: err %v, want ErrBadChecksum", err)
+		}
+		if _, err := link.RecvClientHeader(A, c.ClientID); !errors.Is(err, ErrEmpty) {
+			t.Fatalf("drained queue: err %v, want ErrEmpty", err)
+		}
+	}
+	if raceEnabled {
+		round() // the pool drops buffers at random under the race detector
+		return
+	}
+	if allocs := testing.AllocsPerRun(rounds, round); allocs != 0 {
+		t.Errorf("a round of two received frames allocates %.1f, want 0: received buffers are not recycled", allocs)
+	}
+}

@@ -30,7 +30,7 @@ package workload
 // the service's behaviour under a load that is provably the same.
 
 import (
-	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -277,7 +277,8 @@ type pending struct {
 // its incarnations the call ID belongs to, and how many responses the
 // incarnation is still owed. Late responses to an abandoned
 // incarnation route here and prove execution without being allowed to
-// complete the op's current incarnation.
+// complete the op's current incarnation. Records live by value in
+// loadRun.flights, keyed by the call's (client, call) identity.
 type flight struct {
 	op   *lop
 	gen  int
@@ -300,7 +301,6 @@ type lop struct {
 	conn     int // pool index, -1 when not holding a connection
 	callID   uint32
 	frame    []byte
-	fl       *flight // current incarnation's transport record
 	attempts int
 	backoff  float64
 	reissues int
@@ -324,23 +324,66 @@ type levent struct {
 	gen  int
 }
 
+// before orders events by time, then by scheduling order. seq is unique
+// per run, so the order is total: every correct heap pops one sequence.
+func (e *levent) before(o *levent) bool {
+	if e.t != o.t {
+		return e.t < o.t
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events in before order, sifted in
+// place over its own slice: no boxing, so pushing and popping an event
+// allocates nothing once the slice has grown to the run's peak.
 type eventHeap []levent
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// push adds e, moving it up past every parent it precedes.
+func (h *eventHeap) push(e levent) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(levent)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// pop removes and returns the earliest event: the last event takes the
+// root's place and moves down past every child that precedes it. The
+// vacated slot is cleared so the slice pins no finished op.
+func (h *eventHeap) pop() levent {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = levent{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if d := c + 1; d < n && q[d].before(&q[c]) {
+				c = d
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // loadRun is the live state of one simulation.
@@ -359,6 +402,7 @@ type loadRun struct {
 	arrive *rand.Rand
 	behave *rand.Rand
 	zipf   *rand.Zipf
+	paths  []loadPath // Zipf rank -> interned path, filled on first draw
 
 	events eventHeap
 	seq    int
@@ -366,7 +410,7 @@ type loadRun struct {
 	connID  []uint32 // pool index -> wire client ID
 	nextCID []uint32 // pool index -> next call ID
 	free    []int
-	flights map[uint64]*flight
+	flights map[uint64]flight
 	drainQ  []int // pool indexes with responses owed this round
 	inDrain []bool
 
@@ -386,6 +430,14 @@ type loadRun struct {
 
 	res  *LoadResult
 	lats [][]float64 // per-window completion latencies
+}
+
+// loadPath is one interned Zipf path: its name and its encoded call
+// payload (the Stat and Mkdir argument both), shared by every op that
+// draws it.
+type loadPath struct {
+	name    string
+	payload []byte
 }
 
 // RunLoad executes one open-loop run and returns its result. Same
@@ -409,7 +461,8 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		link:     wire.NewLink(ipc.NetworkConfig{Name: "load", BandwidthMbps: 1e6}),
 		arrive:   rand.New(rand.NewSource(cfg.Seed)),
 		behave:   rand.New(rand.NewSource(cfg.Seed ^ 0x6c6f6164)), // "load"
-		flights:  map[uint64]*flight{},
+		paths:    make([]loadPath, cfg.Paths),
+		flights:  map[uint64]flight{},
 		touched:  make([]bool, cfg.Sessions),
 		accepted: map[string]bool{},
 		res:      &LoadResult{CapacityPerSec: 1e6 / cfg.ServiceMicros},
@@ -453,8 +506,8 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	}
 
 	r.push(levent{t: 0, kind: evActivate})
-	for r.events.Len() > 0 {
-		e := heap.Pop(&r.events).(levent)
+	for len(r.events) > 0 {
+		e := r.events.pop()
 		if now := r.link.Clock(); now < e.t {
 			r.link.AdvanceClock(e.t - now)
 		}
@@ -517,10 +570,12 @@ func (r *loadRun) activate(t float64) {
 			if r.arrive.Float64() < c.WriteFraction {
 				proc = fsserver.ProcMkdir
 			}
+			path := r.path(r.zipf.Uint64())
 			op := &lop{
 				session:  session,
 				proc:     proc,
-				path:     fmt.Sprintf("/z%05d", r.zipf.Uint64()),
+				path:     path.name,
+				payload:  path.payload,
 				arrival:  arrival,
 				deadline: arrival + c.DeadlineMicros,
 				conn:     -1,
@@ -534,6 +589,18 @@ func (r *loadRun) activate(t float64) {
 		meanBurst := c.ParetoAlpha / (c.ParetoAlpha - 1)
 		r.push(levent{t: t + r.arrive.ExpFloat64()*meanBurst*1e6/r.rate(t), kind: evActivate})
 	}
+}
+
+// path returns Zipf rank z's interned path, formatting its name and
+// encoding its payload on the rank's first draw: the universe is
+// bounded, so a run builds each once however many ops draw it.
+func (r *loadRun) path(z uint64) *loadPath {
+	p := &r.paths[z]
+	if p.payload == nil {
+		p.name = fmt.Sprintf("/z%05d", z)
+		p.payload = wire.AppendString(nil, p.name)
+	}
+	return p
 }
 
 // burstSize draws a Pareto(1, alpha) burst, capped.
@@ -575,13 +642,9 @@ func (r *loadRun) issue(op *lop) {
 		Client: r.connID[ci], Call: op.callID, Proc: op.proc})
 	op.attempts = 1
 	op.backoff = r.cfg.RetransmitMicros
-	op.fl = &flight{op: op, gen: op.gen}
-	if op.payload == nil {
-		op.payload = wire.AppendString(nil, op.path)
-	}
 	var expiry uint32
 	if r.cfg.Controls.PropagateDeadline {
-		expiry = uint32(op.deadline)
+		expiry = wire.ExpiryStamp(op.deadline)
 	}
 	frame, err := wire.Encode(wire.Header{
 		Kind:     wire.KindCall,
@@ -594,17 +657,21 @@ func (r *loadRun) issue(op *lop) {
 		panic(err) // bounded payload over our own codec: cannot fail
 	}
 	op.frame = frame
-	r.flights[flightKey(r.connID[ci], op.callID)] = op.fl
+	r.flights[flightKey(r.connID[ci], op.callID)] = flight{op: op, gen: op.gen}
 	r.send(op)
 	r.res.Issued++
 	r.push(levent{t: now + op.backoff*(0.5+r.behave.Float64()), kind: evRetx, op: op, gen: op.gen})
 	r.push(levent{t: op.deadline, kind: evTimeout, op: op, gen: op.gen})
 }
 
-// send enqueues the sealed frame on the NIC queue and kicks the serve
-// chain if the server is idle.
+// send enqueues the sealed frame on the NIC queue, counts the
+// transmission against the incarnation's flight record, and kicks the
+// serve chain if the server is idle.
 func (r *loadRun) send(op *lop) {
-	op.fl.sent++
+	key := flightKey(r.connID[op.conn], op.callID)
+	fl := r.flights[key]
+	fl.sent++
+	r.flights[key] = fl
 	r.sendQ = append(r.sendQ, pending{
 		ci: op.conn, frame: op.frame,
 		client: r.connID[op.conn], call: op.callID,
@@ -622,15 +689,22 @@ func (r *loadRun) send(op *lop) {
 // same round. A non-empty queue schedules the next serve at the new
 // clock, so the server works the backlog serially at the service rate
 // — the FIFO queueing delay every overload mechanism here is about.
+//
+// A served slot is cleared at once, and the queue slides its live
+// entries to the front once the served prefix is at least half of it,
+// so a collapse backlog neither pins sent frames nor regrows the queue.
 func (r *loadRun) serve() {
 	if r.sendHead >= len(r.sendQ) {
 		r.serving = false
 		return
 	}
 	p := r.sendQ[r.sendHead]
+	r.sendQ[r.sendHead] = pending{}
 	r.sendHead++
-	if r.sendHead == len(r.sendQ) {
-		r.sendQ = r.sendQ[:0]
+	if 2*r.sendHead >= len(r.sendQ) {
+		n := copy(r.sendQ, r.sendQ[r.sendHead:])
+		clear(r.sendQ[n:])
+		r.sendQ = r.sendQ[:n]
 		r.sendHead = 0
 	}
 	if r.rec.Enabled() {
@@ -737,20 +811,20 @@ func (r *loadRun) release(op *lop) {
 
 // drain routes every response delivered this round to its op. Replies
 // — success or remote error — prove execution and earn the budget;
-// rejects prove the opposite.
+// rejects prove the opposite. Only the header is read, so every frame
+// goes back to the link's pool as it is received.
 func (r *loadRun) drain() {
 	for len(r.drainQ) > 0 {
 		ci := r.drainQ[len(r.drainQ)-1]
 		r.drainQ = r.drainQ[:len(r.drainQ)-1]
 		r.inDrain[ci] = false
 		for {
-			frame, err := r.link.RecvClient(wire.A, r.connID[ci])
-			if err != nil {
+			h, err := r.link.RecvClientHeader(wire.A, r.connID[ci])
+			if errors.Is(err, wire.ErrEmpty) {
 				break
 			}
-			h, _, derr := wire.Decode(frame)
-			if derr != nil {
-				continue // clean link: unreachable
+			if err != nil {
+				continue // damaged; clean link: unreachable
 			}
 			key := flightKey(h.ClientID, h.CallID)
 			fl, ok := r.flights[key]
@@ -799,6 +873,8 @@ func (r *loadRun) drain() {
 			}
 			if fl.seen == fl.sent && (fl.gen != op.gen || op.state != opInFlight) {
 				delete(r.flights, key)
+			} else {
+				r.flights[key] = fl
 			}
 		}
 	}
@@ -890,7 +966,7 @@ func p99(lats []float64) float64 {
 func (r *loadRun) push(e levent) {
 	e.seq = r.seq
 	r.seq++
-	heap.Push(&r.events, e)
+	r.events.push(e)
 }
 
 // winIdx returns the curve bucket for time t, growing the curve as the

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"container/heap"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"archos/internal/arch"
@@ -178,4 +181,111 @@ func TestLoadMillionSessions(t *testing.T) {
 	if res.Offered == 0 || res.Executed == 0 {
 		t.Errorf("run did nothing: %+v", summarize(res))
 	}
+}
+
+// refHeap drives container/heap over the run's event order: the
+// reference the typed eventHeap replaced.
+type refHeap []levent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].t != h[j].t {
+		return h[i].t < h[j].t
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(levent)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestEventHeapMatchesContainerHeap: a seeded stream of pushes and
+// pops, with times drawn from a handful of values so most events tie
+// on t, pops the same sequence from the typed heap as from
+// container/heap. The heap alternates growing and shrinking phases so
+// both sifts run at every depth.
+func TestEventHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1991))
+	var got eventHeap
+	var want refHeap
+	seq := 0
+	for step := 0; step < 40_000; step++ {
+		pushOdds := 3 // of 4, while growing
+		if step/2000%2 == 1 {
+			pushOdds = 1
+		}
+		if len(want) == 0 || rng.Intn(4) < pushOdds {
+			e := levent{t: float64(rng.Intn(8)), seq: seq, kind: rng.Intn(5), gen: rng.Intn(3)}
+			seq++
+			got.push(e)
+			heap.Push(&want, e)
+			continue
+		}
+		if g, w := got.pop(), heap.Pop(&want).(levent); g != w {
+			t.Fatalf("step %d: typed heap popped %+v, container/heap %+v", step, g, w)
+		}
+	}
+	for len(want) > 0 {
+		if g, w := got.pop(), heap.Pop(&want).(levent); g != w {
+			t.Fatalf("drain: typed heap popped %+v, container/heap %+v", g, w)
+		}
+	}
+	if len(got) != 0 {
+		t.Fatalf("typed heap holds %d events after the reference drained", len(got))
+	}
+}
+
+// TestRunLoadAllocationsPerOfferedOp bounds the load engine's host
+// allocations per offered op. The event heap, the flight records, the
+// interned paths and the recycled reply frames allocate nothing per
+// event; what is left is each op's record, each issue's call frame and
+// the service's own work.
+func TestRunLoadAllocationsPerOfferedOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const bound = 10
+	for _, controls := range []LoadControls{ControlsOff(), ControlsOn()} {
+		cfg := DefaultLoadConfig()
+		cfg.DurationMicros = 1_000_000
+		cfg.Controls = controls
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := RunLoad(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := float64(after.Mallocs-before.Mallocs) / float64(res.Offered)
+		t.Logf("controls %+v: %.1f allocations per offered op (%d offered)", controls, per, res.Offered)
+		if per > bound {
+			t.Errorf("controls %+v: %.1f allocations per offered op, want at most %d", controls, per, bound)
+		}
+	}
+}
+
+// BenchmarkRunLoadPair times one overload-soak pair, the default
+// configuration undefended and then defended, as hostbench's
+// overload-soak workload runs it. allocs/op and B/op are per pair;
+// offered/op is the pair's offered ops, the base for a per-op figure.
+func BenchmarkRunLoadPair(b *testing.B) {
+	b.ReportAllocs()
+	offered := 0
+	for i := 0; i < b.N; i++ {
+		offered = 0
+		for _, controls := range []LoadControls{ControlsOff(), ControlsOn()} {
+			cfg := DefaultLoadConfig()
+			cfg.Controls = controls
+			res, err := RunLoad(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			offered += res.Offered
+		}
+	}
+	b.ReportMetric(float64(offered), "offered/op")
 }
