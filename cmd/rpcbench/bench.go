@@ -58,8 +58,7 @@ var benchProbes = []struct {
 	{"call/raw-small-traced", wirebench.RawCallSmallTraced},
 	{"call/boxed-small", wirebench.BoxedCallSmall},
 	{"call/raw-1k", wirebench.RawCall1K},
-	{"throughput/8-clients-sharded", wirebench.Throughput(true, 8)},
-	{"throughput/8-clients-global-lock", wirebench.Throughput(false, 8)},
+	{"throughput/8-clients", wirebench.Throughput(8)},
 	{"call/replicated-write", replicatedWrite},
 }
 

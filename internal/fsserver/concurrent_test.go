@@ -2,7 +2,8 @@ package fsserver
 
 import (
 	"fmt"
-	"sync"
+	"reflect"
+	"strings"
 	"testing"
 
 	"archos/internal/arch"
@@ -13,8 +14,8 @@ import (
 )
 
 // soakScript sizes one client's rooted andrew-mini replay so the
-// four-way race-enabled soak stays fast in CI while still issuing a few
-// hundred operations per client.
+// four-client race-enabled soak stays fast in CI while still issuing a
+// few hundred operations per client.
 func soakScript(client int) AndrewMini {
 	return AndrewMini{
 		Dirs:        4,
@@ -26,14 +27,14 @@ func soakScript(client int) AndrewMini {
 }
 
 func TestConcurrentClientsChaosSoak(t *testing.T) {
-	// The tentpole soak at the service layer: four concurrent Remotes —
-	// one wire client each — share one link, one server, and one file
-	// system, each replaying its script in a disjoint subtree while the
-	// seeded chaos policy disrupts ≥20% of all frames on the shared
-	// medium. The combined final state must be byte-identical to the
-	// same four scripts replayed sequentially on the fault-free
+	// The soak at the service layer: four Remotes — one wire client
+	// each — share one link, one server, and one file system, each
+	// replaying its script in a disjoint subtree, interleaved one op per
+	// turn, while the seeded chaos policy disrupts ≥20% of all frames on
+	// the shared medium. The combined final state must be byte-identical
+	// to the same four scripts replayed sequentially on the fault-free
 	// monolithic arrangement: no lost acknowledged ops, no double-applied
-	// writes, regardless of how the four call streams interleave.
+	// writes.
 	const nClients = 4
 	cm := kernel.NewCostModel(arch.R3000)
 
@@ -52,6 +53,8 @@ func TestConcurrentClientsChaosSoak(t *testing.T) {
 	fsys := fs.New(256)
 	base := NewRemoteOnLink(fsys, cm, link)
 	remotes := make([]*Remote, nClients)
+	scripts := make([]AndrewMini, nClients)
+	svcs := make([]Service, nClients)
 	for i := range remotes {
 		if i == 0 {
 			remotes[i] = base
@@ -59,22 +62,10 @@ func TestConcurrentClientsChaosSoak(t *testing.T) {
 			remotes[i] = base.NewPeer()
 		}
 		remotes[i].Tune(64, 0)
+		scripts[i], svcs[i] = soakScript(i), remotes[i]
 	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, nClients)
-	for i, r := range remotes {
-		wg.Add(1)
-		go func(i int, r *Remote) {
-			defer wg.Done()
-			_, errs[i] = soakScript(i).Run(r)
-		}(i, r)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
+	if err := Interleave(scripts, svcs); err != nil {
+		t.Fatal(err)
 	}
 
 	if got := fsys.Fingerprint(); got != want {
@@ -127,10 +118,10 @@ func TestPeersShareServerSideCounters(t *testing.T) {
 }
 
 func TestConcurrentShipsToOneBackup(t *testing.T) {
-	// A backup decodes every ship into one record slice it reuses, under
-	// its lock, because several callers may drive its replication server
-	// at once. Four extra shippers re-send records the backup already
-	// holds while the primary keeps writing and shipping: each re-sent
+	// A backup decodes every ship into one record slice it reuses, and
+	// several callers may drive its replication server. Four extra
+	// shippers re-send records the backup already holds, interleaved
+	// round-robin with the primary's own writes and ships: each re-sent
 	// record is skipped exactly once per call, and the backup ends level
 	// with the primary, in the monolith's state.
 	const shippers, calls = 4, 25
@@ -157,33 +148,24 @@ func TestConcurrentShipsToOneBackup(t *testing.T) {
 	}
 	epoch := cluster.Primary().Wire.Epoch()
 
-	var wg sync.WaitGroup
-	errs := make([]error, shippers)
-	for g := 0; g < shippers; g++ {
-		ship := wire.NewClient(cluster.ReplLink(0), wire.A)
-		wg.Add(1)
-		go func(g int, ship *wire.Client) {
-			defer wg.Done()
-			for k := 0; k < calls; k++ {
-				out, err := ship.Call(cluster.Backup(0).Repl, ProcShip, epoch, batch)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				if seq := out[0].(uint64); seq < uint64(len(held)) {
-					errs[g] = fmt.Errorf("re-ship acknowledged %d, below the %d records held", seq, len(held))
-					return
-				}
+	ships := make([]*wire.Client, shippers)
+	for g := range ships {
+		ships[g] = wire.NewClient(cluster.ReplLink(0), wire.A)
+	}
+	// Each round re-ships once from every shipper, and the first eight
+	// rounds each end with one more primary write.
+	for k := 0; k < calls; k++ {
+		for g, ship := range ships {
+			out, err := ship.Call(cluster.Backup(0).Repl, ProcShip, epoch, batch)
+			if err != nil {
+				t.Fatalf("shipper %d: %v", g, err)
 			}
-		}(g, ship)
-	}
-	for i := 0; i < 8; i++ {
-		mkdir(fmt.Sprintf("/b%d", i))
-	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Fatalf("shipper %d: %v", g, err)
+			if seq := out[0].(uint64); seq < uint64(len(held)) {
+				t.Fatalf("shipper %d: re-ship acknowledged %d, below the %d records held", g, seq, len(held))
+			}
+		}
+		if k < 8 {
+			mkdir(fmt.Sprintf("/b%d", k))
 		}
 	}
 
@@ -202,5 +184,55 @@ func TestConcurrentShipsToOneBackup(t *testing.T) {
 		if fp != want {
 			t.Errorf("node %d diverged from the monolithic state", i)
 		}
+	}
+}
+
+// mkdirLog records which script issued each Mkdir.
+type mkdirLog struct {
+	Service
+	id  int
+	log *[]int
+}
+
+func (m mkdirLog) Mkdir(path string) error {
+	*m.log = append(*m.log, m.id)
+	return m.Service.Mkdir(path)
+}
+
+func TestInterleaveRoundRobin(t *testing.T) {
+	// Scripts take turns one service op at a time, round-robin in index
+	// order. Scripts 0 and 2 have the same shape, so their five Mkdirs
+	// (root, src, two dirs, copy) line up turn for turn; script 1 fails
+	// on its first op and drops out of the rotation, while the others
+	// run to the end in the state a sequential replay leaves.
+	cm := kernel.NewCostModel(arch.R3000)
+	script := func(i int) AndrewMini {
+		return AndrewMini{Dirs: 2, FilesPerDir: 2, FileBytes: 100, Seed: int64(i), Root: fmt.Sprintf("/c%d", i)}
+	}
+	scripts := []AndrewMini{script(0), script(1), script(2)}
+	scripts[1].Root = "/missing/c1"
+	fsys := fs.New(64)
+	direct := NewDirect(fsys, cm)
+	var log []int
+	svcs := make([]Service, len(scripts))
+	for i := range svcs {
+		svcs[i] = mkdirLog{Service: direct, id: i, log: &log}
+	}
+	err := Interleave(scripts, svcs)
+	if err == nil || !strings.Contains(err.Error(), "client 1:") || strings.Contains(err.Error(), "client 0:") {
+		t.Fatalf("err = %v, want client 1's failure alone", err)
+	}
+	if want := []int{0, 1, 2, 0, 2, 0, 2, 0, 2, 0, 2}; !reflect.DeepEqual(log, want) {
+		t.Errorf("Mkdir order %v, want %v", log, want)
+	}
+	clean := fs.New(64)
+	seq := NewDirect(clean, cm)
+	for _, i := range []int{0, 2} {
+		if _, err := scripts[i].Run(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fsys.Fingerprint() != clean.Fingerprint() {
+		t.Error("interleaved state diverged from the sequential replay")
 	}
 }

@@ -234,7 +234,7 @@ func TestEvictedRetransmitServedFromWALLive(t *testing.T) {
 	cm := kernel.NewCostModel(arch.R3000)
 	link := wire.NewLink(localNet)
 	r1 := NewRemoteOnLink(fs.New(64), cm, link)
-	r1.server.Wire.ConfigureReplyCache(1, 1)
+	r1.server.Wire.ConfigureReplyCache(1)
 
 	fd, err := r1.Create("/f") // call 1
 	if err != nil {
@@ -271,7 +271,7 @@ func TestEvictedRetransmitAcrossRestartServedFromWAL(t *testing.T) {
 	cm := kernel.NewCostModel(arch.R3000)
 	link := wire.NewLink(localNet)
 	r1 := NewRemoteOnLink(fs.New(64), cm, link)
-	r1.server.Wire.ConfigureReplyCache(1, 1)
+	r1.server.Wire.ConfigureReplyCache(1)
 
 	fd, err := r1.Create("/f") // call 1
 	if err != nil {

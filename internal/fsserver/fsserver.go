@@ -155,9 +155,11 @@ type Server struct {
 	Wire *wire.Server
 
 	// mu guards FS, wal, crasher, and the recovery counters. Lock
-	// ordering: wire cache-shard locks → mu → wire.Server's own lock;
-	// recovery never touches shard locks (the durable session table is
-	// consulted lazily via the dedup authority instead).
+	// ordering: the wire reply-cache lock → mu → wire.Server's own
+	// lock, the order in which a dispatch on the stack's one driving
+	// goroutine takes them; recovery never touches the reply-cache lock
+	// (the durable session table is consulted lazily via the dedup
+	// authority instead).
 	mu      sync.Mutex
 	FS      *fs.FS
 	wal     *fs.WAL
@@ -528,13 +530,13 @@ func NewRemoteOnLink(fsys *fs.FS, cm *kernel.CostModel, link *wire.Link) *Remote
 	return newRemote(fo, server, link, cm, nil)
 }
 
-// NewPeer attaches another concurrent client to the same decomposed
+// NewPeer attaches another simulated client to the same decomposed
 // service: a fresh caller (its own ClientID, receive queues, and
 // retransmission state) over this Remote's endpoints, sharing its
-// server(s), cost model, recorder and tuning. Each Remote must be
-// driven by one goroutine; any number of peers may issue operations
-// concurrently — the wire server's sharded reply cache keeps every
-// caller in the at-most-once window.
+// server(s), cost model, recorder and tuning. The goroutine driving the
+// stack interleaves the peers' operations (Interleave does it one op
+// per turn); the wire server's reply cache keeps every caller in the
+// at-most-once window.
 func (r *Remote) NewPeer() *Remote {
 	peer := newRemote(r.fo.Peer(), r.server, r.link, r.cm, r.cluster)
 	peer.rec = r.rec

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"archos/internal/arch"
@@ -155,10 +154,9 @@ func fmtSpan(span []obs.Event) string {
 }
 
 func TestConcurrentPeersWithRecorder(t *testing.T) {
-	// The 8-client soak with tracing on: race-safety of the recorder
-	// under concurrent drives (the -race CI configuration), per-client
-	// histogram classes counting every completed op, and unchanged
-	// exactly-once effects.
+	// The 8-client soak with tracing on, the clients interleaved one op
+	// per turn: per-client histogram classes counting every completed
+	// op, and unchanged exactly-once effects.
 	cm := kernel.NewCostModel(arch.R3000)
 	const n = 8
 	script := func(i int) AndrewMini {
@@ -183,28 +181,18 @@ func TestConcurrentPeersWithRecorder(t *testing.T) {
 	rec := obs.NewRecorder(link)
 	base.SetRecorder(rec)
 	remotes := make([]*Remote, n)
+	scripts := make([]AndrewMini, n)
+	svcs := make([]Service, n)
 	for i := range remotes {
 		if i == 0 {
 			remotes[i] = base
 		} else {
 			remotes[i] = base.NewPeer()
 		}
+		scripts[i], svcs[i] = script(i), remotes[i]
 	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, r := range remotes {
-		wg.Add(1)
-		go func(i int, r *Remote) {
-			defer wg.Done()
-			_, errs[i] = script(i).Run(r)
-		}(i, r)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
+	if err := Interleave(scripts, svcs); err != nil {
+		t.Fatal(err)
 	}
 
 	if fsys.Fingerprint() != clean.Fingerprint() {

@@ -25,7 +25,7 @@ func shedRemote(t *testing.T) (*Remote, *wire.Link) {
 	cm := kernel.NewCostModel(arch.R3000)
 	link := wire.NewLink(ipc.Ethernet10)
 	remote := NewRemoteOnLink(fs.New(64), cm, link)
-	remote.server.Wire.SetAdmission(wire.AdmissionConfig{ShedExpired: true})
+	remote.server.Wire.SetShedExpired(true)
 	return remote, link
 }
 
@@ -156,7 +156,7 @@ func TestShedRetransmitAcrossCrashRecovery(t *testing.T) {
 	cm := kernel.NewCostModel(arch.R3000)
 	link := wire.NewLink(localNet)
 	remote := NewRemoteOnLink(fs.New(64), cm, link)
-	remote.server.Wire.SetAdmission(wire.AdmissionConfig{ShedExpired: true})
+	remote.server.Wire.SetShedExpired(true)
 
 	if err := remote.Mkdir("/d"); err != nil { // call 1: executed and logged
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestShedRetransmitAcrossFailover(t *testing.T) {
 	cm := kernel.NewCostModel(arch.R3000)
 	cluster := NewCluster(64, cm, DefaultReplicaConfig())
 	remote := cluster.NewClient()
-	cluster.Primary().Wire.SetAdmission(wire.AdmissionConfig{ShedExpired: true})
+	cluster.Primary().Wire.SetShedExpired(true)
 
 	if err := remote.Mkdir("/base"); err != nil { // call 1: executed, shipped
 		t.Fatal(err)

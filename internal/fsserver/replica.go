@@ -849,8 +849,9 @@ func NewCluster(blocks int, cm *kernel.CostModel, cfg ReplicaConfig) *Cluster {
 // NewClient builds a Remote spanning the whole replica set: one wire
 // client per replica link sharing a single identity, call sequence, and
 // epoch fence, failing over to a promoted backup when the primary is
-// permanently gone. Each call to NewClient is an independent concurrent
-// caller (the replicated analogue of NewPeer).
+// permanently gone. Each call to NewClient is another simulated caller
+// (the replicated analogue of NewPeer), interleaved with the others by
+// the goroutine that drives the cluster.
 func (c *Cluster) NewClient() *Remote {
 	clients := []*wire.Client{wire.NewClient(c.primaryLink, wire.A)}
 	servers := []*wire.Server{c.primary.Wire}
@@ -870,8 +871,9 @@ func (c *Cluster) NewClient() *Remote {
 // happened, route to the promoted backup; if the primary is permanently
 // down and failover is enabled, promote the most caught-up backup and
 // route there; otherwise -1 — the primary may yet recover, keep
-// retrying it. Installed as every FailoverClient's hook; idempotent and
-// safe for concurrent callers.
+// retrying it. Installed as every FailoverClient's hook and idempotent,
+// so whichever client's call first finds the primary gone promotes,
+// and every later call routes to the same backup.
 func (c *Cluster) Failover() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -945,9 +947,6 @@ func (c *Cluster) Backup(i int) *Backup { return c.backups[i] }
 
 // PrimaryLink returns the client↔primary link (for fault planes).
 func (c *Cluster) PrimaryLink() *wire.Link { return c.primaryLink }
-
-// BackupLink returns the client↔backup link of backup i.
-func (c *Cluster) BackupLink(i int) *wire.Link { return c.backupLinks[i] }
 
 // ReplLink returns the primary↔backup replication link of backup i.
 func (c *Cluster) ReplLink(i int) *wire.Link { return c.replLinks[i] }

@@ -1,8 +1,11 @@
 package fsserver
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+
+	"archos/internal/fs"
 )
 
 // AndrewMini is a deterministic miniature of the paper's andrew script
@@ -23,8 +26,9 @@ type AndrewMini struct {
 
 	// Root, when non-empty, prefixes every path the script touches (the
 	// directory is created first), so several scripts — one per
-	// concurrent client — replay against one file system in disjoint
-	// subtrees whose combined final state is interleaving-independent.
+	// simulated client (Interleave) — replay against one file system in
+	// disjoint subtrees whose combined final state is
+	// interleaving-independent.
 	Root string
 }
 
@@ -151,3 +155,66 @@ func (a AndrewMini) fileName(d, f int) string {
 func (a AndrewMini) copyName(d, f int) string {
 	return fmt.Sprintf("%s/copy/d%02d_f%02d.c", a.Root, d, f)
 }
+
+// Interleave replays scripts[i] against svcs[i], all of them at once,
+// one service op per turn, with turns going round-robin in index order
+// over the scripts still running. Each script runs as a coroutine that
+// holds the turn for one op and hands it back before issuing the next,
+// so exactly one script runs at any instant and the interleaving — and
+// with it every trace of the run — is fixed by the scripts alone. A
+// script that fails drops out of the rotation; the others run to the
+// end. The error joins every script's failure, tagged with its index.
+func Interleave(scripts []AndrewMini, svcs []Service) error {
+	back := make(chan bool) // a turn ends: true when its script has finished
+	errs := make([]error, len(scripts))
+	live := make([]chan struct{}, len(scripts))
+	for i := range scripts {
+		ts := &turnService{Service: svcs[i], turn: make(chan struct{}), back: back}
+		live[i] = ts.turn
+		go func() {
+			<-ts.turn
+			if _, err := scripts[i].Run(ts); err != nil {
+				errs[i] = fmt.Errorf("client %d: %w", i, err)
+			}
+			back <- true
+		}()
+	}
+	for len(live) > 0 {
+		next := live[:0]
+		for _, turn := range live {
+			turn <- struct{}{}
+			if finished := <-back; !finished {
+				next = append(next, turn)
+			}
+		}
+		live = next
+	}
+	return errors.Join(errs...)
+}
+
+// turnService is one Interleave coroutine's view of its service: every
+// op after the first ends the current turn and waits for the next.
+type turnService struct {
+	Service
+	turn    chan struct{}
+	back    chan bool
+	started bool
+}
+
+func (t *turnService) next() {
+	if t.started {
+		t.back <- false
+		<-t.turn
+	}
+	t.started = true
+}
+
+func (t *turnService) Open(path string) (int, error)       { t.next(); return t.Service.Open(path) }
+func (t *turnService) Create(path string) (int, error)     { t.next(); return t.Service.Create(path) }
+func (t *turnService) Close(fd int) error                  { t.next(); return t.Service.Close(fd) }
+func (t *turnService) Read(fd, n int) ([]byte, error)      { t.next(); return t.Service.Read(fd, n) }
+func (t *turnService) Write(fd int, b []byte) (int, error) { t.next(); return t.Service.Write(fd, b) }
+func (t *turnService) Stat(path string) (fs.Stat, error)   { t.next(); return t.Service.Stat(path) }
+func (t *turnService) Mkdir(path string) error             { t.next(); return t.Service.Mkdir(path) }
+func (t *turnService) Unlink(path string) error            { t.next(); return t.Service.Unlink(path) }
+func (t *turnService) ReadDir(p string) ([]string, error)  { t.next(); return t.Service.ReadDir(p) }

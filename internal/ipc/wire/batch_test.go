@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"archos/internal/faultplane"
@@ -128,8 +126,9 @@ func TestBatchingDisableFlushes(t *testing.T) {
 
 func TestBatchedCallsConcurrentChaos(t *testing.T) {
 	// The full RPC stack over a batching link under the reference chaos
-	// policy: containers drop, corrupt, duplicate, and reorder as whole
-	// units, and at-most-once still holds for every coalesced call.
+	// policy, with simulated clients interleaved round-robin: containers
+	// drop, corrupt, duplicate, and reorder as whole units, and
+	// at-most-once still holds for every coalesced call.
 	const (
 		nClients = 6
 		calls    = 30
@@ -138,13 +137,13 @@ func TestBatchedCallsConcurrentChaos(t *testing.T) {
 	link.SetFaultPlane(faultplane.New(faultplane.Chaos(4242)))
 	link.EnableBatching(true)
 	server := NewServer(link, B)
-	var executions atomic.Int64
+	executions := 0
 	server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
 		id, n := a.Int64(), a.Int64()
 		if err := a.Err(); err != nil {
 			return err
 		}
-		executions.Add(1)
+		executions++
 		rep.Int64(id)
 		rep.Int64(n)
 		return nil
@@ -154,39 +153,22 @@ func TestBatchedCallsConcurrentChaos(t *testing.T) {
 		clients[i] = NewClient(link, A)
 		clients[i].MaxRetries = 64
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, nClients)
-	for i, c := range clients {
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			for n := 0; n < calls; n++ {
-				w := c.NewCallArgs()
-				w.Int64(int64(c.ClientID))
-				w.Int64(int64(n))
-				res, err := c.CallRaw(server, 1, w)
-				if err != nil {
-					errs[i] = fmt.Errorf("call %d: %w", n, err)
-					return
-				}
-				if res.Int64() != int64(c.ClientID) || res.Int64() != int64(n) || res.Err() != nil {
-					errs[i] = fmt.Errorf("call %d: wrong reply (err %v)", n, res.Err())
-					return
-				}
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	roundRobin(t, nClients, calls, func(i, n int) error {
+		c := clients[i]
+		w := c.NewCallArgs()
+		w.Int64(int64(c.ClientID))
+		w.Int64(int64(n))
+		res, err := c.CallRaw(server, 1, w)
 		if err != nil {
-			t.Errorf("client %d: %v", i, err)
+			return err
 		}
-	}
-	if t.Failed() {
-		return
-	}
-	if executions.Load() != nClients*calls {
+		if res.Int64() != int64(c.ClientID) || res.Int64() != int64(n) || res.Err() != nil {
+			return fmt.Errorf("wrong reply (err %v)", res.Err())
+		}
+		return nil
+	})
+	if executions != nClients*calls {
 		t.Errorf("handler executed %d times for %d calls — at-most-once violated under batching",
-			executions.Load(), nClients*calls)
+			executions, nClients*calls)
 	}
 }

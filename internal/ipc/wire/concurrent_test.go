@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"archos/internal/faultplane"
@@ -262,7 +260,7 @@ func TestReplyCacheLRUEviction(t *testing.T) {
 	// client's retransmission is still suppressed.
 	link := NewLink(ipc.Ethernet10)
 	server := NewServer(link, B)
-	server.ConfigureReplyCache(1, 2)
+	server.ConfigureReplyCache(2)
 	executions := 0
 	server.RegisterRaw(1, counting(&executions))
 	c1 := NewClient(link, A)
@@ -307,11 +305,11 @@ func TestReplyCacheLRUEviction(t *testing.T) {
 }
 
 func TestManyClientsConcurrentChaosEcho(t *testing.T) {
-	// The tentpole soak at the wire layer: 8 concurrent clients sharing
-	// one link and one server under the reference chaos policy (≥20%
-	// combined loss/duplication/reordering). Every call must return its
-	// caller's own payload, and the non-idempotent handler must run
-	// exactly once per call in aggregate.
+	// The soak at the wire layer: 8 simulated clients, interleaved
+	// round-robin, share one link and one server under the reference
+	// chaos policy (≥20% combined loss/duplication/reordering). Every
+	// call must return its caller's own payload, and the non-idempotent
+	// handler must run exactly once per call in aggregate.
 	const (
 		nClients = 8
 		calls    = 60
@@ -320,9 +318,9 @@ func TestManyClientsConcurrentChaosEcho(t *testing.T) {
 	plane := faultplane.New(faultplane.Chaos(1991))
 	link.SetFaultPlane(plane)
 	server := NewServer(link, B)
-	var executions atomic.Int64 // handlers for distinct clients run concurrently
+	executions := 0
 	server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
-		executions.Add(1)
+		executions++
 		return echoRaw(h, a, rep)
 	})
 
@@ -331,36 +329,19 @@ func TestManyClientsConcurrentChaosEcho(t *testing.T) {
 		clients[i] = NewClient(link, A)
 		clients[i].MaxRetries = 64
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, nClients)
-	for i, c := range clients {
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			for n := 0; n < calls; n++ {
-				out, err := c.Call(server, 1, int64(c.ClientID), int64(n))
-				if err != nil {
-					errs[i] = fmt.Errorf("call %d: %w", n, err)
-					return
-				}
-				if out[0].(int64) != int64(c.ClientID) || out[1].(int64) != int64(n) {
-					errs[i] = fmt.Errorf("call %d: got another caller's reply: %v", n, out)
-					return
-				}
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	roundRobin(t, nClients, calls, func(i, n int) error {
+		c := clients[i]
+		out, err := c.Call(server, 1, int64(c.ClientID), int64(n))
 		if err != nil {
-			t.Errorf("client %d: %v", i, err)
+			return err
 		}
-	}
-	if t.Failed() {
-		return
-	}
-	if executions.Load() != nClients*calls {
-		t.Errorf("handler executed %d times for %d calls — at-most-once violated", executions.Load(), nClients*calls)
+		if out[0].(int64) != int64(c.ClientID) || out[1].(int64) != int64(n) {
+			return fmt.Errorf("got another caller's reply: %v", out)
+		}
+		return nil
+	})
+	if executions != nClients*calls {
+		t.Errorf("handler executed %d times for %d calls — at-most-once violated", executions, nClients*calls)
 	}
 	c := plane.Counts()
 	if c.Dropped == 0 || c.Duplicated == 0 || c.Reordered == 0 || c.Corrupted == 0 {

@@ -54,9 +54,9 @@ func (f *EpochFence) Max() uint32 {
 // FailoverClient whether or not it spans replicas, and places every
 // call on the one CallRaw path.
 //
-// Like Client, a FailoverClient is driven by one goroutine at a time;
-// concurrent callers each hold their own FailoverClient over the same
-// links (Peer builds one).
+// Several callers each hold their own FailoverClient over the same
+// links (Peer builds one), and the goroutine driving the stack
+// interleaves their calls.
 type FailoverClient struct {
 	clients []*Client
 	servers []*Server

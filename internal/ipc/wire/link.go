@@ -18,14 +18,17 @@ import (
 // or drop frame #n — the surgical tests). Injected delay is charged to
 // the link's virtual clock.
 //
-// The link is shared by N concurrent callers: every method is safe
-// under concurrent use, and reply frames are demultiplexed into
-// per-client receive queues (RecvClient) by the client ID in the frame
-// header, so one caller draining the wire never discards another
-// caller's reply. Frames too damaged to route — a bit flip in the
-// header's routing fields — land in the shared direction queue, where
-// any receiver may collect them and count the checksum failure, exactly
-// as a shared Ethernet delivers damage to whoever listens.
+// One goroutine at a time drives a link, together with everything else
+// on its VClock; the N callers sharing it are simulated clients that
+// goroutine interleaves. Reply frames are demultiplexed into per-client
+// receive queues (RecvClient) by the client ID in the frame header, so
+// one caller draining the wire never discards another caller's reply.
+// Frames too damaged to route — a bit flip in the header's routing
+// fields — land in the shared direction queue, where any receiver may
+// collect them and count the checksum failure, exactly as a shared
+// Ethernet delivers damage to whoever listens. The lock keeps every
+// method race-free, but a second driving goroutine would make the
+// interleaving, and so every trace, irreproducible.
 type Link struct {
 	Net ipc.NetworkConfig
 
@@ -127,8 +130,7 @@ func (l *Link) Frames() int {
 
 // SetFaultPlane attaches the link's fault injector (package
 // faultplane: a seeded Plane or a per-frame Script). Pass nil to
-// detach. The link's lock serialises Decide calls even with many
-// concurrent senders.
+// detach.
 func (l *Link) SetFaultPlane(p faultplane.Injector) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -41,15 +41,13 @@ const (
 )
 
 // Reject reason codes — the single payload byte of a KindReject frame.
+// Byte 1 named a queue-full shed, which no server makes any more; it
+// stays unassigned so that reason bytes keep their meaning on the wire.
 const (
-	// RejectBusy: the call's execution shard had no admission-queue
-	// room. The op did not execute; a retransmission may be admitted
-	// once the queue drains.
-	RejectBusy byte = iota + 1
 	// RejectExpired: the call's propagated deadline had already passed
 	// when the server looked at it. Executing it would have been pure
 	// waste — the caller stopped waiting — so it was shed instead.
-	RejectExpired
+	RejectExpired byte = 2
 )
 
 // Header describes a frame.

@@ -17,37 +17,21 @@ import (
 //   - Deadline propagation: a call's frame header carries the caller's
 //     absolute virtual-time deadline (Header.Expiry), so every layer
 //     downstream can tell a live request from a dead one.
-//   - Admission control: the server bounds its per-shard admission
-//     queue and sheds expired or unadmittable calls with a cheap
-//     KindReject frame — no handler execution, no log append, nothing
-//     cached.
+//   - Deadline shedding: the server (SetShedExpired) refuses calls
+//     whose deadline has already passed with a cheap KindReject frame
+//     — no handler execution, no log append, nothing cached.
 //   - Retry budgets: a client's retransmissions are paid for by its
 //     successes (a token bucket earning a fraction per success), so N
 //     clients cannot multiply an overloaded server's arrival rate.
-
-// AdmissionConfig parameterises the server's admission control. The
-// zero value disables both mechanisms — the pre-overload-plane
-// behavior, and the default.
-type AdmissionConfig struct {
-	// MaxShardQueue bounds how many calls may be admitted concurrently
-	// per execution shard (waiting for the shard lock or executing
-	// under it). A call arriving at a full shard is shed with
-	// RejectBusy. 0 = unbounded.
-	MaxShardQueue int
-	// ShedExpired, when set, rejects any call whose propagated deadline
-	// (Header.Expiry) has already passed at dispatch, with
-	// RejectExpired — before any lock is taken or any handler runs.
-	ShedExpired bool
-}
 
 // RetryBudget is a token bucket that makes retransmissions a fraction
 // of successes rather than a multiple of failures. Each successful
 // call earns Ratio tokens (capped at Burst); each retransmission
 // spends one. When the bucket is empty the client abandons the call
 // instead of retrying — under server overload, retries are the fuel of
-// the metastable state, and the budget cuts the fuel line. Safe for
-// concurrent use, so one budget may be shared by several clients (the
-// per-process budget of the classic formulation) or held per client.
+// the metastable state, and the budget cuts the fuel line. One budget
+// may be shared by several clients (the per-process budget of the
+// classic formulation) or held per client.
 type RetryBudget struct {
 	mu     sync.Mutex
 	ratio  float64
@@ -102,13 +86,6 @@ func (b *RetryBudget) Spend() bool {
 	b.denied++
 	b.rec.Emit(obs.Event{Layer: "overload", Name: "budget_denied", Val: float64(b.denied)})
 	return false
-}
-
-// Tokens returns the current balance.
-func (b *RetryBudget) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
 }
 
 // Counts reports successes credited, retries paid for, and retries

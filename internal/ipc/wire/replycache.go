@@ -3,28 +3,29 @@ package wire
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 )
 
-// Defaults for the server's reply cache: 8 shards of 128 clients keeps
-// a thousand concurrent callers in the at-most-once window while
-// bounding the memory a retransmission storm can pin.
-const (
-	defaultCacheShards   = 8
-	defaultCachePerShard = 128
-)
+// defaultCacheCapacity keeps a thousand callers in the server's
+// at-most-once window while bounding the memory a retransmission storm
+// can pin.
+const defaultCacheCapacity = 1024
 
-// replyCache is the server's at-most-once record, sharded by client ID
-// so concurrent duplicate suppression contends only within a shard, and
-// bounded per shard with LRU eviction so the cache cannot grow without
-// limit as clients come and go. Each client holds one entry — clients
-// issue one call at a time with increasing IDs, so a one-deep slot per
-// client is exactly the at-most-once window. Evicting a client's entry
-// narrows that window: a retransmission arriving after eviction is
-// indistinguishable from a fresh call (the classic duplicate-reply-
-// cache tradeoff), so the bound is sized generously.
+// replyCache is the server's at-most-once record: one entry per client,
+// bounded with LRU eviction so the cache cannot grow without limit as
+// clients come and go. Clients issue one call at a time with increasing
+// IDs, so a one-deep slot per client is exactly the at-most-once window.
+// Evicting a client's entry narrows that window: a retransmission
+// arriving after eviction is indistinguishable from a fresh call (the
+// classic duplicate-reply-cache tradeoff), so the bound is sized
+// generously.
+//
+// The server holds mu across check-then-execute, so two copies of one
+// call can never both miss the cache and run the handler twice.
 type replyCache struct {
-	shards []cacheShard
+	mu      sync.Mutex
+	cap     int
+	entries map[uint32]*list.Element
+	lru     *list.List // front = most recently used
 }
 
 // cacheEntry is the at-most-once record for one client: the last call
@@ -36,84 +37,53 @@ type cacheEntry struct {
 	frame    []byte
 }
 
-// cacheShard serialises everything that happens to its clients; the
-// server holds the shard lock across check-then-execute so two copies
-// of one call can never both miss the cache and run the handler twice.
-type cacheShard struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[uint32]*list.Element
-	lru     *list.List // front = most recently used
-
-	// queued counts calls admitted to this shard and not yet finished
-	// (waiting for mu or executing under it) — the admission queue the
-	// server's MaxShardQueue bounds. Atomic because admission is judged
-	// before the shard lock is taken: shedding must not wait behind the
-	// very queue it exists to bound.
-	queued atomic.Int32
-}
-
-func newReplyCache(shards, perShard int) *replyCache {
-	if shards < 1 {
-		shards = 1
+func newReplyCache(capacity int) *replyCache {
+	if capacity < 1 {
+		capacity = 1
 	}
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &replyCache{shards: make([]cacheShard, shards)}
-	for i := range c.shards {
-		c.shards[i].cap = perShard
-		c.shards[i].entries = map[uint32]*list.Element{}
-		c.shards[i].lru = list.New()
-	}
-	return c
-}
-
-// shardFor maps a client to its shard.
-func (c *replyCache) shardFor(clientID uint32) *cacheShard {
-	return &c.shards[int(clientID)%len(c.shards)]
+	return &replyCache{cap: capacity, entries: map[uint32]*list.Element{}, lru: list.New()}
 }
 
 // get returns the client's cached record and bumps its recency. The
-// shard lock must be held.
-func (s *cacheShard) get(clientID uint32) (*cacheEntry, bool) {
-	el, ok := s.entries[clientID]
+// cache lock must be held.
+func (c *replyCache) get(clientID uint32) (*cacheEntry, bool) {
+	el, ok := c.entries[clientID]
 	if !ok {
 		return nil, false
 	}
-	s.lru.MoveToFront(el)
+	c.lru.MoveToFront(el)
 	return el.Value.(*cacheEntry), true
 }
 
 // put records the client's latest executed call, evicting the least
-// recently used client when the shard is full. It returns how many
-// entries were evicted. The shard lock must be held.
+// recently used client when the cache is full. It returns how many
+// entries were evicted. The cache lock must be held.
 //
 // Replaced and evicted reply frames are recycled into the frame-buffer
 // pool: the cache held their only reference — the link copies frames on
 // Send, so a cached frame that has been transmitted (even several
 // times, for duplicates) shares no memory with anything in flight.
-func (s *cacheShard) put(clientID, callID uint32, frame []byte) int {
-	if el, ok := s.entries[clientID]; ok {
+func (c *replyCache) put(clientID, callID uint32, frame []byte) int {
+	if el, ok := c.entries[clientID]; ok {
 		e := el.Value.(*cacheEntry)
 		if e.frame != nil {
 			putBuf(e.frame)
 		}
 		e.callID = callID
 		e.frame = frame
-		s.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 		return 0
 	}
 	evicted := 0
-	for s.lru.Len() >= s.cap {
-		oldest := s.lru.Back()
-		s.lru.Remove(oldest)
+	for c.lru.Len() >= c.cap {
+		oldest := c.lru.Back()
+		c.lru.Remove(oldest)
 		if old := oldest.Value.(*cacheEntry); old.frame != nil {
 			putBuf(old.frame)
 		}
-		delete(s.entries, oldest.Value.(*cacheEntry).clientID)
+		delete(c.entries, oldest.Value.(*cacheEntry).clientID)
 		evicted++
 	}
-	s.entries[clientID] = s.lru.PushFront(&cacheEntry{clientID: clientID, callID: callID, frame: frame})
+	c.entries[clientID] = c.lru.PushFront(&cacheEntry{clientID: clientID, callID: callID, frame: frame})
 	return evicted
 }

@@ -46,7 +46,6 @@ type Stats struct {
 	Crashes              int // times the server process died (injected or forced)
 	Restarts             int // times the server restarted into a new epoch
 	ShedExpired          int // calls shed unexecuted: their propagated deadline had passed
-	ShedQueueFull        int // calls shed unexecuted: the shard admission queue was full
 
 	// Client side.
 	Retries               int     // retransmissions performed
@@ -72,7 +71,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.Crashes += o.Crashes
 	s.Restarts += o.Restarts
 	s.ShedExpired += o.ShedExpired
-	s.ShedQueueFull += o.ShedQueueFull
 	s.Retries += o.Retries
 	s.BackoffMicros += o.BackoffMicros
 	s.DeadlineExceeded += o.DeadlineExceeded
@@ -86,18 +84,17 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // Server dispatches calls arriving at one end of a link with
-// at-most-once execution semantics: a sharded, bounded, LRU-evicting
-// per-client reply cache answers retransmitted calls without re-running
-// the handler, so non-idempotent procedures survive a lossy wire. The
-// pump is goroutine-safe: any number of client goroutines may drive
-// Poll concurrently. Both duplicate suppression and handler execution
-// run under only the owning cache shard's lock — the shard is the
-// execution shard, so one client's calls are serialised (check-then-
-// execute stays one atomic unit) while different clients' handlers run
-// concurrently. Handlers that share state must provide their own
-// synchronisation; a service that needs a global order on mutating ops
-// already has one in its log (the file server's WAL sequences applies
-// under the service's own lock).
+// at-most-once execution semantics: a bounded, LRU-evicting per-client
+// reply cache answers retransmitted calls without re-running the
+// handler, so non-idempotent procedures survive a lossy wire.
+//
+// One goroutine at a time drives a server, together with every link,
+// client and server on its VClock — the single-threaded user-level
+// server of the decomposed OS model. Several clients are simulated
+// clients that this goroutine interleaves in an order it fixes, which
+// is what makes same-seed runs byte-identical. The locks keep a stray
+// second goroutine race-free, but it is not a supported drive: a call
+// that another goroutine is executing looks lost to its caller.
 //
 // The server is mortal: a crash schedule (SetCrasher) or ForceCrash
 // kills it at a defined point — it stops serving, its reply cache and
@@ -111,21 +108,19 @@ type Server struct {
 	side Endpoint
 
 	// mu guards the dispatch and lifecycle state: the handler table,
-	// the reply-cache pointer and geometry, the epoch, the crash flags,
-	// the admission policy, and the crash/restart/authority hooks.
-	mu         sync.Mutex
-	procs      map[uint32]RawHandler
-	cache      *replyCache
-	shards     int
-	perShard   int
-	epoch      uint32
-	crashed    bool
-	restarting bool
-	crasher    faultplane.Crasher
-	restart    func()
-	authority  DedupAuthority
-	admission  AdmissionConfig
-	charge     float64
+	// the reply-cache pointer, the epoch, the crash flags, the shedding
+	// switch, and the crash/restart/authority hooks.
+	mu          sync.Mutex
+	procs       map[uint32]RawHandler
+	cache       *replyCache
+	epoch       uint32
+	crashed     bool
+	restarting  bool
+	crasher     faultplane.Crasher
+	restart     func()
+	authority   DedupAuthority
+	shedExpired bool
+	charge      float64
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -134,13 +129,11 @@ type Server struct {
 // NewServer builds a server on side of link, in epoch 1.
 func NewServer(link *Link, side Endpoint) *Server {
 	return &Server{
-		link:     link,
-		side:     side,
-		procs:    map[uint32]RawHandler{},
-		cache:    newReplyCache(defaultCacheShards, defaultCachePerShard),
-		shards:   defaultCacheShards,
-		perShard: defaultCachePerShard,
-		epoch:    1,
+		link:  link,
+		side:  side,
+		procs: map[uint32]RawHandler{},
+		cache: newReplyCache(defaultCacheCapacity),
+		epoch: 1,
 	}
 }
 
@@ -153,24 +146,24 @@ func (s *Server) RegisterRaw(proc uint32, h RawHandler) {
 	s.mu.Unlock()
 }
 
-// ConfigureReplyCache replaces the reply cache with one of the given
-// geometry (shard count × clients per shard); restarts rebuild the
-// cache with the same geometry. Call before serving; replacing the
-// cache mid-traffic forgets every at-most-once record.
-func (s *Server) ConfigureReplyCache(shards, perShard int) {
+// ConfigureReplyCache replaces the reply cache with one holding
+// capacity clients; restarts rebuild the cache with the same capacity.
+// Call before serving; replacing the cache mid-traffic forgets every
+// at-most-once record.
+func (s *Server) ConfigureReplyCache(capacity int) {
 	s.mu.Lock()
-	s.cache = newReplyCache(shards, perShard)
-	s.shards, s.perShard = shards, perShard
+	s.cache = newReplyCache(capacity)
 	s.mu.Unlock()
 }
 
-// SetAdmission installs the server's admission policy (see
-// AdmissionConfig). The zero config — the default — disables shedding
-// entirely. Admission survives restarts: the policy belongs to the
-// deployment, not the incarnation.
-func (s *Server) SetAdmission(cfg AdmissionConfig) {
+// SetShedExpired arms deadline-aware shedding: a call whose propagated
+// deadline (Header.Expiry) has already passed at dispatch is rejected
+// with RejectExpired before any handler runs. Off by default. The
+// setting survives restarts: it belongs to the deployment, not the
+// incarnation.
+func (s *Server) SetShedExpired(on bool) {
 	s.mu.Lock()
-	s.admission = cfg
+	s.shedExpired = on
 	s.mu.Unlock()
 }
 
@@ -185,20 +178,6 @@ func (s *Server) SetServiceCharge(micros float64) {
 	s.mu.Lock()
 	s.charge = micros
 	s.mu.Unlock()
-}
-
-// QueueDepth reports how many calls are currently admitted across all
-// execution shards (waiting for a shard lock or executing under one) —
-// the queue-depth gauge of the overload plane.
-func (s *Server) QueueDepth() int {
-	s.mu.Lock()
-	cache := s.cache
-	s.mu.Unlock()
-	n := 0
-	for i := range cache.shards {
-		n += int(cache.shards[i].queued.Load())
-	}
-	return n
 }
 
 // SetCrasher attaches a crash schedule consulted at the CrashOnRecv
@@ -306,7 +285,7 @@ func (s *Server) crashPoint(p faultplane.CrashPoint) bool {
 }
 
 // Restart moves the server into its next epoch: the reply cache is
-// invalidated (rebuilt empty with the configured geometry) and the
+// invalidated (rebuilt empty with the configured capacity) and the
 // handler table cleared for re-registration. Called by the restart
 // hook; the server resumes serving when the hook returns.
 func (s *Server) Restart() {
@@ -314,15 +293,15 @@ func (s *Server) Restart() {
 	s.epoch++
 	epoch := s.epoch
 	s.procs = map[uint32]RawHandler{}
-	s.cache = newReplyCache(s.shards, s.perShard)
+	s.cache = newReplyCache(s.cache.cap)
 	s.mu.Unlock()
 	s.count(func(st *Stats) { st.Restarts++ })
 	s.link.Recorder().Event("server", "restart", 0, 0, "epoch="+strconv.Itoa(int(epoch)))
 }
 
 // ensureAlive restarts a crashed server through the restart hook, if
-// one is installed. It reports whether the server may serve. While a
-// restart is in progress other pumps see the server as dead.
+// one is installed. It reports whether the server may serve. While the
+// hook runs, a pump it reaches sees the server as dead.
 func (s *Server) ensureAlive() bool {
 	s.mu.Lock()
 	if !s.crashed {
@@ -380,8 +359,9 @@ var ErrServerCrashed = errors.New("wire: server crashed")
 // calls are answered from the reply cache — or, past the cache, from
 // the durable dedup authority; stale calls are discarded. A crashed
 // server is restarted first (via the OnRestart hook) and stops the
-// pump the moment a crash point fires. Concurrent Polls cooperate:
-// whichever goroutine pops a frame serves it.
+// pump the moment a crash point fires. Poll runs on the goroutine that
+// drives the stack — a client's call pumps it between send and
+// receive — so every frame it pops is served before the call returns.
 func (s *Server) Poll() {
 	if !s.ensureAlive() {
 		return
@@ -416,68 +396,53 @@ func (s *Server) Poll() {
 	}
 }
 
-// dispatch serves one decoded call under the owning cache shard's lock,
-// which makes the duplicate check and the execute-and-cache step one
-// atomic unit: two copies of a call racing through two Polls cannot
-// both miss the cache and run the handler twice. On a cache miss the
-// durable authority is consulted before executing, so a WAL-logged op
-// whose cache entry was evicted — or wiped by a restart — is never
-// re-executed. Returns true when the server crashed during dispatch.
+// dispatch serves one decoded call under the reply-cache lock, which
+// makes the duplicate check and the execute-and-cache step one atomic
+// unit. On a cache miss the durable authority is consulted before
+// executing, so a WAL-logged op whose cache entry was evicted — or
+// wiped by a restart — is never re-executed. Returns true when the
+// server crashed during dispatch. Holding one lock across a handler
+// cannot deadlock, because no handler calls back into its own server:
+// ships, scrubs and state transfers go to the backups' servers.
 //
-// Admission control runs first, before any lock: an already-expired
+// Deadline shedding runs first, before the lock: an already-expired
 // call is shed (the caller stopped waiting — executing it would be
-// pure waste), and a call arriving at a full shard queue is shed
-// rather than queued without bound. A shed call is answered with a
-// cheap KindReject frame and touches neither the reply cache nor any
-// durable state — in particular it can never poison the at-most-once
-// record, so a later retransmission of the same call ID is served as a
-// fresh call.
+// pure waste). A shed call is answered with a cheap KindReject frame
+// and touches neither the reply cache nor any durable state — in
+// particular it can never poison the at-most-once record, so a later
+// retransmission of the same call ID is served as a fresh call.
 func (s *Server) dispatch(h Header, payload []byte) bool {
 	rec := s.link.Recorder()
 	s.mu.Lock()
 	cache := s.cache
 	proc := s.procs[h.ProcID]
 	auth := s.authority
-	adm := s.admission
+	shedExpired := s.shedExpired
 	charge := s.charge
 	s.mu.Unlock()
-	if adm.ShedExpired && h.Expiry != 0 && s.link.Clock() >= float64(h.Expiry) {
+	if shedExpired && h.Expiry != 0 && s.link.Clock() >= float64(h.Expiry) {
 		s.count(func(st *Stats) { st.ShedExpired++ })
 		rec.Emit(obs.Event{Layer: "server", Name: "shed_expired", Client: h.ClientID, Call: h.CallID, Proc: h.ProcID})
 		s.reject(h, RejectExpired)
 		return false
 	}
-	shard := cache.shardFor(h.ClientID)
-	if adm.MaxShardQueue > 0 {
-		if shard.queued.Add(1) > int32(adm.MaxShardQueue) {
-			shard.queued.Add(-1)
-			s.count(func(st *Stats) { st.ShedQueueFull++ })
-			rec.Emit(obs.Event{Layer: "server", Name: "shed_busy", Client: h.ClientID, Call: h.CallID, Proc: h.ProcID})
-			s.reject(h, RejectBusy)
-			return false
-		}
-		defer shard.queued.Add(-1)
-	}
-	// Queue-wait: time spent between admission and winning the shard
-	// lock. On a single-goroutine drive the virtual clock cannot move
-	// while we block, so this reads 0 — honest in the model, where only
-	// service charges and wire time advance the clock; under concurrent
-	// clients another client's in-flight service charge does advance it,
-	// and the wait becomes visible.
+	// Queue-wait: time spent between admission and winning the cache
+	// lock. One goroutine drives the stack, so nothing advances the
+	// virtual clock while dispatch waits and this reads 0 — honest in
+	// the model, where only service charges and wire time move the clock.
 	var qEnter float64
 	if rec.Enabled() {
 		qEnter = s.link.Clock()
 	}
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
 	if rec.Enabled() {
 		now := s.link.Clock()
 		rec.EmitAt(obs.Event{T: now, Layer: "server", Name: "queue_wait",
-			Client: h.ClientID, Call: h.CallID, Proc: h.ProcID,
-			Dur: now - qEnter, Val: float64(shard.queued.Load())})
+			Client: h.ClientID, Call: h.CallID, Proc: h.ProcID, Dur: now - qEnter})
 		rec.Observe("server.queue", now-qEnter)
 	}
-	if e, ok := shard.get(h.ClientID); ok {
+	if e, ok := cache.get(h.ClientID); ok {
 		if h.CallID == e.callID {
 			// Duplicate of the last executed call: resend the cached
 			// reply, never the handler. A nil cached frame (the
@@ -503,7 +468,7 @@ func (s *Server) dispatch(h Header, payload []byte) bool {
 				// must not run again.
 				s.count(func(st *Stats) { st.LogDuplicates++ })
 				rec.Emit(obs.Event{Layer: "server", Name: "log_hit", Client: h.ClientID, Call: h.CallID, Proc: h.ProcID})
-				evicted := shard.put(h.ClientID, h.CallID, frame)
+				evicted := cache.put(h.ClientID, h.CallID, frame)
 				if evicted > 0 {
 					s.count(func(st *Stats) { st.RepliesEvicted += evicted })
 				}
@@ -519,7 +484,7 @@ func (s *Server) dispatch(h Header, payload []byte) bool {
 			}
 		}
 	}
-	return s.execute(rec, shard, proc, h, payload, charge)
+	return s.execute(rec, cache, proc, h, payload, charge)
 }
 
 // reject declines a call without executing it: a one-byte KindReject
@@ -547,23 +512,19 @@ func (s *Server) reject(h Header, reason byte) {
 // rejectAttr preformats the reason attribute of a reject event —
 // constant strings so shed storms trace without allocation.
 func rejectAttr(reason byte) string {
-	switch reason {
-	case RejectBusy:
-		return "reason=busy"
-	case RejectExpired:
+	if reason == RejectExpired {
 		return "reason=expired"
 	}
 	return "reason=unknown"
 }
 
-// execute runs the handler (under the caller-held shard lock — one
-// client's calls are serialised, different clients' are not), caches
-// the outcome in the caller's shard, and transmits the reply stamped
-// with the server's epoch. Returns true when the server crashed
-// instead of replying — either the handler aborted with
-// ErrServerCrashed (the service's pre-apply window) or the pre-reply
-// window fired after the handler ran.
-func (s *Server) execute(rec *obs.Recorder, shard *cacheShard, proc RawHandler, h Header, payload []byte, charge float64) bool {
+// execute runs the handler under the caller-held reply-cache lock,
+// caches the outcome, and transmits the reply stamped with the
+// server's epoch. Returns true when the server crashed instead of
+// replying — either the handler aborted with ErrServerCrashed (the
+// service's pre-apply window) or the pre-reply window fired after the
+// handler ran.
+func (s *Server) execute(rec *obs.Recorder, cache *replyCache, proc RawHandler, h Header, payload []byte, charge float64) bool {
 	var execStart float64
 	if rec.Enabled() {
 		execStart = s.link.Clock()
@@ -591,14 +552,14 @@ func (s *Server) execute(rec *obs.Recorder, shard *cacheShard, proc RawHandler, 
 	if err != nil {
 		// The reply cannot be encoded, but the handler has run: cache
 		// the execution anyway so retransmissions cannot repeat it.
-		evicted := shard.put(h.ClientID, h.CallID, nil)
+		evicted := cache.put(h.ClientID, h.CallID, nil)
 		s.count(func(st *Stats) {
 			st.EncodeErrors++
 			st.RepliesEvicted += evicted
 		})
 		return false
 	}
-	evicted := shard.put(h.ClientID, h.CallID, frame)
+	evicted := cache.put(h.ClientID, h.CallID, frame)
 	if evicted > 0 {
 		s.count(func(st *Stats) { st.RepliesEvicted += evicted })
 	}
@@ -660,10 +621,9 @@ func (s *Server) runHandler(proc RawHandler, h Header, payload []byte) (frame []
 	return frame, nil, false
 }
 
-// Client issues calls from one end of a link. Each Client is driven by
-// one goroutine at a time; many Clients may share a link and a server
-// concurrently, each with its own ClientID and per-client receive
-// queue.
+// Client issues calls from one end of a link. Many Clients may share a
+// link and a server, each with its own ClientID and per-client receive
+// queue; the one goroutine driving the stack interleaves their calls.
 type Client struct {
 	link *Link
 	side Endpoint
@@ -764,7 +724,7 @@ var ErrDeadlineExceeded = errors.New("wire: call deadline exceeded")
 
 // ErrOverloaded reports a call the service refused to execute under
 // overload: every transmitted attempt was answered with a KindReject
-// (admission-queue full or deadline-expired shed), or the call's
+// (a deadline-expired shed), or the call's
 // expiry passed before a (re)transmission could leave and it was shed
 // locally. On a clean wire the op provably did not execute — no
 // handler ran, nothing was logged or cached — so the caller may score
@@ -918,10 +878,9 @@ func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]
 			return nil, err
 		}
 		if reason != 0 {
-			// The server shed this attempt without executing it. Busy
-			// sheds may clear once the queue drains, expired sheds once
-			// the caller re-stamps — either way the next attempt (if the
-			// budget and expiry allow one) is a fresh admission try.
+			// The server shed this attempt without executing it. The
+			// next attempt (if the budget and expiry allow one) is a
+			// fresh admission try.
 			rejected++
 			c.count(func(st *Stats) { st.Rejects++ })
 			continue
@@ -999,7 +958,7 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 				rec.Emit(obs.Event{Layer: "client", Name: "fenced", Client: c.ClientID, Call: id, Val: float64(h.Epoch)})
 				continue
 			}
-			reason := RejectBusy
+			reason := RejectExpired // the one reason a server sends
 			if len(payload) >= 1 {
 				reason = payload[0]
 			}
@@ -1036,9 +995,8 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 
 // CallRaw invokes proc against server with the arguments staged in w —
 // the one call path, driving the server's Poll between send and receive
-// (the calling goroutine is the pump, so concurrent callers pump for
-// each other, and whoever pumps first after a crash restarts the
-// server). Lost or corrupted frames — including calls that died with a
+// (the caller is the pump, so whichever call comes first after a crash
+// restarts the server). Lost or corrupted frames — including calls that died with a
 // crashed server — are retransmitted under capped exponential backoff;
 // the server's reply cache and durable log guarantee the handler runs at
 // most once however many retransmissions and server restarts it takes.

@@ -11,5 +11,4 @@ func BenchmarkRawCallSmallTraced(b *testing.B) { RawCallSmallTraced(b) }
 func BenchmarkBoxedCallSmall(b *testing.B)     { BoxedCallSmall(b) }
 func BenchmarkRawCall1K(b *testing.B)          { RawCall1K(b) }
 
-func BenchmarkThroughput8Sharded(b *testing.B)    { Throughput(true, 8)(b) }
-func BenchmarkThroughput8GlobalLock(b *testing.B) { Throughput(false, 8)(b) }
+func BenchmarkThroughput8(b *testing.B) { Throughput(8)(b) }

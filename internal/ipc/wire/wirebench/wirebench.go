@@ -8,8 +8,6 @@
 package wirebench
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"archos/internal/ipc"
@@ -54,7 +52,7 @@ func newEcho() (*wire.Link, *wire.Server) {
 }
 
 // RawCallSmall times the end-to-end raw call path: pooled frames,
-// typed appenders, sharded execution, one int64 each way.
+// typed appenders, cached execution, one int64 each way.
 func RawCallSmall(b *testing.B) {
 	link, server := newEcho()
 	client := wire.NewClient(link, wire.A)
@@ -136,18 +134,14 @@ func RawCall1K(b *testing.B) {
 	}
 }
 
-// Throughput returns a probe driving n concurrent clients against one
+// Throughput returns a probe driving n simulated clients against one
 // server whose handler does real work — a checksum pass over 2 KiB,
-// the kind of per-call computation a file service performs under its
-// execution lock. With sharded true the server keeps its default
-// per-client execution shards, so distinct clients' handlers run
-// concurrently; with false it is reconfigured to a single shard — one
-// lock, the pre-sharding global-execution arrangement — and every
-// handler serializes behind it. The pair measures what sharding buys
-// under contention; the gap scales with available cores (a single-core
-// machine can only show the reduced lock traffic, not the
-// parallelism). ns/op is per call across all clients.
-func Throughput(sharded bool, n int) func(*testing.B) {
+// four times, the kind of per-call computation a file service performs
+// under its execution lock. The benchmark goroutine issues the clients'
+// calls round-robin, the one drive the stack supports, so ns/op is per
+// call across all clients and includes the reply routing and cache
+// traffic that n identities on one link cost over one.
+func Throughput(n int) func(*testing.B) {
 	return func(b *testing.B) {
 		link, server := newEcho()
 		work := make([]byte, 2048)
@@ -166,40 +160,21 @@ func Throughput(sharded bool, n int) func(*testing.B) {
 			rep.Int64(v + int64(sum&1))
 			return nil
 		})
-		if !sharded {
-			server.ConfigureReplyCache(1, 1024)
-		}
 		clients := make([]*wire.Client, n)
 		for i := range clients {
 			clients[i] = wire.NewClient(link, wire.A)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		// A client whose call fails stops and counts it; the failure is
-		// reported from the benchmark's own goroutine once all have
-		// finished.
-		var wg sync.WaitGroup
-		var failed atomic.Int64
-		per := b.N/n + 1
-		for _, c := range clients {
-			wg.Add(1)
-			go func(c *wire.Client) {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					w := c.NewCallArgs()
-					w.Int64(int64(i))
-					res, err := c.CallRaw(server, 4, w)
-					if err != nil || res.Err() != nil {
-						failed.Add(1)
-						return
-					}
-					_ = res.Int64()
-				}
-			}(c)
-		}
-		wg.Wait()
-		if f := failed.Load(); f > 0 {
-			b.Errorf("throughput call failed on %d of %d clients", f, n)
+		for i := 0; i < b.N; i++ {
+			c := clients[i%n]
+			w := c.NewCallArgs()
+			w.Int64(int64(i))
+			res, err := c.CallRaw(server, 4, w)
+			if err != nil || res.Err() != nil {
+				b.Fatalf("throughput call %d failed", i)
+			}
+			_ = res.Int64()
 		}
 	}
 }

@@ -182,11 +182,6 @@ func (o *OS) Config() Config { return o.cfg }
 // histogram classes. Nil disables (the default).
 func (o *OS) SetRecorder(rec *obs.Recorder) { o.rec = rec }
 
-// Counters returns the live counter set accumulating Table 7 event
-// counts across runs (register it in a metrics registry with
-// obs.CounterSetSource).
-func (o *OS) Counters() *trace.CounterSet { return &o.counters }
-
 // Metrics is an obs.Source: one flat snapshot of everything this OS
 // instance has counted and priced so far — event counts (runs,
 // syscalls, as_switches, thread_switches, emul_instrs, ktlb_misses,

@@ -10,9 +10,8 @@ import (
 )
 
 // Source produces a flat name→value view of one subsystem's counters
-// at the moment of the call. wire.Stats, faultplane.Counts, mach
-// metrics, and trace.CounterSet all adapt to it (StructSource,
-// CounterSetSource, or a hand-written func).
+// at the moment of the call. wire.Stats, faultplane.Counts and mach
+// metrics all adapt to it (StructSource or a hand-written func).
 type Source func() map[string]float64
 
 // Registry unifies the stack's scattered counter surfaces behind one
@@ -156,18 +155,6 @@ func flattenStruct(prefix string, v reflect.Value, out map[string]float64) {
 func GaugeSource(name string, read func() float64) Source {
 	return func() map[string]float64 {
 		return map[string]float64{name: read()}
-	}
-}
-
-// CounterSetSource adapts a trace.CounterSet to a Source.
-func CounterSetSource(cs *trace.CounterSet) Source {
-	return func() map[string]float64 {
-		snap := cs.Snapshot()
-		out := make(map[string]float64, len(snap))
-		for k, v := range snap {
-			out[k] = float64(v)
-		}
-		return out
 	}
 }
 

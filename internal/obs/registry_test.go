@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"archos/internal/trace"
 )
 
 func TestRegistrySnapshotAndDiff(t *testing.T) {
@@ -65,15 +63,6 @@ func TestStructSourceFlattensNumericFields(t *testing.T) {
 	srcPtr := StructSource(func() interface{} { return &outer{Served: 1} })
 	if srcPtr()["Served"] != 1 {
 		t.Error("pointer struct not flattened")
-	}
-}
-
-func TestCounterSetSource(t *testing.T) {
-	var cs trace.CounterSet
-	cs.Add("hits", 12)
-	src := CounterSetSource(&cs)
-	if got := src(); got["hits"] != 12 {
-		t.Errorf("source = %v", got)
 	}
 }
 

@@ -84,10 +84,6 @@ type LoadControls struct {
 	PropagateDeadline bool `json:"propagate_deadline"`
 	// ShedExpired arms the server's deadline-aware admission check.
 	ShedExpired bool `json:"shed_expired"`
-	// MaxShardQueue bounds the server's per-shard admission queue
-	// (0 = unbounded). It only bites under concurrent dispatch; the
-	// single-threaded soak's pressure valve is deadline shedding.
-	MaxShardQueue int `json:"max_shard_queue"`
 	// RetryBudgetRatio funds retransmissions at this fraction of
 	// completions (0 = unlimited retransmissions).
 	RetryBudgetRatio float64 `json:"retry_budget_ratio"`
@@ -440,16 +436,56 @@ type loadPath struct {
 	payload []byte
 }
 
+// Validate reports the first field of c that RunLoad cannot run with,
+// or nil. Every rate and time must be finite: a NaN slips past an
+// ordering check, and an infinite one schedules the next arrival at
+// +Inf. The arrival process needs a positive rate at every instant
+// (BurstFactor > 0, DiurnalAmp > −1) and bursts of at least one op, and
+// no delay may schedule an event before the clock.
+func (c LoadConfig) Validate() error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	above := func(v, lo float64) bool { return v > lo && finite(v) }
+	atLeast := func(v, lo float64) bool { return v >= lo && finite(v) }
+	for _, f := range []struct {
+		name string
+		v    float64
+		ok   bool
+		want string
+	}{
+		{"Sessions", float64(c.Sessions), c.Sessions >= 1, "≥ 1"},
+		{"Paths", float64(c.Paths), c.Paths >= 2, "≥ 2"},
+		{"ZipfS", c.ZipfS, above(c.ZipfS, 1), "finite and > 1"},
+		{"WriteFraction", c.WriteFraction, atLeast(c.WriteFraction, 0) && c.WriteFraction <= 1, "within [0, 1]"},
+		{"DurationMicros", c.DurationMicros, above(c.DurationMicros, 0), "finite and > 0"},
+		{"BaseRate", c.BaseRate, above(c.BaseRate, 0), "finite and > 0"},
+		{"DiurnalAmp", c.DiurnalAmp, above(c.DiurnalAmp, -1), "finite and > −1"},
+		{"BurstFactor", c.BurstFactor, above(c.BurstFactor, 0), "finite and > 0"},
+		{"BurstStart", c.BurstStart, finite(c.BurstStart), "finite"},
+		{"BurstEnd", c.BurstEnd, finite(c.BurstEnd), "finite"},
+		{"ParetoAlpha", c.ParetoAlpha, above(c.ParetoAlpha, 1), "finite and > 1"},
+		{"BurstCap", float64(c.BurstCap), c.BurstCap >= 1, "≥ 1"},
+		{"IntraGap", c.IntraGap, atLeast(c.IntraGap, 0), "finite and ≥ 0"},
+		{"ServiceMicros", c.ServiceMicros, above(c.ServiceMicros, 0), "finite and > 0"},
+		{"DeadlineMicros", c.DeadlineMicros, above(c.DeadlineMicros, 0), "finite and > 0"},
+		{"RetransmitMicros", c.RetransmitMicros, above(c.RetransmitMicros, 0), "finite and > 0"},
+		{"TransportRetries", float64(c.TransportRetries), c.TransportRetries >= 0, "≥ 0"},
+		{"ReissueMax", float64(c.ReissueMax), c.ReissueMax >= 0, "≥ 0"},
+		{"ReissueDelay", c.ReissueDelay, atLeast(c.ReissueDelay, 0), "finite and ≥ 0"},
+		{"MaxInFlight", float64(c.MaxInFlight), c.MaxInFlight >= 1, "≥ 1"},
+		{"WindowMicros", c.WindowMicros, above(c.WindowMicros, 0), "finite and > 0"},
+	} {
+		if !f.ok {
+			return fmt.Errorf("workload: %s = %g, want %s", f.name, f.v, f.want)
+		}
+	}
+	return nil
+}
+
 // RunLoad executes one open-loop run and returns its result. Same
 // config, same result, bit for bit.
 func RunLoad(cfg LoadConfig) (*LoadResult, error) {
-	if cfg.Sessions < 1 || cfg.Paths < 2 || cfg.ZipfS <= 1 {
-		return nil, fmt.Errorf("workload: load config needs sessions ≥ 1, paths ≥ 2, zipf s > 1")
-	}
-	if cfg.ServiceMicros <= 0 || cfg.BaseRate <= 0 || cfg.DurationMicros <= 0 ||
-		cfg.DeadlineMicros <= 0 || cfg.RetransmitMicros <= 0 || cfg.WindowMicros <= 0 ||
-		cfg.MaxInFlight < 1 || cfg.ParetoAlpha <= 1 {
-		return nil, fmt.Errorf("workload: load config has a non-positive rate, time, or pool size")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 
 	r := &loadRun{
@@ -480,15 +516,10 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	fsys := fs.New(cfg.CacheBlocks)
 	r.srv = fsserver.NewServer(fsys, r.link, wire.B)
 	r.srv.Wire.SetServiceCharge(cfg.ServiceMicros)
-	if cfg.Controls.ShedExpired || cfg.Controls.MaxShardQueue > 0 {
-		r.srv.Wire.SetAdmission(wire.AdmissionConfig{
-			MaxShardQueue: cfg.Controls.MaxShardQueue,
-			ShedExpired:   cfg.Controls.ShedExpired,
-		})
-	}
+	r.srv.Wire.SetShedExpired(cfg.Controls.ShedExpired)
 	// Every pool identity must stay inside the at-most-once window for
 	// the whole run — eviction would re-execute a retransmission.
-	r.srv.Wire.ConfigureReplyCache(32, cfg.MaxInFlight/32+2)
+	r.srv.Wire.ConfigureReplyCache(cfg.MaxInFlight + 64)
 	if cfg.Controls.RetryBudgetRatio > 0 {
 		r.budget = wire.NewRetryBudget(cfg.Controls.RetryBudgetRatio, float64(cfg.Controls.RetryBudgetBurst))
 		r.budget.SetRecorder(r.rec)

@@ -2,9 +2,11 @@ package workload
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"archos/internal/arch"
@@ -288,4 +290,50 @@ func BenchmarkRunLoadPair(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(offered), "offered/op")
+}
+
+// TestLoadConfigValidate: RunLoad refuses, with an error naming the
+// field, every config whose arrival process or timers it cannot run.
+// Before the check, a negative BurstFactor never returned (each
+// activation inside the burst scheduled the next one earlier), a zero
+// one ended the arrivals at +Inf, a NaN rate passed the <= 0 test, a
+// zero BurstCap offered nothing, and a negative gap or delay scheduled
+// arrivals before the clock. The configs the tools run must still pass.
+func TestLoadConfigValidate(t *testing.T) {
+	for _, controls := range []LoadControls{ControlsOff(), ControlsOn()} {
+		cfg := DefaultLoadConfig()
+		cfg.Controls = controls
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("default config with controls %+v refused: %v", controls, err)
+		}
+	}
+	for _, tc := range []struct {
+		field string
+		set   func(*LoadConfig)
+	}{
+		{"BurstFactor", func(c *LoadConfig) { c.BurstFactor = -1 }},
+		{"BurstFactor", func(c *LoadConfig) { c.BurstFactor = 0 }},
+		{"DiurnalAmp", func(c *LoadConfig) { c.DiurnalAmp = -1 }},
+		{"BurstCap", func(c *LoadConfig) { c.BurstCap = 0 }},
+		{"IntraGap", func(c *LoadConfig) { c.IntraGap = -1 }},
+		{"ReissueDelay", func(c *LoadConfig) { c.ReissueDelay = -1 }},
+		{"TransportRetries", func(c *LoadConfig) { c.TransportRetries = -1 }},
+		{"ReissueMax", func(c *LoadConfig) { c.ReissueMax = -1 }},
+		{"WriteFraction", func(c *LoadConfig) { c.WriteFraction = -0.1 }},
+		{"WriteFraction", func(c *LoadConfig) { c.WriteFraction = 1.1 }},
+		{"BaseRate", func(c *LoadConfig) { c.BaseRate = math.NaN() }},
+		{"BaseRate", func(c *LoadConfig) { c.BaseRate = math.Inf(1) }},
+		{"DurationMicros", func(c *LoadConfig) { c.DurationMicros = math.Inf(1) }},
+		{"BurstStart", func(c *LoadConfig) { c.BurstStart = math.NaN() }},
+		{"DeadlineMicros", func(c *LoadConfig) { c.DeadlineMicros = math.NaN() }},
+		{"IntraGap", func(c *LoadConfig) { c.IntraGap = math.Inf(1) }},
+	} {
+		cfg := DefaultLoadConfig()
+		cfg.DurationMicros = 200_000
+		tc.set(&cfg)
+		_, err := RunLoad(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: RunLoad returned %v, want an error naming the field", tc.field, err)
+		}
+	}
 }
