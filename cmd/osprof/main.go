@@ -138,7 +138,7 @@ func critpathReport(seed int64, backups int) (string, error) {
 	// rather than the cost model's free handler.
 	cluster.SetServiceCharge(50)
 	cluster.PrimaryLink().SetFaultPlane(faultplane.New(faultplane.Chaos(seed)))
-	cluster.SetCrashPlane(faultplane.NewCrash(faultplane.ChaosKill(seed)))
+	cluster.SetCrashPlane(faultplane.NewCrash(faultplane.ChaosKill(seed), nil))
 	remote := cluster.NewClient()
 	rec := obs.NewRecorder(cluster.Clock())
 	remote.SetRecorder(rec)

@@ -47,7 +47,10 @@ type Policy struct {
 	// BurstProb is the per-frame probability of entering a loss burst —
 	// the Ethernet-collision / overrun regime where consecutive frames
 	// die together. For the next BurstLen frames the loss probability
-	// becomes BurstLoss instead of Loss.
+	// becomes BurstLoss instead of Loss. With BurstLoss 1 a burst is a
+	// partition: it swallows BurstLen consecutive frames in either
+	// direction, the primary–backup split a replication protocol must
+	// ride out.
 	BurstProb float64
 	BurstLen  int
 	BurstLoss float64
@@ -92,6 +95,9 @@ func (p Policy) Validate() error {
 	}
 	if p.BurstLen < 0 {
 		return fmt.Errorf("faultplane: BurstLen = %d negative", p.BurstLen)
+	}
+	if p.BurstProb > 0 && p.BurstLen < 1 {
+		return fmt.Errorf("faultplane: BurstLen = %d, want >= 1 when BurstProb > 0; the burst could never start", p.BurstLen)
 	}
 	return nil
 }
@@ -206,7 +212,7 @@ func (pl *Plane) Decide(seq, frameBytes int) Decision {
 	if pl.burstLeft > 0 {
 		loss = p.BurstLoss
 		pl.burstLeft--
-	} else if uBurst < p.BurstProb && p.BurstLen > 0 {
+	} else if uBurst < p.BurstProb {
 		pl.counts.Bursts++
 		pl.burstLeft = p.BurstLen - 1
 		loss = p.BurstLoss

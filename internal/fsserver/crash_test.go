@@ -40,7 +40,7 @@ func crashRun(t *testing.T, cm *kernel.CostModel, seed int64, record bool) (stri
 	link := wire.NewLink(localNet)
 	link.SetFaultPlane(faultplane.New(faultplane.Chaos(seed)))
 	remote := NewRemoteOnLink(fs.New(256), cm, link)
-	crash := faultplane.NewCrash(faultplane.ChaosCrash(seed))
+	crash := faultplane.NewCrash(faultplane.ChaosCrash(seed), nil)
 	remote.SetCrashPlane(crash)
 	var rec *obs.Recorder
 	if record {

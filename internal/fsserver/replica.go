@@ -420,10 +420,8 @@ type Backup struct {
 	decoded []fs.Record // ship decode scratch, cleared after each ship
 
 	// Self-healing: the seeded at-rest damage schedule consulted when
-	// this node revives (nil = pristine storage), and the kill plane
-	// whose outage window paces revival (nil = never killed).
+	// this node revives (nil = pristine storage).
 	disk *faultplane.DiskPlane
-	kill *faultplane.KillPlane
 }
 
 // newBackup builds an idle backup: genesis-snapshotted WAL mirroring

@@ -204,20 +204,21 @@ func TestDedupHoldsAcrossPromotion(t *testing.T) {
 }
 
 func TestReplicationPartitionCatchUp(t *testing.T) {
-	// A seeded partition plane on the replication link swallows ship
-	// frames; the ack budget rides most partitions out, and the shipping
-	// cursor re-ships whatever a blown budget left behind — by the end of
-	// the run the backup has applied everything, exactly once.
+	// Seeded total-loss bursts on the replication link are partitions:
+	// each swallows six consecutive ship frames in either direction. The
+	// ack budget rides most partitions out, and the shipping cursor
+	// re-ships whatever a blown budget left behind — by the end of the
+	// run the backup has applied everything, exactly once.
 	cm := kernel.NewCostModel(arch.R3000)
 	cluster := NewCluster(256, cm, DefaultReplicaConfig())
-	part := faultplane.NewPartition(faultplane.ReplPartition(1991))
+	part := faultplane.New(faultplane.Policy{Seed: 1991, BurstProb: 0.02, BurstLen: 6, BurstLoss: 1})
 	cluster.ReplLink(0).SetFaultPlane(part)
 	remote := cluster.NewClient()
 	if _, err := DefaultAndrewMini().Run(remote); err != nil {
 		t.Fatal(err)
 	}
 	pc := part.Counts()
-	if pc.Partitions == 0 {
+	if pc.Bursts == 0 {
 		t.Fatalf("partition schedule never fired: %+v", pc)
 	}
 	st := cluster.Stats()
@@ -232,7 +233,7 @@ func TestReplicationPartitionCatchUp(t *testing.T) {
 		t.Error(err)
 	}
 	t.Logf("partitions=%d dropped=%d shipCalls=%d shipFailures=%d reships=%d lagOps=%d",
-		pc.Partitions, pc.Dropped, st.ShipCalls, st.ShipFailures, st.Reships, st.LagOps)
+		pc.Bursts, pc.Dropped, st.ShipCalls, st.ShipFailures, st.Reships, st.LagOps)
 }
 
 func TestLaggingBackupShipsFromItsOwnCursor(t *testing.T) {
@@ -325,7 +326,7 @@ func failoverRun(t *testing.T, cm *kernel.CostModel, seed int64, record bool) (s
 	t.Helper()
 	cluster := NewCluster(256, cm, DefaultReplicaConfig())
 	cluster.PrimaryLink().SetFaultPlane(faultplane.New(faultplane.Chaos(seed)))
-	crash := faultplane.NewCrash(faultplane.ChaosKill(seed))
+	crash := faultplane.NewCrash(faultplane.ChaosKill(seed), nil)
 	cluster.SetCrashPlane(crash)
 	remote := cluster.NewClient()
 	var rec *obs.Recorder

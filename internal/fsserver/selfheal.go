@@ -87,32 +87,15 @@ func (c *Cluster) EnableSelfHeal(p SelfHealPolicy) {
 	c.nextScrubAt = c.clock.Clock() + p.ScrubIntervalMicros
 }
 
-// SetBackupKillPlane arms backup i with a seeded transient-kill
-// schedule on its replication server: ship frames may kill the node,
-// the outage window (paced by the cluster clock) keeps it down, and
-// the first pump after the window revives it through the rejoin hook.
-// Returns the plane for counter inspection.
-func (c *Cluster) SetBackupKillPlane(i int, p faultplane.KillPolicy) *faultplane.KillPlane {
-	k := faultplane.NewKill(p, c.clock.Clock)
-	b := c.backups[i]
-	b.Repl.SetCrasher(k)
-	b.mu.Lock()
-	b.kill = k
-	b.mu.Unlock()
+// SetBackupKillPlane arms backup i with a seeded crash schedule on its
+// replication server, paced by the cluster clock: ship frames may kill
+// the node, the policy's outage keeps it down, and the first pump after
+// the outage revives it through the rejoin hook. Returns the plane for
+// counter inspection.
+func (c *Cluster) SetBackupKillPlane(i int, p faultplane.CrashPolicy) *faultplane.CrashPlane {
+	k := faultplane.NewCrash(p, c.clock.Clock)
+	c.backups[i].Repl.SetCrasher(k)
 	return k
-}
-
-// BackupKillCounts returns the kill counters of backup i's plane (zero
-// if none armed).
-func (c *Cluster) BackupKillCounts(i int) faultplane.KillCounts {
-	b := c.backups[i]
-	b.mu.Lock()
-	k := b.kill
-	b.mu.Unlock()
-	if k == nil {
-		return faultplane.KillCounts{}
-	}
-	return k.Counts()
 }
 
 // SetDiskPlane arms every node with one shared seeded at-rest damage

@@ -66,14 +66,14 @@ func TestBackupTransientKillRevivesMidShip(t *testing.T) {
 	}
 	// A certain kill on the next ship frame; the 50 ms outage fits well
 	// inside what 64 retries of capped backoff can bridge.
-	k := cluster.SetBackupKillPlane(0, faultplane.KillPolicy{
-		OnRecv: 1, OutageMicros: 50_000, MaxKills: 1,
+	k := cluster.SetBackupKillPlane(0, faultplane.CrashPolicy{
+		OnRecv: 1, OutageMicros: 50_000, MaxCrashes: 1,
 	})
 	if err := remote.Close(fd); err != nil {
 		t.Fatalf("op whose ship killed the backup did not ack: %v", err)
 	}
-	if c := k.Counts(); c.Kills != 1 {
-		t.Fatalf("kill schedule fired %d kills, want 1", c.Kills)
+	if c := k.Counts(); c.Crashes != 1 {
+		t.Fatalf("kill schedule fired %d kills, want 1", c.Crashes)
 	}
 	// The next mutating op acknowledges with the backup back in the ack
 	// set — no residual lag, no sequence damage, identical state.
@@ -117,14 +117,14 @@ func TestWALCorruptionQuarantinedAndRepaired(t *testing.T) {
 	if before < 2 {
 		t.Fatalf("backup applied %d records, want a tail worth tearing", before)
 	}
-	k := cluster.SetBackupKillPlane(0, faultplane.KillPolicy{
-		OnRecv: 1, OutageMicros: 50_000, MaxKills: 1,
+	k := cluster.SetBackupKillPlane(0, faultplane.CrashPolicy{
+		OnRecv: 1, OutageMicros: 50_000, MaxCrashes: 1,
 	})
 	if err := remote.Mkdir("/f"); err != nil {
 		t.Fatalf("op across the corrupting revival did not ack: %v", err)
 	}
-	if c := k.Counts(); c.Kills != 1 {
-		t.Fatalf("kill schedule fired %d kills, want 1", c.Kills)
+	if c := k.Counts(); c.Crashes != 1 {
+		t.Fatalf("kill schedule fired %d kills, want 1", c.Crashes)
 	}
 	st := cluster.Stats()
 	if st.Quarantined == 0 {
@@ -224,8 +224,7 @@ func TestDeposedPrimaryDemotesAndRejoins(t *testing.T) {
 	}
 	// Partition the replication link totally: from here the primary's
 	// appends are speculation only it holds.
-	part := faultplane.NewPartition(faultplane.PartitionPolicy{Prob: 1, Len: 1 << 20})
-	cluster.ReplLink(0).SetFaultPlane(part)
+	cluster.ReplLink(0).SetFaultPlane(faultplane.New(faultplane.Policy{Loss: 1}))
 	for _, p := range []string{"/spec1", "/spec2"} {
 		if err := remote.Mkdir(p); err != nil {
 			t.Fatal(err)
@@ -361,7 +360,7 @@ type rejoinSoakOutcome struct {
 	stats        Stats
 	cluster      ClusterStats
 	crashes      faultplane.CrashCounts
-	kills        []faultplane.KillCounts
+	kills        []faultplane.CrashCounts
 	disk         faultplane.DiskCounts
 	clock        float64
 	events       []obs.Event
@@ -382,9 +381,9 @@ func rejoinSoak(t *testing.T, cm *kernel.CostModel, seed int64, record bool) rej
 		RejoinDelayMicros: 5e5, ScrubIntervalMicros: 5e5, ScrubRanges: 16,
 	})
 	cluster.PrimaryLink().SetFaultPlane(faultplane.New(faultplane.Chaos(seed)))
-	crash := faultplane.NewCrash(faultplane.ChaosKill(seed))
+	crash := faultplane.NewCrash(faultplane.ChaosKill(seed), nil)
 	cluster.SetCrashPlane(crash)
-	kills := make([]*faultplane.KillPlane, cfg.Backups)
+	kills := make([]*faultplane.CrashPlane, cfg.Backups)
 	for i := 0; i < cfg.Backups; i++ {
 		kills[i] = cluster.SetBackupKillPlane(i, faultplane.ChaosRejoin(seed+int64(i)+1))
 	}
@@ -442,7 +441,7 @@ func TestRejoinSoakEveryNodeDiesAndHeals(t *testing.T) {
 			t.Errorf("seed %d: primary crashed %d times, want 3 (the third permanent)", seed, out.crashes.Crashes)
 		}
 		for i, kc := range out.kills {
-			if kc.Kills == 0 {
+			if kc.Crashes == 0 {
 				t.Errorf("seed %d: backup %d never died — the soak must kill every node", seed, i)
 			}
 		}
