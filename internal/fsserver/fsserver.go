@@ -579,11 +579,6 @@ func (r *Remote) Tune(maxRetries int, deadlineMicros float64) {
 // before each op.
 func (r *Remote) SetExpiry(micros float64) { r.fo.SetExpiry(micros) }
 
-// SetBudget installs the retry budget retransmissions are paid from
-// (nil clears). Peers may share one budget — the per-process
-// formulation that stops N clients amplifying an overloaded server.
-func (r *Remote) SetBudget(b *wire.RetryBudget) { r.fo.SetBudget(b) }
-
 // EnableBreaker arms the overload circuit breaker: threshold
 // consecutive ErrOverloaded answers open it, and while open every op
 // fails fast as ErrDegraded for a cooldown of cooldownMicros scaled by

@@ -151,15 +151,6 @@ func (f *FailoverClient) SetExpiry(micros float64) {
 	}
 }
 
-// SetBudget shares one retry budget across every underlying client, so
-// a failover episode cannot multiply the caller's retransmissions
-// beyond what its successes have funded.
-func (f *FailoverClient) SetBudget(b *RetryBudget) {
-	for _, c := range f.clients {
-		c.Budget = b
-	}
-}
-
 // Stats sums the transport counters of every underlying client and adds
 // the failover count.
 func (f *FailoverClient) Stats() Stats {
