@@ -426,22 +426,8 @@ func (s *Server) dispatch(h Header, payload []byte) bool {
 		s.reject(h, RejectExpired)
 		return false
 	}
-	// Queue-wait: time spent between admission and winning the cache
-	// lock. One goroutine drives the stack, so nothing advances the
-	// virtual clock while dispatch waits and this reads 0 — honest in
-	// the model, where only service charges and wire time move the clock.
-	var qEnter float64
-	if rec.Enabled() {
-		qEnter = s.link.Clock()
-	}
 	cache.mu.Lock()
 	defer cache.mu.Unlock()
-	if rec.Enabled() {
-		now := s.link.Clock()
-		rec.EmitAt(obs.Event{T: now, Layer: "server", Name: "queue_wait",
-			Client: h.ClientID, Call: h.CallID, Proc: h.ProcID, Dur: now - qEnter})
-		rec.Observe("server.queue", now-qEnter)
-	}
 	if e, ok := cache.get(h.ClientID); ok {
 		if h.CallID == e.callID {
 			// Duplicate of the last executed call: resend the cached

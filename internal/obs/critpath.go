@@ -15,7 +15,9 @@ import (
 //
 //	backoff     client retransmission pauses (jittered exponential)
 //	wire        frame transmission time, calls and replies alike
-//	queue-wait  admission/NIC queue residence before dispatch
+//	queue-wait  NIC queue residence before dispatch (the load
+//	            generator's server queue; a stack driven by one
+//	            goroutine dispatches every frame it polls at once)
 //	fault       injected link delays (chaos runs)
 //	service     handler execution + the per-op service charge
 //	wal         write-ahead log append (free on the virtual clock —
@@ -124,8 +126,6 @@ func CriticalPath(events []Event, include func(proc uint32) bool) *CritPath {
 				backoff += e.Dur
 			case e.Layer == "link" && e.Name == "send":
 				wire += e.Dur
-			case e.Layer == "server" && e.Name == "queue_wait":
-				queue += e.Dur
 			case e.Layer == "queue" && e.Name == "wait":
 				queue += e.Dur
 			case e.Layer == "fault" && e.Name == "delay":

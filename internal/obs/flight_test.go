@@ -111,7 +111,7 @@ func TestCriticalPathFold(t *testing.T) {
 	events := []Event{
 		{Seq: 1, T: 0, Layer: "client", Name: "call_start", Client: 1, Call: 1, Proc: 5},
 		{Seq: 2, T: 2, Layer: "link", Name: "send", Client: 1, Call: 1, Dur: 2},
-		{Seq: 3, T: 5, Layer: "server", Name: "queue_wait", Client: 1, Call: 1, Dur: 3},
+		{Seq: 3, T: 5, Layer: "queue", Name: "wait", Client: 1, Call: 1, Dur: 3},
 		{Seq: 4, T: 15, Layer: "server", Name: "served", Client: 1, Call: 1, Dur: 10},
 		{Seq: 5, T: 12, Layer: "wal", Name: "append", Client: 1, Call: 1},
 		{Seq: 6, T: 14, Layer: "repl", Name: "ship", Client: 1, Call: 1, Dur: 4},
