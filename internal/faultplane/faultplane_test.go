@@ -74,9 +74,11 @@ func TestBurstsElevateLoss(t *testing.T) {
 	if c.Bursts == 0 {
 		t.Fatal("no bursts with BurstProb=0.01 over 20k frames")
 	}
-	// Every burst kills BurstLen frames at BurstLoss=1 (bursts can
-	// overlap their own tail, so allow slack below the ideal).
-	if c.Dropped < c.Bursts*p.BurstLen/2 {
+	// At BurstLoss=1 a burst is a partition: it swallows exactly
+	// BurstLen consecutive frames, and the next burst can start only
+	// after it ends. Only the last one may be cut short by the end of
+	// the run.
+	if c.Dropped > c.Bursts*p.BurstLen || c.Dropped <= (c.Bursts-1)*p.BurstLen {
 		t.Errorf("dropped %d with %d bursts of %d", c.Dropped, c.Bursts, p.BurstLen)
 	}
 	if c.Dropped > n/4 {
