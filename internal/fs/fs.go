@@ -15,8 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
-	"strings"
 )
 
 // Errors mirror the Unix ones the paper's scripts would see.
@@ -111,20 +111,46 @@ func New(cacheBlocks int) *FS {
 // its own stack; a deeper path spills to the heap and still resolves.
 const pathDepth = 16
 
+// pathArg is a path held as a string, or as bytes: a view of the call
+// frame that carried it. One walk serves both, so a lookup from frame
+// bytes never copies the path into a string unless an error names it.
+type pathArg interface{ ~string | ~[]byte }
+
+// pathError is an operation's failure on a path: the sentinel, which
+// errors.Is matches through Unwrap, and the message "<sentinel>: <path>",
+// formatted once when the error is made.
+type pathError struct {
+	err error
+	msg string
+}
+
+func (e *pathError) Error() string { return e.msg }
+func (e *pathError) Unwrap() error { return e.err }
+
+// errPath wraps sentinel err with the path it failed on: the error
+// record and its message, two allocations.
+func errPath[P pathArg](err error, path P) error {
+	return &pathError{err: err, msg: err.Error() + ": " + string(path)}
+}
+
 // components appends the components of an absolute path to dst: empty
 // and "." components are skipped, and ".." drops the component before
 // it, never rising above the root. A relative path is ErrNotExist and a
 // component over maxName bytes ErrNameTooBig.
-func components(dst []string, path string) ([]string, error) {
-	if path == "" || path[0] != '/' {
-		return nil, fmt.Errorf("%w: %q (need absolute path)", ErrNotExist, path)
+func components[P pathArg](dst []P, path P) ([]P, error) {
+	if len(path) == 0 || path[0] != '/' {
+		return nil, fmt.Errorf("%w: %q (need absolute path)", ErrNotExist, string(path))
 	}
-	for rest := path; rest != ""; {
-		var c string
-		c, rest, _ = strings.Cut(rest, "/")
-		switch c {
-		case "", ".":
-		case "..":
+	for i := 0; i < len(path); {
+		j := i
+		for j < len(path) && path[j] != '/' {
+			j++
+		}
+		c := path[i:j]
+		i = j + 1
+		switch {
+		case len(c) == 0, len(c) == 1 && c[0] == '.':
+		case len(c) == 2 && c[0] == '.' && c[1] == '.':
 			if len(dst) > 0 {
 				dst = dst[:len(dst)-1]
 			}
@@ -140,16 +166,16 @@ func components(dst []string, path string) ([]string, error) {
 
 // descend follows the directory components parts down from the root,
 // charging a cache access for each directory it reads.
-func (f *FS) descend(path string, parts []string) (*inode, error) {
+func descend[P pathArg](f *FS, path P, parts []P) (*inode, error) {
 	cur := f.inodes[1]
 	for _, p := range parts {
 		if cur.kind != KindDir {
-			return nil, fmt.Errorf("%w: %s", ErrNotDir, path)
+			return nil, errPath(ErrNotDir, path)
 		}
 		f.cache.access(cur.ino, 0) // directory block read
-		ino, ok := cur.children[p]
+		ino, ok := cur.children[string(p)]
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
+			return nil, errPath(ErrNotExist, path)
 		}
 		cur = f.inodes[ino]
 	}
@@ -157,13 +183,13 @@ func (f *FS) descend(path string, parts []string) (*inode, error) {
 }
 
 // walk resolves a path to its inode.
-func (f *FS) walk(path string) (*inode, error) {
-	var stack [pathDepth]string
+func walk[P pathArg](f *FS, path P) (*inode, error) {
+	var stack [pathDepth]P
 	parts, err := components(stack[:0], path)
 	if err != nil {
 		return nil, err
 	}
-	return f.descend(path, parts)
+	return descend(f, path, parts)
 }
 
 // walkParent resolves the directory containing path and the final name.
@@ -174,14 +200,14 @@ func (f *FS) walkParent(path string) (*inode, string, error) {
 		return nil, "", err
 	}
 	if len(parts) == 0 {
-		return nil, "", fmt.Errorf("%w: %s", ErrExist, path)
+		return nil, "", errPath(ErrExist, path)
 	}
-	cur, err := f.descend(path, parts[:len(parts)-1])
+	cur, err := descend(f, path, parts[:len(parts)-1])
 	if err != nil {
 		return nil, "", err
 	}
 	if cur.kind != KindDir {
-		return nil, "", fmt.Errorf("%w: %s", ErrNotDir, path)
+		return nil, "", errPath(ErrNotDir, path)
 	}
 	return cur, parts[len(parts)-1], nil
 }
@@ -194,7 +220,7 @@ func (f *FS) Mkdir(path string) error {
 		return err
 	}
 	if _, exists := dir.children[name]; exists {
-		return fmt.Errorf("%w: %s", ErrExist, path)
+		return errPath(ErrExist, path)
 	}
 	f.nextIno++
 	n := &inode{ino: f.nextIno, kind: KindDir, children: map[string]uint64{}, nlink: 2}
@@ -215,7 +241,7 @@ func (f *FS) Create(path string) (int, error) {
 	if ino, exists := dir.children[name]; exists {
 		n = f.inodes[ino]
 		if n.kind == KindDir {
-			return -1, fmt.Errorf("%w: %s", ErrIsDir, path)
+			return -1, errPath(ErrIsDir, path)
 		}
 		n.data = n.data[:0]
 	} else {
@@ -230,12 +256,12 @@ func (f *FS) Create(path string) (int, error) {
 // Open opens an existing regular file.
 func (f *FS) Open(path string) (int, error) {
 	f.ops["open"]++
-	n, err := f.walk(path)
+	n, err := walk(f, path)
 	if err != nil {
 		return -1, err
 	}
 	if n.kind == KindDir {
-		return -1, fmt.Errorf("%w: %s", ErrIsDir, path)
+		return -1, errPath(ErrIsDir, path)
 	}
 	return f.allocFD(n), nil
 }
@@ -347,12 +373,12 @@ func (f *FS) Unlink(path string) error {
 	}
 	ino, ok := dir.children[name]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, path)
+		return errPath(ErrNotExist, path)
 	}
 	n := f.inodes[ino]
 	if n.kind == KindDir {
 		if len(n.children) > 0 {
-			return fmt.Errorf("%w: %s", ErrNotEmpty, path)
+			return errPath(ErrNotEmpty, path)
 		}
 		dir.nlink--
 	}
@@ -370,9 +396,15 @@ func (f *FS) Unlink(path string) error {
 }
 
 // Stat describes a path.
-func (f *FS) Stat(path string) (Stat, error) {
+func (f *FS) Stat(path string) (Stat, error) { return stat(f, path) }
+
+// StatBytes is Stat for a path held in bytes, such as a view of the call
+// frame that carried it; the path is never copied into a string.
+func (f *FS) StatBytes(path []byte) (Stat, error) { return stat(f, path) }
+
+func stat[P pathArg](f *FS, path P) (Stat, error) {
 	f.ops["stat"]++
-	n, err := f.walk(path)
+	n, err := walk(f, path)
 	if err != nil {
 		return Stat{}, err
 	}
@@ -386,22 +418,30 @@ func (f *FS) Stat(path string) (Stat, error) {
 }
 
 // ReadDir lists a directory's entries, sorted.
-func (f *FS) ReadDir(path string) ([]string, error) {
+func (f *FS) ReadDir(path string) ([]string, error) { return readDir(f, nil, path) }
+
+// AppendDir appends the sorted entries of the directory at path, held
+// in bytes, to dst and returns the extended slice: ReadDir into the
+// caller's buffer, which allocates nothing once the buffer has room.
+func (f *FS) AppendDir(dst []string, path []byte) ([]string, error) { return readDir(f, dst, path) }
+
+func readDir[P pathArg](f *FS, dst []string, path P) ([]string, error) {
 	f.ops["readdir"]++
-	n, err := f.walk(path)
+	n, err := walk(f, path)
 	if err != nil {
 		return nil, err
 	}
 	if n.kind != KindDir {
-		return nil, fmt.Errorf("%w: %s", ErrNotDir, path)
+		return nil, errPath(ErrNotDir, path)
 	}
 	f.cache.access(n.ino, 0)
-	out := make([]string, 0, len(n.children))
+	start := len(dst)
+	dst = slices.Grow(dst, len(n.children))
 	for name := range n.children {
-		out = append(out, name)
+		dst = append(dst, name)
 	}
-	sort.Strings(out)
-	return out, nil
+	slices.Sort(dst[start:])
+	return dst, nil
 }
 
 // ReadFile and WriteFile are whole-file conveniences used by the

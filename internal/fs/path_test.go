@@ -55,6 +55,17 @@ func checkComponents(t *testing.T, path string) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("components(%.40q) = %q, reference %q", path, got, want)
 	}
+	// The walk over a frame's bytes splits the same way.
+	var views [pathDepth][]byte
+	gotBytes, berr := components(views[:0], []byte(path))
+	if berr != nil || len(gotBytes) != len(want) {
+		t.Fatalf("components(%.40q) over bytes = %q, %v; reference %q", path, gotBytes, berr, want)
+	}
+	for i, c := range gotBytes {
+		if string(c) != want[i] {
+			t.Fatalf("components(%.40q) over bytes = %q, reference %q", path, gotBytes, want)
+		}
+	}
 }
 
 func TestComponentsMatchSplitReference(t *testing.T) {
@@ -87,7 +98,8 @@ func TestComponentsMatchSplitReference(t *testing.T) {
 
 func TestPathLookupAllocatesNothing(t *testing.T) {
 	// A path of up to pathDepth components resolves in the lookup's own
-	// stack array: walk and walkParent allocate nothing for it.
+	// stack array: walk, over a string or over bytes, and walkParent
+	// allocate nothing for it.
 	f := New(64)
 	dir := ""
 	for i := 1; i < pathDepth; i++ {
@@ -106,11 +118,21 @@ func TestPathLookupAllocatesNothing(t *testing.T) {
 			t.Fatalf("%s has %d components, want %d", path, len(parts), pathDepth)
 		}
 		if got := testing.AllocsPerRun(200, func() {
-			if _, err := f.walk(path); err != nil {
+			if _, err := walk(f, path); err != nil {
 				t.Fatal(err)
 			}
 		}); got != 0 {
 			t.Errorf("walk(%s) allocates %.1f times, want 0", path, got)
+		}
+		// The same walk over the path's bytes, as the lookup handlers
+		// resolve a path straight from a call frame.
+		view := []byte(path)
+		if got := testing.AllocsPerRun(200, func() {
+			if _, err := walk(f, view); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("walk(%s) over bytes allocates %.1f times, want 0", path, got)
 		}
 		if got := testing.AllocsPerRun(200, func() {
 			if _, name, err := f.walkParent(path); err != nil || name != "f" {
@@ -129,5 +151,61 @@ func TestPathLookupAllocatesNothing(t *testing.T) {
 	}
 	if _, err := f.Stat(deep); err != nil {
 		t.Errorf("Stat of a %d-component path: %v", 2*pathDepth, err)
+	}
+}
+
+func TestPathErrorAllocatesTwiceWithFmtText(t *testing.T) {
+	// A path error keeps the text fmt.Errorf("%w: %s", sentinel, path)
+	// gave it — reply frames carry that text and the WAL session record
+	// stores it — and errors.Is still finds the sentinel, for two
+	// allocations (the record and its message) instead of fmt's three.
+	sentinels := []error{ErrNotExist, ErrExist, ErrNotDir, ErrIsDir, ErrNotEmpty}
+	for _, sentinel := range sentinels {
+		for _, path := range []string{"/z00042", "/a/b/c", "/", "/with space/ünïcode"} {
+			want := fmt.Errorf("%w: %s", sentinel, path)
+			for _, err := range []error{errPath(sentinel, path), errPath(sentinel, []byte(path))} {
+				if err.Error() != want.Error() {
+					t.Errorf("errPath(%v, %q) = %q, fmt.Errorf gives %q", sentinel, path, err, want)
+				}
+				for _, other := range sentinels {
+					if got := errors.Is(err, other); got != (other == sentinel) {
+						t.Errorf("errors.Is(%q, %v) = %v", err, other, got)
+					}
+				}
+			}
+		}
+	}
+	path, view := "/z00042", []byte("/z00042")
+	for name, mk := range map[string]func() error{
+		"string": func() error { return errPath(ErrExist, path) },
+		"bytes":  func() error { return errPath(ErrNotExist, view) },
+	} {
+		got := testing.AllocsPerRun(200, func() { _ = mk() })
+		t.Logf("errPath over a %s path: %.1f allocations", name, got)
+		if got > 2 {
+			t.Errorf("errPath over a %s path allocates %.1f times, want at most 2", name, got)
+		}
+	}
+
+	// The two failures the overload soak meets per op: a Mkdir of a name
+	// that exists, and a Stat of a path that does not, resolved from bytes.
+	f := New(64)
+	if err := f.Mkdir(path); err != nil {
+		t.Fatal(err)
+	}
+	missing := []byte("/z00043")
+	if got := testing.AllocsPerRun(200, func() {
+		if err := f.Mkdir(path); !errors.Is(err, ErrExist) {
+			t.Fatalf("Mkdir of an existing name = %v", err)
+		}
+	}); got > 2 {
+		t.Errorf("a Mkdir collision allocates %.1f times, want at most 2", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := f.StatBytes(missing); !errors.Is(err, ErrNotExist) {
+			t.Fatalf("StatBytes of a missing path = %v", err)
+		}
+	}); got > 2 {
+		t.Errorf("a StatBytes miss allocates %.1f times, want at most 2", got)
 	}
 }

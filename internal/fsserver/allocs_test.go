@@ -87,6 +87,61 @@ func TestTracingAddsNoAllocationInRemote(t *testing.T) {
 	}
 }
 
+func TestServerQueryHitsAllocateNothing(t *testing.T) {
+	// A Stat or ReadDir that finds its path costs the server nothing on
+	// the heap: the path is resolved from the call frame's bytes, the
+	// listing goes through the server's reused buffer, and the frames
+	// come from the link's pool. Calls are sealed by hand into one
+	// buffer and their replies drained header-only, as the load engine
+	// drives the server, so only the server side is counted.
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	fsys := fs.New(64)
+	for _, dir := range []string{"/d", "/d/a", "/d/b", "/d/c"} {
+		if err := fsys.Mkdir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	link := wire.NewLink(localNet)
+	srv := NewServer(fsys, link, wire.B)
+	client := wire.NewClient(link, wire.A).ClientID
+	var callID uint32
+	var payload, frame []byte
+	call := func(proc uint32, path string) {
+		callID++
+		payload = wire.AppendString(payload[:0], path)
+		var err error
+		frame, err = wire.AppendEncode(frame[:0], wire.Header{Kind: wire.KindCall, CallID: callID, ProcID: proc, ClientID: client}, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		link.Send(wire.A, frame)
+		srv.Wire.Poll()
+		h, err := link.RecvClientHeader(wire.A, client)
+		if err != nil || h.Kind != wire.KindReply || h.CallID != callID {
+			t.Fatalf("%s: reply %+v, %v", path, h, err)
+		}
+	}
+	for _, q := range []struct {
+		name string
+		proc uint32
+		path string
+	}{{"Stat", ProcStat, "/d/b"}, {"ReadDir", ProcReadDir, "/d"}} {
+		for i := 0; i < 16; i++ {
+			call(q.proc, q.path)
+		}
+		got := testing.AllocsPerRun(300, func() { call(q.proc, q.path) })
+		t.Logf("%s hit: %.1f server-side allocations", q.name, got)
+		if got != 0 {
+			t.Errorf("a %s hit allocates %.1f times on the server, want 0", q.name, got)
+		}
+	}
+	if served := srv.Wire.Stats().Served; served != 2*(16+301) {
+		t.Errorf("server answered %d calls, want %d", served, 2*(16+301))
+	}
+}
+
 // writeAllocs measures the steady-state allocations of one 2 KiB Write
 // and of one Mkdir+Unlink pair through r, after a warm-up.
 func writeAllocs(t *testing.T, r *Remote) (write, pair float64) {

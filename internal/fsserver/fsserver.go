@@ -177,6 +177,10 @@ type Server struct {
 
 	recoveries  int
 	replayedOps int
+
+	// names is ReadDir's listing buffer, reused under mu: a listing
+	// goes into the reply frame and nothing of it outlives the handler.
+	names []string
 }
 
 // NewServer registers the file service on side of link. The WAL opens
@@ -406,14 +410,16 @@ func (s *Server) register() {
 	})
 	s.logged(ProcMkdir, func(a *wire.Args) fs.Record { return fs.Record{Op: fs.OpMkdir, Path: a.String()} })
 	s.logged(ProcUnlink, func(a *wire.Args) fs.Record { return fs.Record{Op: fs.OpUnlink, Path: a.String()} })
+	// The queries resolve their path from the call frame's bytes: the
+	// view dies with the handler, and they keep nothing of it.
 	s.Wire.RegisterRaw(ProcStat, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
-		path := a.String()
+		path := a.StringBytes()
 		if err := a.Err(); err != nil {
 			return err
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		st, err := s.FS.Stat(path)
+		st, err := s.FS.StatBytes(path)
 		if err != nil {
 			return err
 		}
@@ -425,19 +431,21 @@ func (s *Server) register() {
 		return nil
 	})
 	s.Wire.RegisterRaw(ProcReadDir, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
-		path := a.String()
+		path := a.StringBytes()
 		if err := a.Err(); err != nil {
 			return err
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		names, err := s.FS.ReadDir(path)
+		names, err := s.FS.AppendDir(s.names[:0], path)
 		if err != nil {
 			return err
 		}
 		for _, n := range names {
 			rep.String(n)
 		}
+		clear(names)
+		s.names = names[:0]
 		return nil
 	})
 }

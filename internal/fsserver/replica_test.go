@@ -205,12 +205,15 @@ func TestDedupHoldsAcrossPromotion(t *testing.T) {
 
 func TestReplicationPartitionCatchUp(t *testing.T) {
 	// Seeded total-loss bursts on the replication link are partitions:
-	// each swallows six consecutive ship frames in either direction. The
-	// ack budget rides most partitions out, and the shipping cursor
-	// re-ships whatever a blown budget left behind — by the end of the
-	// run the backup has applied everything, exactly once.
+	// each swallows six consecutive ship frames in either direction. A
+	// ship call sends at most AckRetries+1 = 3 frames, so a partition
+	// that opens on a call blows its ack budget, and the shipping cursor
+	// re-ships what the failed call left behind — by the end of the run
+	// the backup has applied everything, exactly once.
 	cm := kernel.NewCostModel(arch.R3000)
-	cluster := NewCluster(256, cm, DefaultReplicaConfig())
+	cfg := DefaultReplicaConfig()
+	cfg.AckRetries = 2
+	cluster := NewCluster(256, cm, cfg)
 	part := faultplane.New(faultplane.Policy{Seed: 1991, BurstProb: 0.02, BurstLen: 6, BurstLoss: 1})
 	cluster.ReplLink(0).SetFaultPlane(part)
 	remote := cluster.NewClient()
@@ -231,6 +234,10 @@ func TestReplicationPartitionCatchUp(t *testing.T) {
 	}
 	if err := cluster.Audit(); err != nil {
 		t.Error(err)
+	}
+	if st.ShipFailures == 0 || st.Reships == 0 {
+		t.Errorf("ShipFailures = %d, Reships = %d: no partition blew the ack budget, so the re-ship path never ran",
+			st.ShipFailures, st.Reships)
 	}
 	t.Logf("partitions=%d dropped=%d shipCalls=%d shipFailures=%d reships=%d lagOps=%d",
 		pc.Bursts, pc.Dropped, st.ShipCalls, st.ShipFailures, st.Reships, st.LagOps)

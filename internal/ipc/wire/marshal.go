@@ -343,6 +343,12 @@ func (a *Args) varlen(want tag) []byte {
 // one getter that allocates — strings are immutable, the stream is not.
 func (a *Args) String() string { return string(a.varlen(tagString)) }
 
+// StringBytes decodes the next value, which must be a string, as a view
+// of its bytes aliasing the stream — no copy, and the view's lifetime
+// is the stream's: a handler that looks a path up and keeps nothing of
+// it reads the path without allocating.
+func (a *Args) StringBytes() []byte { return a.varlen(tagString) }
+
 // Bytes decodes the next value, which must be a byte buffer, as a view
 // aliasing the stream — no copy.
 func (a *Args) Bytes() []byte { return a.varlen(tagBytes) }

@@ -133,6 +133,12 @@ func TestArgsTypeMismatchPoisons(t *testing.T) {
 	if a.More() {
 		t.Error("poisoned cursor claims more values")
 	}
+	// A string view reads a string only: a byte buffer differs from one
+	// in its tag alone.
+	b := NewArgs(AppendBytes(nil, []byte("/d")))
+	if v := b.StringBytes(); v != nil || !errors.Is(b.Err(), ErrBadEncoding) {
+		t.Errorf("StringBytes of a byte buffer = %q, %v; want nil, ErrBadEncoding", v, b.Err())
+	}
 }
 
 func TestArgsTruncationPoisons(t *testing.T) {
@@ -231,13 +237,15 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 func TestCodecHotPathAllocationFree(t *testing.T) {
 	// The acceptance bar for the hot path: building a small call frame,
 	// decoding it, and reading its arguments through the cursor performs
-	// zero allocations in the codec once buffers are warm.
+	// zero allocations in the codec once buffers are warm — a string
+	// argument included, read as a view.
 	buf := make([]byte, 0, 256)
 	h := Header{Kind: KindCall, CallID: 9, ProcID: 4, ClientID: 1}
 	allocs := testing.AllocsPerRun(200, func() {
 		frame := BeginFrame(buf[:0])
 		frame = AppendInt64(frame, 42)
 		frame = AppendInt64(frame, 4096)
+		frame = AppendString(frame, "/d/a")
 		frame, err := FinishFrame(frame, h)
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +258,7 @@ func TestCodecHotPathAllocationFree(t *testing.T) {
 			t.Fatal("header mangled")
 		}
 		a := NewArgs(payload)
-		if a.Int64() != 42 || a.Int64() != 4096 || a.Err() != nil {
+		if a.Int64() != 42 || a.Int64() != 4096 || string(a.StringBytes()) != "/d/a" || a.Err() != nil {
 			t.Fatal("arguments mangled")
 		}
 	})

@@ -149,15 +149,6 @@ func flattenStruct(prefix string, v reflect.Value, out map[string]float64) {
 	}
 }
 
-// GaugeSource adapts a single instantaneous reading — a replication
-// lag, a queue depth, a backlog — to a Source exposing it under name.
-// Unlike the counter adapters, the value may go down as well as up.
-func GaugeSource(name string, read func() float64) Source {
-	return func() map[string]float64 {
-		return map[string]float64{name: read()}
-	}
-}
-
 // HistogramSource exposes a recorder histogram class's summary
 // statistics (count, p50, p90, p99, max, mean) as a Source.
 func HistogramSource(r *Recorder, class string) Source {

@@ -85,16 +85,3 @@ func TestSnapshotTableFormatting(t *testing.T) {
 		}
 	}
 }
-
-func TestGaugeSourceReadsInstantaneously(t *testing.T) {
-	lag := 3.0
-	g := NewRegistry()
-	g.Register("repl", GaugeSource("lag", func() float64 { return lag }))
-	if got := g.Snapshot()["repl.lag"]; got != 3 {
-		t.Fatalf("repl.lag = %v, want 3", got)
-	}
-	lag = 0 // gauges go down; counters never do
-	if got := g.Snapshot()["repl.lag"]; got != 0 {
-		t.Fatalf("repl.lag = %v after drain, want 0", got)
-	}
-}

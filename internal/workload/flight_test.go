@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,14 +15,22 @@ import (
 // anomaly dumps, trace tails, and critical-path tables — in both the
 // undefended and the defended configuration. This is the property the
 // CI cmp step rests on: a postmortem dump is evidence, and evidence
-// must be reproducible.
+// must be reproducible. The dumps are also pinned, by the SHA-256 of
+// their JSONL: a change to the engine that moves one event byte fails
+// here even though it moves both runs alike. A change that moves the
+// dumps on purpose re-pins them and says why.
 func TestFlightRecorderDeterministic(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		controls LoadControls
+		name       string
+		controls   LoadControls
+		dump, tail string // SHA-256 of the JSONL of AnomalyDump and TraceTail
 	}{
-		{"undefended", ControlsOff()},
-		{"defended", ControlsOn()},
+		{"undefended", ControlsOff(),
+			"0363f548f1925452030cb6110658cd0cde036214ad952fccdb950e4a486aa59d",
+			"f77e01a75b3bcca22b536abff65b6d87b9fc6c06eaa6b747be17a714803fa10f"},
+		{"defended", ControlsOn(),
+			"89d923f4123e854bf812ea3b7dc8d28d07a26adaf7f99308c6abb183e4440a58",
+			"29906f01c57e60f21ffdcd6637b4c334bf0af389fae7c0ea7b0acc69d45db11e"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultLoadConfig()
@@ -39,6 +49,12 @@ func TestFlightRecorderDeterministic(t *testing.T) {
 			}
 			if got, want := jsonl(t, r1.TraceTail), jsonl(t, r2.TraceTail); !bytes.Equal(got, want) {
 				t.Error("same-seed runs produced different trace tails")
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(jsonl(t, r1.AnomalyDump))); got != tc.dump {
+				t.Errorf("anomaly dump SHA-256 %s, pinned %s", got, tc.dump)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(jsonl(t, r1.TraceTail))); got != tc.tail {
+				t.Errorf("trace tail SHA-256 %s, pinned %s", got, tc.tail)
 			}
 			tab1 := obs.CriticalPath(r1.TraceTail, nil).Table("critpath").String()
 			tab2 := obs.CriticalPath(r2.TraceTail, nil).Table("critpath").String()

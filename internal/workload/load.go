@@ -35,6 +35,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 
 	"archos/internal/fs"
 	"archos/internal/fsserver"
@@ -258,14 +260,17 @@ const (
 	opFailed
 )
 
-// pending is one frame waiting in the NIC queue, carrying its span
-// identity and enqueue time so the serve chain can attribute the FIFO
-// wait to the call that paid it.
+// pending is one transmission waiting in the NIC queue: what its frame
+// is sealed from when served, taken at the send so that a copy queued
+// before a re-issue keeps its old call ID and deadline stamp, and its
+// enqueue time, so the serve chain can attribute the FIFO wait.
 type pending struct {
 	ci     int
-	frame  []byte
 	client uint32
 	call   uint32
+	proc   uint32
+	expiry uint32
+	path   *loadPath
 	enq    float64
 }
 
@@ -284,10 +289,8 @@ type flight struct {
 
 // lop is one logical operation (and its re-issued incarnations).
 type lop struct {
-	session int
-	proc    uint32
-	path    string
-	payload []byte
+	proc uint32
+	path *loadPath
 
 	arrival  float64 // this incarnation's scheduled issue time
 	deadline float64
@@ -296,7 +299,6 @@ type lop struct {
 	gen      int // incarnation counter; stale timers check it
 	conn     int // pool index, -1 when not holding a connection
 	callID   uint32
-	frame    []byte
 	attempts int
 	backoff  float64
 	reissues int
@@ -398,10 +400,12 @@ type loadRun struct {
 	arrive *rand.Rand
 	behave *rand.Rand
 	zipf   *rand.Zipf
-	paths  []loadPath // Zipf rank -> interned path, filled on first draw
+	paths  []loadPath // Zipf rank -> interned path
 
 	events eventHeap
 	seq    int
+	slab   []lop  // op records not yet handed out
+	frame  []byte // the serve chain's sealing buffer
 
 	connID  []uint32 // pool index -> wire client ID
 	nextCID []uint32 // pool index -> next call ID
@@ -434,6 +438,38 @@ type loadRun struct {
 type loadPath struct {
 	name    string
 	payload []byte
+}
+
+// internPaths interns the path of every Zipf rank below n: the names in
+// one string and the call payloads in one byte arena.
+func internPaths(n int) []loadPath {
+	var name [24]byte
+	var all strings.Builder
+	all.Grow(n * len("/z00000")) // exact for up to 100,000 ranks
+	for z := range n {
+		all.Write(appendName(name[:0], z))
+	}
+	names := all.String()
+	paths := make([]loadPath, n)
+	// A payload is its name behind a string's tag and length.
+	arena := make([]byte, 0, len(names)+n*len(wire.AppendString(name[:0], "")))
+	for z := range paths {
+		w, at := len(appendName(name[:0], z)), len(arena)
+		arena = wire.AppendString(arena, names[:w])
+		paths[z] = loadPath{name: names[:w], payload: arena[at:]}
+		names = names[w:]
+	}
+	return paths
+}
+
+// appendName appends Zipf rank z's path name to dst: "/z" and the rank,
+// zero-padded to five digits.
+func appendName(dst []byte, z int) []byte {
+	dst = append(dst, "/z"...)
+	for p := 10000; p > 1 && z < p; p /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(z), 10)
 }
 
 // Validate reports the first field of c that RunLoad cannot run with,
@@ -497,7 +533,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		link:     wire.NewLink(ipc.NetworkConfig{Name: "load", BandwidthMbps: 1e6}),
 		arrive:   rand.New(rand.NewSource(cfg.Seed)),
 		behave:   rand.New(rand.NewSource(cfg.Seed ^ 0x6c6f6164)), // "load"
-		paths:    make([]loadPath, cfg.Paths),
+		paths:    internPaths(cfg.Paths),
 		flights:  map[uint64]flight{},
 		touched:  make([]bool, cfg.Sessions),
 		accepted: map[string]bool{},
@@ -601,12 +637,17 @@ func (r *loadRun) activate(t float64) {
 			if r.arrive.Float64() < c.WriteFraction {
 				proc = fsserver.ProcMkdir
 			}
-			path := r.path(r.zipf.Uint64())
-			op := &lop{
-				session:  session,
+			// Op records come 1,024 to an allocation and are never
+			// reused: a stale timer's op stays valid, and its gen
+			// check retires it.
+			if len(r.slab) == 0 {
+				r.slab = make([]lop, 1024)
+			}
+			op := &r.slab[0]
+			r.slab = r.slab[1:]
+			*op = lop{
 				proc:     proc,
-				path:     path.name,
-				payload:  path.payload,
+				path:     &r.paths[r.zipf.Uint64()],
 				arrival:  arrival,
 				deadline: arrival + c.DeadlineMicros,
 				conn:     -1,
@@ -620,18 +661,6 @@ func (r *loadRun) activate(t float64) {
 		meanBurst := c.ParetoAlpha / (c.ParetoAlpha - 1)
 		r.push(levent{t: t + r.arrive.ExpFloat64()*meanBurst*1e6/r.rate(t), kind: evActivate})
 	}
-}
-
-// path returns Zipf rank z's interned path, formatting its name and
-// encoding its payload on the rank's first draw: the universe is
-// bounded, so a run builds each once however many ops draw it.
-func (r *loadRun) path(z uint64) *loadPath {
-	p := &r.paths[z]
-	if p.payload == nil {
-		p.name = fmt.Sprintf("/z%05d", z)
-		p.payload = wire.AppendString(nil, p.name)
-	}
-	return p
 }
 
 // burstSize draws a Pareto(1, alpha) burst, capped.
@@ -651,8 +680,8 @@ func (r *loadRun) burstSize() int {
 }
 
 // issue places one incarnation of an op onto the wire: grab a
-// connection, seal the frame (deadline stamped if propagation is on),
-// transmit, and arm the retransmission and deadline timers.
+// connection and a call ID, transmit, and arm the retransmission and
+// deadline timers.
 func (r *loadRun) issue(op *lop) {
 	now := r.link.Clock()
 	if len(r.free) == 0 {
@@ -673,21 +702,6 @@ func (r *loadRun) issue(op *lop) {
 		Client: r.connID[ci], Call: op.callID, Proc: op.proc})
 	op.attempts = 1
 	op.backoff = r.cfg.RetransmitMicros
-	var expiry uint32
-	if r.cfg.Controls.PropagateDeadline {
-		expiry = wire.ExpiryStamp(op.deadline)
-	}
-	frame, err := wire.Encode(wire.Header{
-		Kind:     wire.KindCall,
-		CallID:   op.callID,
-		ProcID:   op.proc,
-		ClientID: r.connID[ci],
-		Expiry:   expiry,
-	}, op.payload)
-	if err != nil {
-		panic(err) // bounded payload over our own codec: cannot fail
-	}
-	op.frame = frame
 	r.flights[flightKey(r.connID[ci], op.callID)] = flight{op: op, gen: op.gen}
 	r.send(op)
 	r.res.Issued++
@@ -695,17 +709,22 @@ func (r *loadRun) issue(op *lop) {
 	r.push(levent{t: op.deadline, kind: evTimeout, op: op, gen: op.gen})
 }
 
-// send enqueues the sealed frame on the NIC queue, counts the
-// transmission against the incarnation's flight record, and kicks the
-// serve chain if the server is idle.
+// send enqueues one transmission of the op's current incarnation on
+// the NIC queue (its deadline stamped if propagation is on), counts it
+// against the incarnation's flight record, and kicks the serve chain if
+// the server is idle.
 func (r *loadRun) send(op *lop) {
 	key := flightKey(r.connID[op.conn], op.callID)
 	fl := r.flights[key]
 	fl.sent++
 	r.flights[key] = fl
+	var expiry uint32
+	if r.cfg.Controls.PropagateDeadline {
+		expiry = wire.ExpiryStamp(op.deadline)
+	}
 	r.sendQ = append(r.sendQ, pending{
-		ci: op.conn, frame: op.frame,
-		client: r.connID[op.conn], call: op.callID,
+		ci: op.conn, client: r.connID[op.conn], call: op.callID,
+		proc: op.proc, expiry: expiry, path: op.path,
 		enq: r.link.Clock(),
 	})
 	if !r.serving {
@@ -714,16 +733,17 @@ func (r *loadRun) send(op *lop) {
 	}
 }
 
-// serve feeds exactly one queued frame to the server. The server
-// executes it (charging the service time to the shared clock), sheds
-// it, or answers it from the reply cache; the response drains in the
-// same round. A non-empty queue schedules the next serve at the new
+// serve seals exactly one queued transmission into the run's sealing
+// buffer (the link copies it in flight) and feeds it to the server. The
+// server executes it (charging the service time to the shared clock),
+// sheds it, or answers it from the reply cache; the response drains in
+// the same round. A non-empty queue schedules the next serve at the new
 // clock, so the server works the backlog serially at the service rate
 // — the FIFO queueing delay every overload mechanism here is about.
 //
 // A served slot is cleared at once, and the queue slides its live
 // entries to the front once the served prefix is at least half of it,
-// so a collapse backlog neither pins sent frames nor regrows the queue.
+// so a collapse backlog does not regrow the queue.
 func (r *loadRun) serve() {
 	if r.sendHead >= len(r.sendQ) {
 		r.serving = false
@@ -744,7 +764,13 @@ func (r *loadRun) serve() {
 			Client: p.client, Call: p.call,
 			Dur: now - p.enq, Val: float64(len(r.sendQ) - r.sendHead)})
 	}
-	r.link.Send(wire.A, p.frame)
+	frame, err := wire.AppendEncode(r.frame[:0], wire.Header{Kind: wire.KindCall,
+		CallID: p.call, ProcID: p.proc, ClientID: p.client, Expiry: p.expiry}, p.path.payload)
+	if err != nil {
+		panic(err) // bounded payload over our own codec: cannot fail
+	}
+	r.frame = frame
+	r.link.Send(wire.A, frame)
 	r.srv.Wire.Poll()
 	r.queueDrain(p.ci)
 	r.drain()
@@ -763,7 +789,7 @@ func (r *loadRun) queueDrain(ci int) {
 }
 
 // retx fires the retransmission timer for one incarnation. It only
-// ever retransmits: the same sealed frame, same call ID, same stamped
+// ever retransmits: the same frame, same call ID, same stamped
 // deadline — the transport never forges a fresh deadline for stale
 // work — and when the retries or the budget run out it simply stops
 // sending copies. Giving up belongs to the deadline timer alone: a
@@ -825,7 +851,6 @@ func (r *loadRun) fail(op *lop, now float64, rejected bool) {
 	if op.reissues < r.cfg.ReissueMax {
 		op.reissues++
 		op.gen++
-		op.frame = nil
 		r.res.Reissues++
 		op.arrival = now + r.cfg.ReissueDelay*(0.5+r.behave.Float64())
 		op.deadline = op.arrival + r.cfg.DeadlineMicros
@@ -875,7 +900,7 @@ func (r *loadRun) drain() {
 					op.answered = true
 					r.res.Executed++
 					if op.proc == fsserver.ProcMkdir {
-						r.accepted[op.path] = true
+						r.accepted[op.path.name] = true
 					}
 				}
 				if live {
