@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"os"
 
+	"archos/internal/arch"
+	"archos/internal/fs"
+	"archos/internal/fsserver"
+	"archos/internal/kernel"
 	"archos/internal/obs"
 	"archos/internal/trace"
 	"archos/internal/workload"
@@ -32,10 +36,12 @@ type loadFile struct {
 	Defended   *workload.LoadResult `json:"defended"`
 }
 
-// runLoad executes the paired soak, prints the curves, the flight
-// recorder's anomaly log, and the per-run critical-path attribution,
-// writes loadout/flightdump if given, and compares against loadcompare
-// if given (exiting nonzero on regression).
+// runLoad executes the paired soak, checks that each run's accepted
+// set replays to its fingerprint (exiting nonzero, before any output,
+// when one does not), prints the curves, the flight recorder's anomaly
+// log, and the per-run critical-path attribution, writes
+// loadout/flightdump if given, and compares against loadcompare if
+// given (exiting nonzero on regression).
 func runLoad(seed int64, loadout, loadcompare, flightdump string) {
 	cfg := workload.DefaultLoadConfig()
 	cfg.Seed = seed
@@ -53,6 +59,15 @@ func runLoad(seed int64, loadout, loadcompare, flightdump string) {
 		os.Exit(1)
 	}
 	cfg.Controls = workload.ControlsOff()
+	for _, r := range []struct {
+		name string
+		res  *workload.LoadResult
+	}{{"undefended", off}, {"defended", on}} {
+		if err := checkReplay(r.res, cfg.CacheBlocks); err != nil {
+			fmt.Fprintf(os.Stderr, "%s load run: %v\n", r.name, err)
+			os.Exit(1)
+		}
+	}
 	cur := loadFile{
 		Note:       "Overload soak trajectory; regenerate with `make bench-load` (rpcbench -load -loadout BENCH_load.json)",
 		Config:     cfg,
@@ -146,6 +161,23 @@ func runLoad(seed int64, loadout, loadcompare, flightdump string) {
 			os.Exit(1)
 		}
 	}
+}
+
+// checkReplay replays a run's accepted mutations on a fresh monolithic
+// file system of the run's size and reports why the replay fails to
+// reproduce the run's fingerprint, or nil when it does: the overload
+// plane may refuse work, but everything it accepted took effect
+// exactly once.
+func checkReplay(res *workload.LoadResult, cacheBlocks int) error {
+	clean := fs.New(cacheBlocks)
+	if err := res.ReplayAccepted(fsserver.NewDirect(clean, kernel.NewCostModel(arch.R3000)).Mkdir); err != nil {
+		return err
+	}
+	if got := clean.Fingerprint(); got != res.Fingerprint {
+		return fmt.Errorf("replay of %d accepted mkdirs reaches fingerprint %s, the run ended at %s",
+			len(res.AcceptedMkdirs), got, res.Fingerprint)
+	}
+	return nil
 }
 
 // printAnomalies lists a run's flight-recorder incident log: each

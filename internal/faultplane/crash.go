@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // CrashPoint names a window in the server's request path where a crash
@@ -179,12 +178,10 @@ type CrashCounts struct {
 
 // CrashPlane is a seeded crash schedule, optionally bound to a virtual
 // clock that paces its outages. It implements Crasher (the crash
-// decision) and Fatalist (down for good, or still inside an outage). It
-// is safe for concurrent use; like Plane, the decision stream is a
-// function of the seed and the order CrashNow calls arrive, so it is
-// reproducible exactly when that order is (a single-pump drive).
+// decision) and Fatalist (down for good, or still inside an outage).
+// Like Plane, its decision stream is a function of the seed and the
+// order CrashNow calls arrive, which the single-pump drive fixes.
 type CrashPlane struct {
-	mu        sync.Mutex
 	policy    CrashPolicy
 	clock     func() float64
 	rng       *rand.Rand
@@ -211,8 +208,6 @@ func (c *CrashPlane) Policy() CrashPolicy { return c.policy }
 
 // Counts returns a snapshot of the crash counters.
 func (c *CrashPlane) Counts() CrashCounts {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.counts
 }
 
@@ -222,8 +217,6 @@ func (c *CrashPlane) Counts() CrashCounts {
 // this on every pump revives the first time it is pumped after the
 // outage closes. CrashPlane thereby implements Fatalist.
 func (c *CrashPlane) Fatal() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.policy.FatalFrom > 0 && c.counts.Crashes >= c.policy.FatalFrom {
 		return true
 	}
@@ -248,8 +241,6 @@ func (c *CrashPlane) CrashNow(p CrashPoint) bool {
 	if prob == 0 {
 		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.counts.Points++
 	u := c.rng.Float64()
 	if c.policy.MaxCrashes > 0 && c.counts.Crashes >= c.policy.MaxCrashes {

@@ -3,7 +3,6 @@ package faultplane
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 )
 
 // This file is the storage fault plane: seeded at-rest damage to a
@@ -84,11 +83,10 @@ type DiskCounts struct {
 	Flips     int
 }
 
-// DiskPlane is a seeded at-rest damage schedule. Safe for concurrent
-// use; the decision stream is a function of the seed and the order
-// Decide calls arrive (one per node revival on a single-pump drive).
+// DiskPlane is a seeded at-rest damage schedule. Its decision stream
+// is a function of the seed and the order Decide calls arrive (one per
+// node revival on a single-pump drive).
 type DiskPlane struct {
-	mu     sync.Mutex
 	policy DiskFaultPolicy
 	rng    *rand.Rand
 	counts DiskCounts
@@ -109,8 +107,6 @@ func (d *DiskPlane) Policy() DiskFaultPolicy { return d.policy }
 
 // Counts returns a snapshot of the damage counters.
 func (d *DiskPlane) Counts() DiskCounts {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.counts
 }
 
@@ -121,8 +117,6 @@ func (d *DiskPlane) Counts() DiskCounts {
 // at least two tail records (the final position belongs to the crash
 // plane); shorter tails escape the tear even when the draw fires.
 func (d *DiskPlane) Decide(tailLen int) DiskFault {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.counts.Decisions++
 	u1 := d.rng.Float64()
 	u2 := d.rng.Float64()

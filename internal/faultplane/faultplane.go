@@ -9,13 +9,15 @@
 // chaos runs are adversarial yet bit-for-bit reproducible: the same
 // seed yields the same loss pattern, the same retransmission schedule,
 // and the same virtual-time clock, every run.
+//
+// Every plane and script belongs to the goroutine that owns the stack
+// it is armed on (see package wire) and takes no locks.
 package faultplane
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // Policy parameterises a fault plane. All probabilities are per frame
@@ -152,17 +154,10 @@ type Injector interface {
 	Decide(seq, frameBytes int) Decision
 }
 
-// Plane is a seeded fault injector. It is safe for concurrent use: an
-// internal lock serialises Decide and Counts, so a test or stats
-// surface may read the counters while many senders are still driving
-// frames through the link. wire.Link additionally calls Decide under
-// its own lock, which keeps the decision stream aligned with the frame
-// sequence. With concurrent senders the stream remains a function of
-// the seed and the arrival order of frames at the link lock — per-run
-// reproducible only when that order is (one sender, or externally
-// serialised traffic).
+// Plane is a seeded fault injector. wire.Link calls Decide once per
+// transmitted frame, in frame-sequence order, so the decision stream is
+// a function of the seed and the traffic alone.
 type Plane struct {
-	mu        sync.Mutex
 	policy    Policy
 	rng       *rand.Rand
 	burstLeft int
@@ -184,8 +179,6 @@ func (pl *Plane) Policy() Policy { return pl.policy }
 
 // Counts returns a snapshot of the injected-fault counters.
 func (pl *Plane) Counts() Counts {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
 	return pl.counts
 }
 
@@ -194,8 +187,6 @@ func (pl *Plane) Counts() Counts {
 // only on the seed and the number of frames seen — not on which faults
 // happened to fire.
 func (pl *Plane) Decide(seq, frameBytes int) Decision {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
 	p := pl.policy
 	// Fixed draw order and count per frame keeps the stream aligned.
 	uBurst := pl.rng.Float64()

@@ -2,7 +2,6 @@ package faultplane
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -108,39 +107,5 @@ func TestNewRejectsBadPolicy(t *testing.T) {
 			}()
 			New(p)
 		}()
-	}
-}
-
-func TestConcurrentDecideIsCountAccurate(t *testing.T) {
-	// Many senders share one plane (one per wire link, any number of
-	// clients): Decide must be safe to call concurrently with Counts
-	// reads, and no frame may go uncounted.
-	const goroutines, perG = 8, 500
-	pl := New(Chaos(7))
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	go func() { // concurrent Counts reader
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = pl.Counts()
-			}
-		}
-	}()
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				pl.Decide(i, 128)
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	if got := pl.Counts().Frames; got != goroutines*perG {
-		t.Errorf("counted %d frames, want %d", got, goroutines*perG)
 	}
 }

@@ -1,15 +1,13 @@
 package faultplane
 
-import "sync"
-
 // Script is the deterministic injector: an explicit decision per frame
 // sequence number (1-based, per link) — "drop the 4th frame", "corrupt
 // the next call" — for surgical tests and demos, where a seeded Plane is
 // for soaks. Frames without an entry pass clean. The zero Script is
-// ready to use; it is safe for concurrent use, so decisions may be armed
-// mid-run (aim at wire.Link.Frames()+1 for "the next frame").
+// ready to use. Decisions may be armed mid-run, between calls, by the
+// goroutine driving the link (aim at wire.Link.Frames()+1 for "the
+// next frame").
 type Script struct {
-	mu sync.Mutex
 	at map[int]Decision
 }
 
@@ -27,8 +25,6 @@ func (s *Script) Corrupt(n int) { s.update(n, func(d *Decision) { d.Corrupt = tr
 // update edits frame n's decision in place, so Drop and Corrupt compose
 // with each other and with an earlier Set.
 func (s *Script) update(n int, f func(*Decision)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.at == nil {
 		s.at = map[int]Decision{}
 	}
@@ -40,7 +36,5 @@ func (s *Script) update(n int, f func(*Decision)) {
 // Decide returns the decision armed for frame seq (the zero Decision,
 // a clean delivery, when none is).
 func (s *Script) Decide(seq, frameBytes int) Decision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.at[seq]
 }

@@ -1,9 +1,6 @@
 package faultplane
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestScriptDecidesOnlyArmedFrames(t *testing.T) {
 	var s Script
@@ -29,34 +26,5 @@ func TestScriptDecidesOnlyArmedFrames(t *testing.T) {
 	// A decision is a property of the frame number, not a one-shot.
 	if got := s.Decide(3, 64); got != want[3] {
 		t.Errorf("frame 3 re-decided as %+v", got)
-	}
-}
-
-func TestScriptConcurrentArmAndDecide(t *testing.T) {
-	// Senders on many goroutines decide while a test arms frames mid-run
-	// (the link calls Decide under its own lock, but a Script shared by
-	// several links is reached from several at once).
-	var s Script
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(2)
-		go func(g int) {
-			defer wg.Done()
-			for n := 0; n < 200; n++ {
-				s.Drop(g*1000 + n)
-			}
-		}(g)
-		go func(g int) {
-			defer wg.Done()
-			for n := 0; n < 200; n++ {
-				s.Decide(g*1000+n, 64)
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 0; g < 4; g++ {
-		if d := s.Decide(g*1000+199, 64); !d.Drop {
-			t.Errorf("frame %d lost its armed drop: %+v", g*1000+199, d)
-		}
 	}
 }

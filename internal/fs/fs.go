@@ -71,9 +71,10 @@ type inode struct {
 	nlink    int
 }
 
-// FS is the file system. It is not safe for concurrent use; the
-// simulated servers serialise access as the real single-threaded
-// servers of the era did.
+// FS is the file system. It takes no locks: like the single-threaded
+// servers of the era, it belongs to one goroutine at a time — for a
+// served FS, the goroutine that owns its server's stack (see package
+// fsserver).
 type FS struct {
 	inodes  map[uint64]*inode
 	nextIno uint64

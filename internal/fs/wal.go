@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // This file is the crash–recovery substrate for the decomposed server:
@@ -199,7 +198,6 @@ func (e *ErrWALCorrupt) Error() string {
 // cannot reopen the at-most-once window: a client's last call stays
 // answerable from the log no matter how many snapshots intervene.
 type WAL struct {
-	mu          sync.Mutex
 	cacheBlocks int
 	nextSeq     uint64
 	snapshot    []byte // snapshot image (see encodeImage); nil until first Snapshot
@@ -216,7 +214,7 @@ type WAL struct {
 	// records a backup still needs.
 	shipping bool
 	shipBuf  []Record
-	sumBuf   []byte // checksum scratch (sumLocked), one path long at most
+	sumBuf   []byte // checksum scratch, one path long at most
 }
 
 // NewWAL creates an empty log for a file system with the given block
@@ -229,11 +227,9 @@ func NewWAL(cacheBlocks int) *WAL {
 // checksum, and makes it durable. It must be called before the op is
 // applied.
 func (w *WAL) Append(r Record) Record {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.nextSeq++
 	r.Seq = w.nextSeq
-	r.Sum = w.sumLocked(&r)
+	r.Sum = w.checksum(&r)
 	w.tail = append(w.tail, r)
 	w.stats.Appends++
 	if w.shipping {
@@ -242,8 +238,8 @@ func (w *WAL) Append(r Record) Record {
 	return r
 }
 
-// sumLocked is recordSum in the WAL's own scratch. Caller holds w.mu.
-func (w *WAL) sumLocked(r *Record) (sum uint32) {
+// checksum is recordSum in the WAL's own scratch.
+func (w *WAL) checksum(r *Record) (sum uint32) {
 	sum, w.sumBuf = recordSumIn(w.sumBuf, r)
 	return sum
 }
@@ -252,9 +248,7 @@ func (w *WAL) sumLocked(r *Record) (sum uint32) {
 // appended record stays available to RecordsSince until acknowledged.
 // The primary of a replica set enables this before serving.
 func (w *WAL) EnableShipping() {
-	w.mu.Lock()
 	w.shipping = true
-	w.mu.Unlock()
 }
 
 // AppendShipped appends a record shipped from a primary, preserving its
@@ -262,12 +256,10 @@ func (w *WAL) EnableShipping() {
 // last sequence number and must carry a valid checksum — a gap or a
 // damaged record is the replication bug this check exists to catch.
 func (w *WAL) AppendShipped(r Record) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if r.Seq != w.nextSeq+1 {
 		return fmt.Errorf("fs: shipped record seq %d, log expects %d", r.Seq, w.nextSeq+1)
 	}
-	if r.Sum != w.sumLocked(&r) {
+	if r.Sum != w.checksum(&r) {
 		return fmt.Errorf("fs: shipped record seq %d fails checksum", r.Seq)
 	}
 	w.nextSeq = r.Seq
@@ -300,8 +292,6 @@ func (w *WAL) RecordsSince(seq uint64) []Record {
 // not the whole backlog above the cursor. The records share Path and
 // Data with the log: scratch that outlives them is cleared.
 func (w *WAL) AppendRecordsSince(dst []Record, seq uint64, limit int) []Record {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	ship := w.shipBuf[seqAbove(w.shipBuf, seq):seqAbove(w.shipBuf, max(seq, w.snapSeq))]
 	ship = ship[:min(len(ship), limit)]
 	tail := w.tail[seqAbove(w.tail, seq):]
@@ -324,8 +314,6 @@ func seqAbove(recs []Record, seq uint64) int {
 // dropped records it still needs — and must be caught up by state
 // transfer (InstallSnapshot) instead of record shipping.
 func (w *WAL) ShipFloor() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	floor := w.snapSeq
 	if len(w.shipBuf) > 0 && w.shipBuf[0].Seq-1 < floor {
 		floor = w.shipBuf[0].Seq - 1
@@ -341,8 +329,6 @@ func (w *WAL) ShipFloor() uint64 {
 // shorter one, as in a long catch-up, is resliced past, so no ack
 // copies the whole backlog: amortised O(1) per record either way.
 func (w *WAL) AckShipped(seq uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if i := seqAbove(w.shipBuf, seq); 2*i >= len(w.shipBuf) {
 		w.shipBuf = slices.Delete(w.shipBuf, 0, i)
 	} else {
@@ -353,15 +339,11 @@ func (w *WAL) AckShipped(seq uint64) {
 
 // ShipBacklog returns how many appended records await acknowledgement.
 func (w *WAL) ShipBacklog() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return len(w.shipBuf)
 }
 
 // LastSeq returns the highest sequence number appended so far.
 func (w *WAL) LastSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.nextSeq
 }
 
@@ -371,8 +353,6 @@ func (w *WAL) LastSeq() uint64 {
 // updated. Recovery must detect and truncate exactly this. Reports
 // whether there was a tail record to tear.
 func (w *WAL) TearFinalRecord() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if len(w.tail) == 0 {
 		return false
 	}
@@ -387,7 +367,7 @@ func (w *WAL) TearFinalRecord() bool {
 
 // dropFrom removes every retained record with sequence number at or
 // above seq from both the tail and the ship buffer and rewinds nextSeq,
-// returning how many tail records were dropped. Caller holds w.mu.
+// returning how many tail records were dropped.
 func (w *WAL) dropFrom(seq uint64) int {
 	n := 0
 	i := len(w.tail)
@@ -413,8 +393,6 @@ func (w *WAL) dropFrom(seq uint64) int {
 // the next ship from a healthy peer re-delivers the quarantined range,
 // checksummed. Returns how many tail records were quarantined.
 func (w *WAL) QuarantineFrom(seq uint64) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	n := w.dropFrom(seq)
 	w.stats.Quarantined += n
 	return n
@@ -428,8 +406,6 @@ func (w *WAL) QuarantineFrom(seq uint64) int {
 // different stories in the stats. Returns how many records were
 // discarded.
 func (w *WAL) DiscardFrom(seq uint64) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	n := w.dropFrom(seq)
 	w.stats.Discarded += n
 	return n
@@ -440,8 +416,6 @@ func (w *WAL) DiscardFrom(seq uint64) int {
 // the snapshot itself is undecodable: nothing below it can be trusted,
 // so the node falls back to full state transfer from a peer.
 func (w *WAL) QuarantineSnapshot() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.stats.Quarantined += len(w.tail)
 	w.stats.SnapshotsQuarantined++
 	w.snapshot = nil
@@ -457,8 +431,6 @@ func (w *WAL) QuarantineSnapshot() {
 // a peer too far behind for record shipping. Nil if no snapshot has
 // been taken.
 func (w *WAL) SnapshotBytes() ([]byte, uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.snapshot == nil {
 		return nil, 0
 	}
@@ -469,8 +441,6 @@ func (w *WAL) SnapshotBytes() ([]byte, uint64) {
 
 // SnapSeq returns the sequence number the snapshot covers through.
 func (w *WAL) SnapSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.snapSeq
 }
 
@@ -486,8 +456,6 @@ func (w *WAL) InstallSnapshot(data []byte, seq uint64) (*FS, []SessionRecord, er
 	if err != nil {
 		return nil, nil, fmt.Errorf("fs: install snapshot: %w", err)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.snapshot = make([]byte, len(data))
 	copy(w.snapshot, data)
 	w.snapSeq = seq
@@ -508,8 +476,6 @@ func (w *WAL) InstallSnapshot(data []byte, seq uint64) (*FS, []SessionRecord, er
 // a record with data, checksum rot otherwise. Reports the damaged
 // record's sequence number and whether the offset named a record.
 func (w *WAL) CorruptTailRecord(i int) (uint64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if i < 0 || i >= len(w.tail) {
 		return 0, false
 	}
@@ -526,8 +492,6 @@ func (w *WAL) CorruptTailRecord(i int) (uint64, bool) {
 // bit flipped at the given offset (taken modulo the snapshot length).
 // Reports whether there was a snapshot to damage.
 func (w *WAL) CorruptSnapshotByte(off int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if len(w.snapshot) == 0 {
 		return false
 	}
@@ -722,30 +686,22 @@ func (d *batchReader) uint32() uint32 {
 // the record in the tail, where recovery replays it and rebuilds the
 // session entry with the identical (deterministic) outcome.
 func (w *WAL) Commit(s SessionRecord) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.sessions[s.Client] = s
 }
 
 // Session returns the client's durable at-most-once record.
 func (w *WAL) Session(client uint32) (SessionRecord, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	s, ok := w.sessions[client]
 	return s, ok
 }
 
 // SinceSnapshot returns the number of records in the tail.
 func (w *WAL) SinceSnapshot() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return len(w.tail)
 }
 
 // Stats returns a snapshot of the log counters.
 func (w *WAL) Stats() WALStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.stats
 }
 
@@ -760,8 +716,6 @@ const minInodeBytes, minEntryBytes, minFDBytes, minSessionBytes = 4, 2, 3, 2*4 +
 // through the tail — and truncates the tail. The session table rides
 // inside the snapshot. The error is always nil.
 func (w *WAL) Snapshot(f *FS) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.snapshot = encodeImage(w.cacheBlocks, f, w.sessions)
 	w.snapSeq = w.nextSeq
 	w.stats.Snapshots++
@@ -1014,8 +968,6 @@ func validName(name string) bool {
 // Returns the file system, the recovered sessions sorted by client,
 // and the number of tail records replayed.
 func Recover(w *WAL) (*FS, []SessionRecord, int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	// Integrity pass before anything is replayed. A torn FINAL record is
 	// the expected signature of a crash mid-append — the op never became
 	// durable, its client never got a reply, its retransmission will
@@ -1023,7 +975,7 @@ func Recover(w *WAL) (*FS, []SessionRecord, int, error) {
 	// anywhere else means the log itself is damaged: replaying past the
 	// hole would diverge, so recovery refuses.
 	for i, r := range w.tail {
-		if r.Sum == w.sumLocked(&r) {
+		if r.Sum == w.checksum(&r) {
 			continue
 		}
 		if i != len(w.tail)-1 {

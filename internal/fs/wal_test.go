@@ -731,8 +731,6 @@ func TestQuarantineSnapshotResetsToGenesis(t *testing.T) {
 // its reference: every ship-buffer record the snapshot folded away,
 // then every tail record, above the cursor, stopping at limit records.
 func recordsSinceRef(w *WAL, seq uint64, limit int) []Record {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	var out []Record
 	for _, r := range w.shipBuf {
 		if r.Seq > seq && r.Seq <= w.snapSeq && len(out) < limit {

@@ -91,7 +91,8 @@ func TestChaosSoakIsBitReproducible(t *testing.T) {
 func TestChaosSoakParallelLinks(t *testing.T) {
 	// Independent decomposed services under independent fault planes,
 	// driven concurrently — the -race configuration of the soak. Each
-	// link serialises its own plane; separate services share nothing.
+	// goroutine owns its whole stack, link and plane included, and
+	// separate stacks share nothing (the single-ownership contract).
 	cm := kernel.NewCostModel(arch.R3000)
 	want := cleanMonolithicFingerprint(t, cm)
 	type result struct {

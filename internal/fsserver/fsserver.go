@@ -6,12 +6,27 @@
 // + two address-space switches per operation, plus stub and transport
 // work on actual bytes). Replaying the same file script against both
 // produces, mechanically, the cost multiplication that Table 7 counts.
+//
+// # Single ownership
+//
+// A stack instance is the links on one wire.VClock and everything
+// attached to them: every Remote, Server, Cluster and Backup, each
+// server's fs.FS and fs.WAL, and the recorders, histograms and fault
+// planes armed on them. It belongs to one goroutine at a time, and
+// nothing in it takes a lock: that goroutine drives every op, and the
+// replication, recovery and healing those ops trigger run synchronously
+// inside them. Handing a stack to another goroutine needs a
+// happens-before edge, such as the channel hand-off Interleave makes
+// between the clients it runs. Independent stacks share nothing but
+// the wire frame-buffer pools, so they may run on separate goroutines
+// at once. The race detector enforces the contract: a second goroutine
+// touching a stack without such an edge is a data race, reported in
+// any -race run that exercises it.
 package fsserver
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"archos/internal/faultplane"
 	"archos/internal/fs"
@@ -154,13 +169,6 @@ const defaultSnapshotEvery = 512
 type Server struct {
 	Wire *wire.Server
 
-	// mu guards FS, wal, crasher, and the recovery counters. Lock
-	// ordering: the wire reply-cache lock → mu → wire.Server's own
-	// lock, the order in which a dispatch on the stack's one driving
-	// goroutine takes them; recovery never touches the reply-cache lock
-	// (the durable session table is consulted lazily via the dedup
-	// authority instead).
-	mu      sync.Mutex
 	FS      *fs.FS
 	wal     *fs.WAL
 	link    *wire.Link
@@ -178,7 +186,7 @@ type Server struct {
 	recoveries  int
 	replayedOps int
 
-	// names is ReadDir's listing buffer, reused under mu: a listing
+	// names is ReadDir's listing buffer, reused across calls: a listing
 	// goes into the reply frame and nothing of it outlives the handler.
 	names []string
 }
@@ -207,9 +215,7 @@ func NewServer(fsys *fs.FS, link *wire.Link, side wire.Endpoint) *Server {
 // wire server's receive and pre-reply windows and this server's
 // pre-apply window (after the WAL append, before the FS apply).
 func (s *Server) SetCrasher(c faultplane.Crasher) {
-	s.mu.Lock()
 	s.crasher = c
-	s.mu.Unlock()
 	s.Wire.SetCrasher(c)
 }
 
@@ -220,8 +226,6 @@ func (s *Server) Crash() { s.Wire.ForceCrash() }
 // Recoveries returns how many times the server has crashed and
 // recovered, and how many WAL records those recoveries replayed.
 func (s *Server) Recoveries() (recoveries, replayedOps int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.recoveries, s.replayedOps
 }
 
@@ -229,15 +233,11 @@ func (s *Server) Recoveries() (recoveries, replayedOps int) {
 // rebuilt instance, not the one the server was constructed with —
 // always read final state through here in crash experiments.
 func (s *Server) CurrentFS() *fs.FS {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.FS
 }
 
 // WALStats exposes the op log's counters.
 func (s *Server) WALStats() fs.WALStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.wal.Stats()
 }
 
@@ -248,8 +248,6 @@ func (s *Server) WALStats() fs.WALStats {
 // recovery replays it. Caller identity comes from the frame header, so
 // the WAL doubles as the at-most-once record that survives crashes.
 func (s *Server) logApply(h wire.Header, r fs.Record) (fs.ApplyResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r.Client = h.ClientID
 	r.Call = h.CallID
 	r = s.wal.Append(r)
@@ -330,8 +328,6 @@ var procForOp = map[fs.OpCode]uint32{
 // reply the client is owed, stamped with the current epoch. The
 // handler never re-runs for a logged call.
 func (s *Server) replayFor(clientID uint32) (uint32, []byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sess, ok := s.wal.Session(clientID)
 	if !ok {
 		return 0, nil, false
@@ -361,8 +357,6 @@ func (s *Server) replayFor(clientID uint32) (uint32, []byte, bool) {
 // re-register the handlers, and charge the deterministic recovery
 // downtime to the virtual clock.
 func (s *Server) recoverNow() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	fsys, _, replayed, err := fs.Recover(s.wal)
 	if err != nil {
 		panic(err) // stable storage decode failure: unrecoverable corruption
@@ -392,7 +386,7 @@ func (s *Server) recoverNow() {
 // (logged); Stat and ReadDir are idempotent queries — re-executing them
 // after a crash is harmless, so they bypass the log. Handlers read s.FS
 // dynamically (never capture the pointer): recovery swaps in the
-// rebuilt file system under s.mu.
+// rebuilt file system.
 func (s *Server) register() {
 	s.logged(ProcOpen, func(a *wire.Args) fs.Record { return fs.Record{Op: fs.OpOpen, Path: a.String()} })
 	s.logged(ProcCreate, func(a *wire.Args) fs.Record { return fs.Record{Op: fs.OpCreate, Path: a.String()} })
@@ -417,8 +411,6 @@ func (s *Server) register() {
 		if err := a.Err(); err != nil {
 			return err
 		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		st, err := s.FS.StatBytes(path)
 		if err != nil {
 			return err
@@ -435,8 +427,6 @@ func (s *Server) register() {
 		if err := a.Err(); err != nil {
 			return err
 		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		names, err := s.FS.AppendDir(s.names[:0], path)
 		if err != nil {
 			return err

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"math"
 	"strconv"
-	"sync"
 
 	"archos/internal/faultplane"
 	"archos/internal/fs"
@@ -150,11 +149,10 @@ func (s ReplStats) add(o ReplStats) ReplStats {
 
 // replicator is the primary-side shipping machinery: one wire client
 // per backup on a dedicated replication link, and the acked cursor per
-// backup. Methods are called with the owning Server's mu held, so the
-// cursor needs no lock of its own. The primary link carries the
-// cluster's recorder; ship spans are keyed on the client op that
-// triggered them (the trace context the WAL records carry), so a trace
-// shows the replication stall inside the op that paid for it.
+// backup. The primary link carries the cluster's recorder; ship spans
+// are keyed on the client op that triggered them (the trace context
+// the WAL records carry), so a trace shows the replication stall
+// inside the op that paid for it.
 type replicator struct {
 	clients []*wire.Client
 	peers   []*wire.Server
@@ -390,7 +388,6 @@ func (rp *replicator) lag(w *fs.WAL) uint64 {
 type Backup struct {
 	Repl *wire.Server // backup end of the replication link
 
-	mu           sync.Mutex
 	srv          *Server // client-facing server; registered at promotion
 	wal          *fs.WAL
 	appliedSeq   uint64
@@ -461,22 +458,18 @@ func newBackup(blocks int, clientLink, replLink *wire.Link) *Backup {
 func (b *Backup) rejoinNow() {
 	b.Repl.Restart()
 	b.registerRepl()
-	b.mu.Lock()
-	b.recoverLocalLocked()
-	applied := b.appliedSeq
-	b.mu.Unlock()
-	rec := b.srv.link.Recorder()
-	if rec.Enabled() {
-		rec.Emit(obs.Event{Layer: "repl", Name: "rejoin", Val: float64(applied)})
+	b.recoverLocal()
+	if rec := b.srv.link.Recorder(); rec.Enabled() {
+		rec.Emit(obs.Event{Layer: "repl", Name: "rejoin", Val: float64(b.appliedSeq)})
 	}
 }
 
-// recoverLocalLocked rebuilds the node's file system from its WAL,
-// healing at-rest damage by quarantine: a torn mid-log record drops
-// the log from the damage onward (the suffix re-ships from a healthy
-// peer), an undecodable snapshot abandons the log wholesale (state
-// transfer rebuilds it). Caller holds b.mu.
-func (b *Backup) recoverLocalLocked() {
+// recoverLocal rebuilds the node's file system from its WAL, healing
+// at-rest damage by quarantine: a torn mid-log record drops the log
+// from the damage onward (the suffix re-ships from a healthy peer), an
+// undecodable snapshot abandons the log wholesale (state transfer
+// rebuilds it).
+func (b *Backup) recoverLocal() {
 	if b.disk != nil {
 		fault := b.disk.Decide(b.wal.SinceSnapshot())
 		if fault.TearTailIndex >= 0 {
@@ -504,9 +497,7 @@ func (b *Backup) recoverLocalLocked() {
 			panic(err) // recovery of an empty log cannot fail
 		}
 	}
-	b.srv.mu.Lock()
 	b.srv.FS = fsys
-	b.srv.mu.Unlock()
 	b.appliedSeq = b.wal.LastSeq()
 }
 
@@ -522,8 +513,6 @@ func (b *Backup) registerRepl() {
 		if err := a.Err(); err != nil {
 			return err
 		}
-		b.mu.Lock()
-		defer b.mu.Unlock()
 		recs, err := fs.AppendDecodedRecords(b.decoded[:0], batch)
 		if err != nil {
 			return err
@@ -534,7 +523,7 @@ func (b *Backup) registerRepl() {
 				b.decoded = nil
 			}
 		}()
-		if err := b.fenceLocked(epoch, "ship"); err != nil {
+		if err := b.fence(epoch, "ship"); err != nil {
 			return err
 		}
 		// The backup's client-facing link carries the cluster recorder;
@@ -591,8 +580,6 @@ func (b *Backup) registerRepl() {
 		if err := a.Err(); err != nil {
 			return err
 		}
-		b.mu.Lock()
-		defer b.mu.Unlock()
 		// A caller announcing its epoch is (re)claiming primacy: stamp it
 		// so staler shippers are fenced even before the first record
 		// arrives.
@@ -613,9 +600,7 @@ func (b *Backup) registerRepl() {
 		if err := a.Err(); err != nil {
 			return err
 		}
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if err := b.fenceLocked(epoch, "snapshot"); err != nil {
+		if err := b.fence(epoch, "snapshot"); err != nil {
 			return err
 		}
 		if offset == 0 {
@@ -640,9 +625,7 @@ func (b *Backup) registerRepl() {
 		if err != nil {
 			return err
 		}
-		b.srv.mu.Lock()
 		b.srv.FS = fsys
-		b.srv.mu.Unlock()
 		b.appliedSeq = snapSeq
 		if rec := b.srv.link.Recorder(); rec.Enabled() {
 			rec.Emit(obs.Event{Layer: "repl", Name: "install", Val: float64(snapSeq)})
@@ -658,14 +641,10 @@ func (b *Backup) registerRepl() {
 		if n < 1 || n > maxScrubRanges {
 			return fmt.Errorf("fsserver: scrub of %d ranges outside [1, %d]", n, maxScrubRanges)
 		}
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if err := b.fenceLocked(epoch, "scrub"); err != nil {
+		if err := b.fence(epoch, "scrub"); err != nil {
 			return err
 		}
-		b.srv.mu.Lock()
 		fps := b.srv.FS.RangeFingerprints(int(n))
-		b.srv.mu.Unlock()
 		buf := make([]byte, 8*len(fps))
 		for i, fp := range fps {
 			binary.BigEndian.PutUint64(buf[i*8:], fp)
@@ -676,13 +655,12 @@ func (b *Backup) registerRepl() {
 	})
 }
 
-// fenceLocked admits a primary-to-backup call stamped with epoch, or
-// rejects it: a promoted backup takes no writes from a deposed primary
-// limping back (the replication-plane face of epoch fencing), and a
-// caller below the highest primacy this backup has witnessed is deposed
-// and does not know it yet. An admitted epoch becomes the witnessed
-// one. Caller holds b.mu.
-func (b *Backup) fenceLocked(epoch uint32, what string) error {
+// fence admits a primary-to-backup call stamped with epoch, or rejects
+// it: a promoted backup takes no writes from a deposed primary limping
+// back (the replication-plane face of epoch fencing), and a caller
+// below the highest primacy this backup has witnessed is deposed and
+// does not know it yet. An admitted epoch becomes the witnessed one.
+func (b *Backup) fence(epoch uint32, what string) error {
 	if b.promoted {
 		return fmt.Errorf("fsserver: backup promoted (epoch %d); %s rejected", b.srv.Wire.Epoch(), what)
 	}
@@ -695,15 +673,11 @@ func (b *Backup) fenceLocked(epoch uint32, what string) error {
 
 // AppliedSeq returns how far this backup has applied the shipped log.
 func (b *Backup) AppliedSeq() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.appliedSeq
 }
 
 // Promoted reports whether this backup has taken over as primary.
 func (b *Backup) Promoted() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.promoted
 }
 
@@ -713,8 +687,6 @@ func (b *Backup) Promoted() bool {
 // so stale replies are fenced, install the dedup authority over the
 // shipped session table, and register the file service. Idempotent.
 func (b *Backup) promote() uint32 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.promoted {
 		return b.srv.Wire.Epoch()
 	}
@@ -723,9 +695,7 @@ func (b *Backup) promote() uint32 {
 		panic(err) // shipped log failed integrity mid-stream: unrecoverable
 	}
 	s := b.srv
-	s.mu.Lock()
 	s.FS = fsys
-	s.mu.Unlock()
 	next := b.primaryEpoch
 	if e := s.Wire.Epoch(); e > next {
 		next = e
@@ -790,7 +760,6 @@ type Cluster struct {
 	backupLinks []*wire.Link // client↔backup, one per backup
 	replLinks   []*wire.Link // primary↔backup, one per backup
 
-	mu        sync.Mutex
 	active    int // 0 = primary, i+1 = backups[i]
 	failovers int
 
@@ -873,8 +842,6 @@ func (c *Cluster) NewClient() *Remote {
 // so whichever client's call first finds the primary gone promotes,
 // and every later call routes to the same backup.
 func (c *Cluster) Failover() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.active != 0 {
 		return c.active
 	}
@@ -909,12 +876,9 @@ func (c *Cluster) Failover() int {
 // existing replication links (a second client identity per link), its
 // WAL retaining from here on. The resync stamps the new epoch on every
 // peer — from this instant the deposed primary's ships are stale — and
-// closes whatever gap the peers have to the promotion point. Caller
-// holds c.mu.
+// closes whatever gap the peers have to the promotion point.
 func (c *Cluster) armShipping(pick int, epoch uint32) {
 	np := c.backups[pick].srv
-	np.mu.Lock()
-	defer np.mu.Unlock()
 	if np.repl != nil {
 		return
 	}
@@ -951,15 +915,7 @@ func (c *Cluster) ReplLink(i int) *wire.Link { return c.replLinks[i] }
 
 // ActiveFS returns the file system of the replica currently serving:
 // the primary's, or the promoted backup's after a failover.
-func (c *Cluster) ActiveFS() *fs.FS {
-	c.mu.Lock()
-	active := c.active
-	c.mu.Unlock()
-	if active == 0 {
-		return c.primary.CurrentFS()
-	}
-	return c.backups[active-1].srv.CurrentFS()
-}
+func (c *Cluster) ActiveFS() *fs.FS { return c.activeServer().FS }
 
 // SetRecorder attaches one recorder to every client-facing link in the
 // cluster; build it on the cluster's clock (Clock) so all links trace
@@ -1006,16 +962,8 @@ func (c *Cluster) KillPrimaryForever() {
 	c.primary.Crash()
 }
 
-// activeServer returns the server currently holding primacy. Caller
-// must not hold c.mu.
+// activeServer returns the server currently holding primacy.
 func (c *Cluster) activeServer() *Server {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.activeServerLocked()
-}
-
-// activeServerLocked is activeServer with c.mu already held.
-func (c *Cluster) activeServerLocked() *Server {
 	if c.active == 0 {
 		return c.primary
 	}
@@ -1024,10 +972,8 @@ func (c *Cluster) activeServerLocked() *Server {
 
 // receivers returns every node currently in the receiving role: the
 // backups (minus the promoted one) plus the demoted old primary once
-// it has rejoined. Caller must not hold c.mu.
+// it has rejoined.
 func (c *Cluster) receivers() []*Backup {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]*Backup, 0, len(c.backups)+1)
 	for i, b := range c.backups {
 		if i+1 == c.active {
@@ -1046,22 +992,17 @@ func (c *Cluster) receivers() []*Backup {
 // ships during its own reign); sequence and lag read the node that
 // currently holds primacy.
 func (c *Cluster) Stats() ClusterStats {
-	c.mu.Lock()
-	active := c.active
-	failovers := c.failovers
-	demoted := c.demoted
 	st := ClusterStats{
 		Backups:        len(c.backups),
-		Failovers:      failovers,
+		Failovers:      c.failovers,
 		Rejoins:        c.rejoins,
 		FencedShips:    c.fencedShips,
 		ScrubPasses:    c.scrubPasses,
 		ScrubRepairs:   c.scrubRepairs,
 		RepairedRanges: c.repairedRanges,
 	}
-	c.mu.Unlock()
-	if active > 0 {
-		st.PromotedEpoch = c.backups[active-1].srv.Wire.Epoch()
+	if c.active > 0 {
+		st.PromotedEpoch = c.backups[c.active-1].srv.Wire.Epoch()
 	}
 	var rs ReplStats
 	nodes := []*Server{c.primary}
@@ -1069,14 +1010,12 @@ func (c *Cluster) Stats() ClusterStats {
 		nodes = append(nodes, b.srv)
 	}
 	for _, s := range nodes {
-		s.mu.Lock()
 		if s.repl != nil {
 			rs = rs.add(s.repl.stats)
 		}
 		ws := s.wal.Stats()
 		st.Quarantined += ws.Quarantined
 		st.Discarded += ws.Discarded
-		s.mu.Unlock()
 	}
 	st.ShipCalls = rs.ShipCalls
 	st.ShipFailures = rs.ShipFailures
@@ -1085,29 +1024,22 @@ func (c *Cluster) Stats() ClusterStats {
 	st.StateTransfers = rs.StateTransfers
 	st.SnapChunks = rs.SnapChunks
 	st.CursorCorrections = rs.CursorCorrections
-	act := c.primary
-	if active > 0 {
-		act = c.backups[active-1].srv
-	}
-	act.mu.Lock()
+	act := c.activeServer()
 	st.PrimarySeq = act.wal.LastSeq()
 	if act.repl != nil {
 		st.ReplicationLag = act.repl.lag(act.wal)
 	}
-	act.mu.Unlock()
 	peers := make([]*Backup, 0, len(c.backups)+1)
 	peers = append(peers, c.backups...)
-	if demoted != nil {
-		peers = append(peers, demoted)
+	if c.demoted != nil {
+		peers = append(peers, c.demoted)
 	}
 	for _, b := range peers {
-		b.mu.Lock()
 		if b.appliedSeq > st.BackupSeq {
 			st.BackupSeq = b.appliedSeq
 		}
 		st.Reships += b.reships
 		st.SeqViolations += b.seqViolations
-		b.mu.Unlock()
 	}
 	return st
 }
@@ -1117,8 +1049,6 @@ func (c *Cluster) Stats() ClusterStats {
 // exposes.
 func (c *Cluster) ReplicationLag() float64 {
 	act := c.activeServer()
-	act.mu.Lock()
-	defer act.mu.Unlock()
 	if act.repl == nil {
 		return 0
 	}
@@ -1131,27 +1061,18 @@ func (c *Cluster) ReplicationLag() float64 {
 // not re-applied), and no receiving node may stand ahead of the log
 // that currently holds primacy.
 func (c *Cluster) Audit() error {
-	act := c.activeServer()
-	act.mu.Lock()
-	last := act.wal.LastSeq()
-	act.mu.Unlock()
-	c.mu.Lock()
-	demoted := c.demoted
-	c.mu.Unlock()
+	last := c.activeServer().wal.LastSeq()
 	nodes := make([]*Backup, 0, len(c.backups)+1)
 	nodes = append(nodes, c.backups...)
-	if demoted != nil {
-		nodes = append(nodes, demoted)
+	if c.demoted != nil {
+		nodes = append(nodes, c.demoted)
 	}
 	for i, b := range nodes {
-		b.mu.Lock()
-		violations, applied, promoted := b.seqViolations, b.appliedSeq, b.promoted
-		b.mu.Unlock()
-		if violations > 0 {
-			return fmt.Errorf("fsserver: replica %d: %d sequence violations", i, violations)
+		if b.seqViolations > 0 {
+			return fmt.Errorf("fsserver: replica %d: %d sequence violations", i, b.seqViolations)
 		}
-		if applied > last && !promoted {
-			return fmt.Errorf("fsserver: replica %d applied %d past active log %d", i, applied, last)
+		if b.appliedSeq > last && !b.promoted {
+			return fmt.Errorf("fsserver: replica %d applied %d past active log %d", i, b.appliedSeq, last)
 		}
 	}
 	return nil

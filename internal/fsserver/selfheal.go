@@ -81,8 +81,6 @@ func (c *Cluster) EnableSelfHeal(p SelfHealPolicy) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.heal = &p
 	c.nextScrubAt = c.clock.Clock() + p.ScrubIntervalMicros
 }
@@ -104,52 +102,42 @@ func (c *Cluster) SetBackupKillPlane(i int, p faultplane.CrashPolicy) *faultplan
 // which a single-pump drive makes deterministic.
 func (c *Cluster) SetDiskPlane(p faultplane.DiskFaultPolicy) *faultplane.DiskPlane {
 	d := faultplane.NewDisk(p)
-	c.mu.Lock()
 	c.disk = d
-	c.mu.Unlock()
 	for _, b := range c.backups {
-		b.mu.Lock()
 		b.disk = d
-		b.mu.Unlock()
 	}
 	return d
 }
 
 // Demoted returns the deposed primary's receiver role after it has
 // rejoined, nil before.
-func (c *Cluster) Demoted() *Backup {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.demoted
-}
+func (c *Cluster) Demoted() *Backup { return c.demoted }
 
 // Tick drives the healing plane from the call path: demote-and-rejoin
 // the deposed primary once its fencing delay has elapsed, and run the
 // anti-entropy scrub when its interval comes due. Called by every
 // replicated client op; a no-op until EnableSelfHeal.
 func (c *Cluster) Tick() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.heal == nil {
 		return
 	}
 	now := c.clock.Clock()
 	if c.active != 0 && c.demoted == nil && now >= c.failoverAt+c.heal.RejoinDelayMicros {
-		c.rejoinDeposedPrimaryLocked(now)
+		c.rejoinDeposedPrimary(now)
 	}
 	if now >= c.nextScrubAt {
-		c.scrubLocked()
+		c.scrub()
 		c.nextScrubAt = c.clock.Clock() + c.heal.ScrubIntervalMicros
 	}
 }
 
-// rejoinDeposedPrimaryLocked demotes the dead original primary and
-// readmits it as a receiving backup: probe (the first rejected ship —
-// how a deposed primary discovers its fencing), discard the
-// speculative tail past the promotion point, recover locally through
-// the quarantine path, then join the active primary's ack set on a
-// fresh replication link and catch up. Caller holds c.mu.
-func (c *Cluster) rejoinDeposedPrimaryLocked(now float64) {
+// rejoinDeposedPrimary demotes the dead original primary and readmits
+// it as a receiving backup: probe (the first rejected ship — how a
+// deposed primary discovers its fencing), discard the speculative tail
+// past the promotion point, recover locally through the quarantine
+// path, then join the active primary's ack set on a fresh replication
+// link and catch up.
+func (c *Cluster) rejoinDeposedPrimary(now float64) {
 	pick := c.active - 1
 	np := c.backups[pick]
 	p := c.primary
@@ -157,16 +145,12 @@ func (c *Cluster) rejoinDeposedPrimaryLocked(now float64) {
 
 	// The fencing signal: one ship at the old epoch, rejected by the
 	// promoted peer. The deposed primary now knows its reign is over.
-	p.mu.Lock()
-	oldEpoch := p.Wire.Epoch()
-	oldRepl := p.repl
-	p.mu.Unlock()
-	if oldRepl != nil && pick < len(oldRepl.clients) {
+	if old := p.repl; old != nil && pick < len(old.clients) {
 		probe, _ := fs.EncodeRecords(nil)
-		args := oldRepl.clients[pick].NewCallArgs()
-		args.Uint32(oldEpoch)
+		args := old.clients[pick].NewCallArgs()
+		args.Uint32(p.Wire.Epoch())
 		args.Bytes(probe)
-		if _, err := oldRepl.clients[pick].CallRaw(oldRepl.peers[pick], ProcShip, args); err != nil {
+		if _, err := old.clients[pick].CallRaw(old.peers[pick], ProcShip, args); err != nil {
 			c.fencedShips++
 		}
 	}
@@ -175,10 +159,8 @@ func (c *Cluster) rejoinDeposedPrimaryLocked(now float64) {
 	// new primary's history supersedes. If a snapshot folded
 	// speculative records in, nothing below it can be kept either —
 	// reset and let state transfer rebuild the node.
-	np.mu.Lock()
 	promotedAt := np.promotedAtSeq
 	newEpoch := np.srv.Wire.Epoch()
-	np.mu.Unlock()
 	var discarded int
 	if p.wal.SnapSeq() > promotedAt {
 		p.wal.QuarantineSnapshot()
@@ -201,18 +183,14 @@ func (c *Cluster) rejoinDeposedPrimaryLocked(now float64) {
 	nb.primaryEpoch = newEpoch
 	nb.registerRepl()
 	nb.Repl.OnRestart(nb.rejoinNow)
-	nb.mu.Lock()
-	nb.recoverLocalLocked()
-	applied := nb.appliedSeq
-	nb.mu.Unlock()
+	nb.recoverLocal()
+	applied := nb.appliedSeq // the catch-up below moves it on
 	c.demoted = nb
 	c.demotedLink = link
 	c.rejoins++
 
 	npSrv := np.srv
-	npSrv.mu.Lock()
-	rp := npSrv.repl
-	if rp != nil {
+	if rp := npSrv.repl; rp != nil {
 		ship := wire.NewClient(link, wire.A)
 		ship.MaxRetries = c.cfg.AckRetries
 		ship.DeadlineMicros = c.cfg.AckTimeoutMicros
@@ -222,7 +200,6 @@ func (c *Cluster) rejoinDeposedPrimaryLocked(now float64) {
 		rp.round++
 		rp.shipTo(len(rp.clients)-1, npSrv.wal, newEpoch, npSrv.wal.LastSeq(), 0, 0)
 	}
-	npSrv.mu.Unlock()
 
 	if rec.Enabled() {
 		rec.Event("cluster", "demote", 0, 0,
@@ -232,19 +209,17 @@ func (c *Cluster) rejoinDeposedPrimaryLocked(now float64) {
 	}
 }
 
-// scrubLocked runs one anti-entropy pass: the active primary compares
-// its per-range state fingerprints against every receiving peer that
-// is fully caught up (lag is the ship path's job, not divergence) and
+// scrub runs one anti-entropy pass: the active primary compares its
+// per-range state fingerprints against every receiving peer that is
+// fully caught up (lag is the ship path's job, not divergence) and
 // repairs disagreement by folding its state into a fresh snapshot and
-// pushing it whole. Caller holds c.mu.
-func (c *Cluster) scrubLocked() {
-	act := c.activeServerLocked()
+// pushing it whole.
+func (c *Cluster) scrub() {
+	act := c.activeServer()
 	rec := c.primaryLink.Recorder()
 	t0 := c.clock.Clock()
 	divergent := 0
-	act.mu.Lock()
-	rp := act.repl
-	if rp != nil && len(rp.clients) > 0 {
+	if rp := act.repl; rp != nil && len(rp.clients) > 0 {
 		n := c.heal.ScrubRanges
 		local := act.FS.RangeFingerprints(n)
 		last := act.wal.LastSeq()
@@ -284,7 +259,6 @@ func (c *Cluster) scrubLocked() {
 			}
 		}
 	}
-	act.mu.Unlock()
 	c.scrubPasses++
 	if rec.Enabled() {
 		now := c.clock.Clock()
@@ -313,26 +287,17 @@ func (c *Cluster) NodeFingerprints() []string {
 // then run a final scrub so silent divergence is repaired before the
 // caller asserts fingerprints.
 func (c *Cluster) Quiesce() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.heal != nil && c.active != 0 && c.demoted == nil {
-		c.rejoinDeposedPrimaryLocked(c.clock.Clock())
+		c.rejoinDeposedPrimary(c.clock.Clock())
 	}
-	act := c.activeServerLocked()
-	for attempt := 0; attempt < 64; attempt++ {
-		act.mu.Lock()
-		rp := act.repl
-		var lag uint64
-		if rp != nil {
-			rp.ship(act.wal, act.Wire.Epoch(), 0, 0)
-			lag = rp.lag(act.wal)
-		}
-		act.mu.Unlock()
-		if lag == 0 {
+	act := c.activeServer()
+	for attempt := 0; attempt < 64 && act.repl != nil; attempt++ {
+		act.repl.ship(act.wal, act.Wire.Epoch(), 0, 0)
+		if act.repl.lag(act.wal) == 0 {
 			break
 		}
 	}
 	if c.heal != nil {
-		c.scrubLocked()
+		c.scrub()
 	}
 }

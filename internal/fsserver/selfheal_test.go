@@ -171,11 +171,9 @@ func TestStateTransferHealsCursorBelowFloor(t *testing.T) {
 	// The backup's storage rots wholesale: snapshot undecodable, log
 	// abandoned, node back at genesis.
 	b := cluster.Backup(0)
-	b.mu.Lock()
 	b.wal.QuarantineSnapshot()
-	b.recoverLocalLocked()
+	b.recoverLocal()
 	applied := b.appliedSeq
-	b.mu.Unlock()
 	if applied != 0 {
 		t.Fatalf("genesis reset left appliedSeq = %d", applied)
 	}

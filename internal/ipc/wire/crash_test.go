@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"archos/internal/faultplane"
@@ -32,7 +31,6 @@ func (c *scriptedCrasher) CrashNow(p faultplane.CrashPoint) bool {
 // server's WAL-backed authority has.
 type sessionAuth struct {
 	server *Server
-	mu     sync.Mutex
 	calls  map[uint32]uint32
 	vals   map[uint32]int64
 }
@@ -42,15 +40,11 @@ func newSessionAuth(s *Server) *sessionAuth {
 }
 
 func (a *sessionAuth) record(h Header, v int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.calls[h.ClientID] = h.CallID
 	a.vals[h.ClientID] = v
 }
 
 func (a *sessionAuth) lookup(clientID uint32) (uint32, []byte, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	call, ok := a.calls[clientID]
 	if !ok {
 		return 0, nil, false

@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"strconv"
-	"sync"
 )
 
 // EpochFence is the highest server epoch a logical caller has observed
@@ -12,15 +11,12 @@ import (
 // since been superseded (restarted, or deposed by a promoted backup) —
 // and must never be surfaced to the caller.
 type EpochFence struct {
-	mu  sync.Mutex
 	max uint32
 }
 
 // Admit checks epoch e against the fence: an epoch at or above the
 // fence raises it and is admitted; an older epoch is rejected.
 func (f *EpochFence) Admit(e uint32) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if e < f.max {
 		return false
 	}
@@ -30,8 +26,6 @@ func (f *EpochFence) Admit(e uint32) bool {
 
 // Max returns the highest epoch observed so far.
 func (f *EpochFence) Max() uint32 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.max
 }
 
@@ -62,7 +56,6 @@ type FailoverClient struct {
 	servers []*Server
 	fence   *EpochFence
 
-	mu        sync.Mutex
 	active    int
 	nextID    uint32
 	failovers int
@@ -96,9 +89,7 @@ func NewFailoverClient(clients []*Client, servers []*Server) *FailoverClient {
 // now (possibly after promoting a backup), or -1 to give up on this
 // call.
 func (f *FailoverClient) OnFailover(fn func() int) {
-	f.mu.Lock()
 	f.onFailover = fn
-	f.mu.Unlock()
 }
 
 // Peer builds another logical caller over the same endpoints: a fresh
@@ -113,9 +104,7 @@ func (f *FailoverClient) Peer() *FailoverClient {
 		clients[i].DeadlineMicros = c.DeadlineMicros
 	}
 	p := NewFailoverClient(clients, f.servers)
-	f.mu.Lock()
 	p.onFailover = f.onFailover
-	f.mu.Unlock()
 	return p
 }
 
@@ -124,8 +113,6 @@ func (f *FailoverClient) ClientID() uint32 { return f.clients[0].ClientID }
 
 // Active returns the index of the endpoint currently called.
 func (f *FailoverClient) Active() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.active
 }
 
@@ -158,9 +145,7 @@ func (f *FailoverClient) Stats() Stats {
 	for _, c := range f.clients {
 		s = s.Add(c.Stats())
 	}
-	f.mu.Lock()
 	s.Failovers = f.failovers
-	f.mu.Unlock()
 	return s
 }
 
@@ -210,12 +195,10 @@ func (f *FailoverClient) CallRaw(proc uint32, w *CallArgs) (Args, error) {
 
 // callHops is CallRaw's hop loop; the builder stays the caller's.
 func (f *FailoverClient) callHops(proc uint32, w *CallArgs) (Args, error) {
-	f.mu.Lock()
 	f.nextID++
 	id := f.nextID
 	active := f.active
 	hook := f.onFailover
-	f.mu.Unlock()
 
 	rec := f.clients[active].link.Recorder()
 	failedAt := -1.0 // clock at the first transport failure, -1 = none yet
@@ -249,10 +232,8 @@ func (f *FailoverClient) callHops(proc uint32, w *CallArgs) (Args, error) {
 		}
 		rec.Event("client", "failover", c.ClientID, id,
 			"from="+strconv.Itoa(active)+" to="+strconv.Itoa(next))
-		f.mu.Lock()
 		f.active = next
 		f.failovers++
-		f.mu.Unlock()
 		active = next
 	}
 	return Args{}, ErrCallFailed

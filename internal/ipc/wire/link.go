@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
 
 	"archos/internal/faultplane"
 	"archos/internal/ipc"
@@ -18,21 +17,18 @@ import (
 // or drop frame #n — the surgical tests). Injected delay is charged to
 // the link's virtual clock.
 //
-// One goroutine at a time drives a link, together with everything else
-// on its VClock; the N callers sharing it are simulated clients that
-// goroutine interleaves. Reply frames are demultiplexed into per-client
-// receive queues (RecvClient) by the client ID in the frame header, so
-// one caller draining the wire never discards another caller's reply.
+// A link belongs to the goroutine that owns its stack (see the package
+// doc); the N callers sharing it are simulated clients that goroutine
+// interleaves. Reply frames are demultiplexed into per-client receive
+// queues (RecvClient) by the client ID in the frame header, so one
+// caller draining the wire never discards another caller's reply.
 // Frames too damaged to route — a bit flip in the header's routing
 // fields — land in the shared direction queue, where any receiver may
 // collect them and count the checksum failure, exactly as a shared
-// Ethernet delivers damage to whoever listens. The lock keeps every
-// method race-free, but a second driving goroutine would make the
-// interleaving, and so every trace, irreproducible.
+// Ethernet delivers damage to whoever listens.
 type Link struct {
 	Net ipc.NetworkConfig
 
-	mu    sync.Mutex
 	aToB  [][]byte
 	bToA  [][]byte
 	clock *VClock // virtual wire time; may be shared by several links
@@ -94,10 +90,8 @@ func NewLinkOnClock(net ipc.NetworkConfig, clock *VClock) *Link {
 }
 
 // VClock is a shared virtual-time source in microseconds. Every link
-// created on the same VClock advances and reads the same timeline; the
-// lock order is always link → clock, never the reverse.
+// created on the same VClock advances and reads the same timeline.
 type VClock struct {
-	mu     sync.Mutex
 	micros float64
 }
 
@@ -105,17 +99,11 @@ type VClock struct {
 func NewVClock() *VClock { return &VClock{} }
 
 // Clock returns the current virtual time; VClock satisfies obs.Clock.
-func (v *VClock) Clock() float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.micros
-}
+func (v *VClock) Clock() float64 { return v.micros }
 
 // add advances the clock by d and returns the new reading.
 func (v *VClock) add(d float64) float64 {
-	v.mu.Lock()
 	v.micros += d
-	defer v.mu.Unlock()
 	return v.micros
 }
 
@@ -123,8 +111,6 @@ func (v *VClock) add(d float64) float64 {
 // 1-based sequence fault decisions key on, so a test can aim a
 // faultplane.Script at "the next frame" mid-run.
 func (l *Link) Frames() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.seq
 }
 
@@ -132,8 +118,6 @@ func (l *Link) Frames() int {
 // faultplane: a seeded Plane or a per-frame Script). Pass nil to
 // detach.
 func (l *Link) SetFaultPlane(p faultplane.Injector) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.plane = p
 }
 
@@ -143,16 +127,12 @@ func (l *Link) SetFaultPlane(p faultplane.Injector) {
 // wire's virtual time. Pass nil to disable tracing (the default); a
 // nil recorder costs the transport nothing.
 func (l *Link) SetRecorder(r *obs.Recorder) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.obs = r
 }
 
 // Recorder returns the attached recorder (nil when tracing is
 // disabled).
 func (l *Link) Recorder() *obs.Recorder {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.obs
 }
 
@@ -173,8 +153,6 @@ func (l *Link) AdvanceClock(micros float64) {
 
 // allocClientID hands out distinct caller identities on this link.
 func (l *Link) allocClientID() uint32 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.nextClient++
 	return l.nextClient
 }
@@ -184,8 +162,6 @@ func (l *Link) allocClientID() uint32 {
 // allocation high-water mark) accepts it here — the multi-endpoint
 // client keeps one identity across every link it spans.
 func (l *Link) adoptClientID(id uint32) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if id > l.nextClient {
 		l.nextClient = id
 	}
@@ -228,11 +204,9 @@ func (l *Link) stage(from Endpoint) *[][]byte {
 // Off by default: batching changes how many wire transfers a workload
 // performs, so deterministic goldens opt in explicitly.
 func (l *Link) EnableBatching(on bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.batching && !on {
-		l.flushBatchLocked(A)
-		l.flushBatchLocked(B)
+		l.flushBatch(A)
+		l.flushBatch(B)
 	}
 	l.batching = on
 }
@@ -240,8 +214,6 @@ func (l *Link) EnableBatching(on bool) {
 // BatchStats reports how many containers this link has transmitted and
 // how many frames they coalesced.
 func (l *Link) BatchStats() (batches, frames int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.batchesSent, l.framesCoalesced
 }
 
@@ -297,7 +269,7 @@ func looksLikeCall(frame []byte) bool {
 // damaged container cannot be split (its lengths are untrustworthy) and
 // falls through whole to the shared queue, where a receiver counts the
 // checksum failure, so corruption costs the entire batch exactly as
-// dropping the container loses it. Callers hold l.mu.
+// dropping the container loses it.
 func (l *Link) deliver(from Endpoint, frame []byte) {
 	if payload, ok := batchPayload(frame); ok {
 		for i := 0; i+4 <= len(payload); {
@@ -339,7 +311,7 @@ func batchPayload(frame []byte) ([]byte, bool) {
 }
 
 // flushHeld pushes every held (reordered) frame in the direction out
-// through normal routing. Callers hold l.mu.
+// through normal routing.
 func (l *Link) flushHeld(from Endpoint) {
 	_, held := l.queues(from)
 	if len(*held) == 0 {
@@ -365,13 +337,11 @@ func (l *Link) flushHeld(from Endpoint) {
 // Frames too large to share a container (and anything that would
 // overflow one) flush the stage first, preserving send order.
 func (l *Link) Send(from Endpoint, frame []byte) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.batching {
 		entry := 4 + len(frame)
 		d := int(from)
 		if l.stagedBytes[d]+entry > maxPayload {
-			l.flushBatchLocked(from)
+			l.flushBatch(from)
 		}
 		if entry <= maxPayload {
 			if l.obs != nil {
@@ -386,15 +356,15 @@ func (l *Link) Send(from Endpoint, frame []byte) {
 		}
 		// An oversized frame travels alone, behind what was staged.
 	}
-	l.transmitLocked(from, frame, false)
+	l.transmit(from, frame, false)
 }
 
-// flushBatchLocked transmits everything staged in the direction as one
+// flushBatch transmits everything staged in the direction as one
 // KindBatch container (a lone staged frame skips the container and
 // degenerates to a plain transmission). The container is one wire unit:
 // one per-packet charge, one fault-plane decision — drop loses the
-// whole batch, corruption damages it whole. Callers hold l.mu.
-func (l *Link) flushBatchLocked(from Endpoint) {
+// whole batch, corruption damages it whole.
+func (l *Link) flushBatch(from Endpoint) {
 	st := l.stage(from)
 	staged := *st
 	if len(staged) == 0 {
@@ -403,7 +373,7 @@ func (l *Link) flushBatchLocked(from Endpoint) {
 	*st = (*st)[:0]
 	l.stagedBytes[from] = 0
 	if len(staged) == 1 {
-		l.transmitLocked(from, staged[0], true)
+		l.transmit(from, staged[0], true)
 		return
 	}
 	payload := getBuf()
@@ -425,23 +395,23 @@ func (l *Link) flushBatchLocked(from Endpoint) {
 		l.obs.EmitAt(obs.Event{T: l.clock.Clock(), Layer: "link", Name: "flush",
 			Val: float64(len(staged))})
 	}
-	l.transmitLocked(from, container, true)
+	l.transmit(from, container, true)
 }
 
-// transmitLocked is the wire proper: virtual-time charge, fault
-// decisions, and delivery for one transmitted unit. owned marks a frame
-// the link already holds a pooled copy of (a flushed stage or a built
+// transmit is the wire proper: virtual-time charge, fault decisions,
+// and delivery for one transmitted unit. owned marks a frame the link
+// already holds a pooled copy of (a flushed stage or a built
 // container); an unowned frame is copied first, because the sender may
-// reuse its buffer the moment Send returns. Callers hold l.mu.
-func (l *Link) transmitLocked(from Endpoint, frame []byte, owned bool) {
+// reuse its buffer the moment Send returns.
+func (l *Link) transmit(from Endpoint, frame []byte, owned bool) {
 	l.seq++
 	wireMicros := l.Net.PacketMicros(len(frame))
 	now := l.clock.add(wireMicros)
-	// Tracing happens inside the link lock with the clock in hand
-	// (EmitAt), so the event's timestamp and the frame's position in
-	// the decision stream can never disagree. All of it is skipped when
-	// no recorder is attached, and the typed fields keep it free of
-	// allocation when one is.
+	// Tracing stamps the reading this charge returned (EmitAt), so the
+	// event's timestamp and the frame's position in the decision stream
+	// can never disagree. All of it is skipped when no recorder is
+	// attached, and the typed fields keep it free of allocation when one
+	// is.
 	var callID, clientID uint32
 	if l.obs != nil {
 		var kind MsgKind
@@ -536,8 +506,6 @@ func flipBit(frame []byte, offset int) {
 // wire) are the network's, not the process's, and survive the crash.
 // Returns the number of frames lost.
 func (l *Link) PurgeToward(at Endpoint) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	q, _ := l.queues(opposite(at))
 	n := len(*q)
 	for _, f := range *q {
@@ -555,8 +523,6 @@ var ErrEmpty = errors.New("wire: no frame pending")
 // damage). Client-addressed replies are not visible here; they wait in
 // their per-client queues for RecvClient.
 func (l *Link) Recv(at Endpoint) ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	from := opposite(at)
 	q, held := l.queues(from)
 	if len(*q) == 0 && len(*held) > 0 {
@@ -567,7 +533,7 @@ func (l *Link) Recv(at Endpoint) ([]byte, error) {
 	if len(*q) == 0 && l.batching {
 		// The receiver polling is what moves a staged batch: flush
 		// whatever has coalesced in this direction since the last poll.
-		l.flushBatchLocked(from)
+		l.flushBatch(from)
 	}
 	if len(*q) == 0 {
 		return nil, ErrEmpty
@@ -597,14 +563,12 @@ func popFrame(q *[][]byte) []byte {
 // one unroutable (damaged) frame from the shared queue so checksum
 // failures are observed and counted rather than pooling forever.
 func (l *Link) RecvClient(at Endpoint, clientID uint32) ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	from := opposite(at)
 	if len(l.clientQ[at][clientID]) == 0 {
 		l.flushHeld(from)
 	}
 	if len(l.clientQ[at][clientID]) == 0 && l.batching {
-		l.flushBatchLocked(from)
+		l.flushBatch(from)
 	}
 	if frames := l.clientQ[at][clientID]; len(frames) > 0 {
 		f := popFrame(&frames)

@@ -7,6 +7,22 @@
 // executes them, so tests can demonstrate the mechanics the paper
 // describes — marshalling, checksum verification, packet loss — not
 // just their costs.
+//
+// # Single ownership
+//
+// A stack instance is the links on one VClock and everything attached
+// to them: every Client, FailoverClient and Server, the retry budgets
+// and epoch fences they share, and the recorders, histograms and fault
+// planes armed on them. It belongs to one goroutine at a time, which
+// drives every call, poll and read; nothing in it takes a lock. Handing
+// a stack to another goroutine needs a happens-before edge, such as a
+// channel hand-off. Several callers of one stack are simulated clients
+// that its goroutine interleaves in an order it fixes, which is what
+// makes same-seed runs byte-identical. Independent stacks share nothing
+// but the frame-buffer pools (sync.Pool), so they may run on separate
+// goroutines at once. The race detector enforces the contract: a
+// second goroutine touching a stack without such an edge is a data
+// race, reported in any -race run that exercises it.
 package wire
 
 import (

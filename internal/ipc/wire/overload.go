@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"sync"
-
-	"archos/internal/obs"
-)
+import "archos/internal/obs"
 
 // The overload-control plane of the wire layer. Under offered load
 // beyond capacity, a transport with unconditional retries and
@@ -33,7 +29,6 @@ import (
 // may be shared by several clients (the per-process budget of the
 // classic formulation) or held per client.
 type RetryBudget struct {
-	mu     sync.Mutex
 	ratio  float64
 	burst  float64
 	tokens float64
@@ -47,9 +42,7 @@ type RetryBudget struct {
 // with the denial count, so a trace shows exactly when the fuel line
 // was cut. A nil recorder detaches.
 func (b *RetryBudget) SetRecorder(rec *obs.Recorder) {
-	b.mu.Lock()
 	b.rec = rec
-	b.mu.Unlock()
 }
 
 // NewRetryBudget builds a budget earning ratio tokens per success,
@@ -64,20 +57,16 @@ func NewRetryBudget(ratio, burst float64) *RetryBudget {
 
 // Earn credits one success.
 func (b *RetryBudget) Earn() {
-	b.mu.Lock()
 	b.tokens += b.ratio
 	if b.tokens > b.burst {
 		b.tokens = b.burst
 	}
 	b.earned++
-	b.mu.Unlock()
 }
 
 // Spend takes one token for a retransmission, reporting whether the
 // budget allowed it.
 func (b *RetryBudget) Spend() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.tokens >= 1 {
 		b.tokens--
 		b.spent++
@@ -91,8 +80,6 @@ func (b *RetryBudget) Spend() bool {
 // Counts reports successes credited, retries paid for, and retries
 // denied since construction.
 func (b *RetryBudget) Counts() (earned, spent, denied int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.earned, b.spent, b.denied
 }
 

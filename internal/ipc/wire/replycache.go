@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"container/list"
-	"sync"
-)
+import "container/list"
 
 // defaultCacheCapacity keeps a thousand callers in the server's
 // at-most-once window while bounding the memory a retransmission storm
@@ -19,10 +16,10 @@ const defaultCacheCapacity = 1024
 // classic duplicate-reply-cache tradeoff), so the bound is sized
 // generously.
 //
-// The server holds mu across check-then-execute, so two copies of one
-// call can never both miss the cache and run the handler twice.
+// The server runs check-then-execute as one step on its stack's
+// goroutine, so two copies of one call can never both miss the cache
+// and run the handler twice.
 type replyCache struct {
-	mu      sync.Mutex
 	cap     int
 	entries map[uint32]*list.Element
 	lru     *list.List // front = most recently used
@@ -44,8 +41,7 @@ func newReplyCache(capacity int) *replyCache {
 	return &replyCache{cap: capacity, entries: map[uint32]*list.Element{}, lru: list.New()}
 }
 
-// get returns the client's cached record and bumps its recency. The
-// cache lock must be held.
+// get returns the client's cached record and bumps its recency.
 func (c *replyCache) get(clientID uint32) (*cacheEntry, bool) {
 	el, ok := c.entries[clientID]
 	if !ok {
@@ -57,7 +53,7 @@ func (c *replyCache) get(clientID uint32) (*cacheEntry, bool) {
 
 // put records the client's latest executed call, evicting the least
 // recently used client when the cache is full. It returns how many
-// entries were evicted. The cache lock must be held.
+// entries were evicted.
 //
 // Replaced and evicted reply frames are recycled into the frame-buffer
 // pool: the cache held their only reference — the link copies frames on

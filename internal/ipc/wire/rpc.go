@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"archos/internal/faultplane"
 	"archos/internal/obs"
@@ -88,13 +87,9 @@ func (s Stats) Add(o Stats) Stats {
 // reply cache answers retransmitted calls without re-running the
 // handler, so non-idempotent procedures survive a lossy wire.
 //
-// One goroutine at a time drives a server, together with every link,
-// client and server on its VClock — the single-threaded user-level
-// server of the decomposed OS model. Several clients are simulated
-// clients that this goroutine interleaves in an order it fixes, which
-// is what makes same-seed runs byte-identical. The locks keep a stray
-// second goroutine race-free, but it is not a supported drive: a call
-// that another goroutine is executing looks lost to its caller.
+// A server belongs to the goroutine that owns its stack (see the
+// package doc): the single-threaded user-level server of the
+// decomposed OS model.
 //
 // The server is mortal: a crash schedule (SetCrasher) or ForceCrash
 // kills it at a defined point — it stops serving, its reply cache and
@@ -107,10 +102,6 @@ type Server struct {
 	link *Link
 	side Endpoint
 
-	// mu guards the dispatch and lifecycle state: the handler table,
-	// the reply-cache pointer, the epoch, the crash flags, the shedding
-	// switch, and the crash/restart/authority hooks.
-	mu          sync.Mutex
 	procs       map[uint32]RawHandler
 	cache       *replyCache
 	epoch       uint32
@@ -122,8 +113,7 @@ type Server struct {
 	shedExpired bool
 	charge      float64
 
-	statsMu sync.Mutex
-	stats   Stats
+	stats Stats
 }
 
 // NewServer builds a server on side of link, in epoch 1.
@@ -141,9 +131,7 @@ func NewServer(link *Link, side Endpoint) *Server {
 // earlier binding. A call to an unbound procedure is answered with the
 // error reply ErrNoProc.
 func (s *Server) RegisterRaw(proc uint32, h RawHandler) {
-	s.mu.Lock()
 	s.procs[proc] = h
-	s.mu.Unlock()
 }
 
 // ConfigureReplyCache replaces the reply cache with one holding
@@ -151,9 +139,7 @@ func (s *Server) RegisterRaw(proc uint32, h RawHandler) {
 // Call before serving; replacing the cache mid-traffic forgets every
 // at-most-once record.
 func (s *Server) ConfigureReplyCache(capacity int) {
-	s.mu.Lock()
 	s.cache = newReplyCache(capacity)
-	s.mu.Unlock()
 }
 
 // SetShedExpired arms deadline-aware shedding: a call whose propagated
@@ -162,9 +148,7 @@ func (s *Server) ConfigureReplyCache(capacity int) {
 // setting survives restarts: it belongs to the deployment, not the
 // incarnation.
 func (s *Server) SetShedExpired(on bool) {
-	s.mu.Lock()
 	s.shedExpired = on
-	s.mu.Unlock()
 }
 
 // SetServiceCharge makes each executed handler consume micros of
@@ -175,18 +159,14 @@ func (s *Server) SetShedExpired(on bool) {
 // charged — that difference is exactly what shedding saves. 0 (the
 // default) restores the free-handler model.
 func (s *Server) SetServiceCharge(micros float64) {
-	s.mu.Lock()
 	s.charge = micros
-	s.mu.Unlock()
 }
 
 // SetCrasher attaches a crash schedule consulted at the CrashOnRecv
 // and CrashPreReply windows (services consult CrashPreApply themselves,
 // around their log append). Nil detaches.
 func (s *Server) SetCrasher(c faultplane.Crasher) {
-	s.mu.Lock()
 	s.crasher = c
-	s.mu.Unlock()
 }
 
 // OnRestart installs the restart hook run by the first Poll after a
@@ -195,24 +175,18 @@ func (s *Server) SetCrasher(c faultplane.Crasher) {
 // rebuild whatever durable state the service keeps. Without a hook a
 // crashed server stays dead.
 func (s *Server) OnRestart(fn func()) {
-	s.mu.Lock()
 	s.restart = fn
-	s.mu.Unlock()
 }
 
 // SetDedupAuthority installs the durable at-most-once source consulted
 // on reply-cache misses. Nil detaches.
 func (s *Server) SetDedupAuthority(a DedupAuthority) {
-	s.mu.Lock()
 	s.authority = a
-	s.mu.Unlock()
 }
 
 // Epoch returns the server's incarnation number, stamped into every
 // reply it transmits.
 func (s *Server) Epoch() uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.epoch
 }
 
@@ -222,17 +196,13 @@ func (s *Server) Epoch() uint32 {
 // primary could have left in flight (the v3 header's fencing token).
 // A lower e is ignored — epochs only move forward.
 func (s *Server) AdoptEpoch(e uint32) {
-	s.mu.Lock()
 	if e > s.epoch {
 		s.epoch = e
 	}
-	s.mu.Unlock()
 }
 
 // Crashed reports whether the server is currently dead.
 func (s *Server) Crashed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.crashed
 }
 
@@ -243,8 +213,6 @@ func (s *Server) Crashed() bool {
 // in this in-process model it stands in for the lease or quorum a
 // distributed system would use.
 func (s *Server) PermanentlyDown() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.crashed {
 		return false
 	}
@@ -262,11 +230,9 @@ func (s *Server) ForceCrash() { s.enterCrashed(faultplane.CrashForced) }
 // enterCrashed marks the server dead and drops its pending input: the
 // frames queued toward a dead process die with its address space.
 func (s *Server) enterCrashed(p faultplane.CrashPoint) {
-	s.mu.Lock()
 	s.crashed = true
-	s.mu.Unlock()
 	purged := s.link.PurgeToward(s.side)
-	s.count(func(st *Stats) { st.Crashes++ })
+	s.stats.Crashes++
 	s.link.Recorder().Event("server", "crash", 0, 0,
 		"point="+p.String()+" purged="+strconv.Itoa(purged))
 }
@@ -274,10 +240,7 @@ func (s *Server) enterCrashed(p faultplane.CrashPoint) {
 // crashPoint draws the attached crash schedule at window p and, when it
 // fires, kills the server. Reports whether the server just died.
 func (s *Server) crashPoint(p faultplane.CrashPoint) bool {
-	s.mu.Lock()
-	c := s.crasher
-	s.mu.Unlock()
-	if c == nil || !c.CrashNow(p) {
+	if s.crasher == nil || !s.crasher.CrashNow(p) {
 		return false
 	}
 	s.enterCrashed(p)
@@ -289,43 +252,32 @@ func (s *Server) crashPoint(p faultplane.CrashPoint) bool {
 // handler table cleared for re-registration. Called by the restart
 // hook; the server resumes serving when the hook returns.
 func (s *Server) Restart() {
-	s.mu.Lock()
 	s.epoch++
-	epoch := s.epoch
 	s.procs = map[uint32]RawHandler{}
 	s.cache = newReplyCache(s.cache.cap)
-	s.mu.Unlock()
-	s.count(func(st *Stats) { st.Restarts++ })
-	s.link.Recorder().Event("server", "restart", 0, 0, "epoch="+strconv.Itoa(int(epoch)))
+	s.stats.Restarts++
+	s.link.Recorder().Event("server", "restart", 0, 0, "epoch="+strconv.Itoa(int(s.epoch)))
 }
 
 // ensureAlive restarts a crashed server through the restart hook, if
 // one is installed. It reports whether the server may serve. While the
 // hook runs, a pump it reaches sees the server as dead.
 func (s *Server) ensureAlive() bool {
-	s.mu.Lock()
 	if !s.crashed {
-		s.mu.Unlock()
 		return true
 	}
 	if s.restarting || s.restart == nil {
-		s.mu.Unlock()
 		return false
 	}
 	if f, ok := s.crasher.(faultplane.Fatalist); ok && f.Fatal() {
 		// The schedule declared this crash fatal: the process never
 		// comes back, no matter how many pumps arrive.
-		s.mu.Unlock()
 		return false
 	}
 	s.restarting = true
-	fn := s.restart
-	s.mu.Unlock()
-	fn()
-	s.mu.Lock()
+	s.restart()
 	s.crashed = false
 	s.restarting = false
-	s.mu.Unlock()
 	return true
 }
 
@@ -333,15 +285,7 @@ func (s *Server) ensureAlive() bool {
 // Counters are cumulative across crashes and restarts — the
 // observability plane outlives the process it observes.
 func (s *Server) Stats() Stats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
 	return s.stats
-}
-
-func (s *Server) count(f func(*Stats)) {
-	s.statsMu.Lock()
-	f(&s.stats)
-	s.statsMu.Unlock()
 }
 
 // ErrNoProc reports a call to an unregistered procedure.
@@ -373,7 +317,7 @@ func (s *Server) Poll() {
 		}
 		h, payload, err := Decode(frame)
 		if err != nil {
-			s.count(func(st *Stats) { st.BadFrames++ })
+			s.stats.BadFrames++
 			putBuf(frame)
 			continue
 		}
@@ -396,45 +340,38 @@ func (s *Server) Poll() {
 	}
 }
 
-// dispatch serves one decoded call under the reply-cache lock, which
-// makes the duplicate check and the execute-and-cache step one atomic
-// unit. On a cache miss the durable authority is consulted before
-// executing, so a WAL-logged op whose cache entry was evicted — or
-// wiped by a restart — is never re-executed. Returns true when the
-// server crashed during dispatch. Holding one lock across a handler
-// cannot deadlock, because no handler calls back into its own server:
-// ships, scrubs and state transfers go to the backups' servers.
+// dispatch serves one decoded call: the duplicate check, then the
+// execute-and-cache step, with no other call able to run in between on
+// the stack's one goroutine. On a cache miss the durable authority is
+// consulted before executing, so a WAL-logged op whose cache entry was
+// evicted — or wiped by a restart — is never re-executed. Returns true
+// when the server crashed during dispatch.
 //
-// Deadline shedding runs first, before the lock: an already-expired
-// call is shed (the caller stopped waiting — executing it would be
-// pure waste). A shed call is answered with a cheap KindReject frame
-// and touches neither the reply cache nor any durable state — in
-// particular it can never poison the at-most-once record, so a later
-// retransmission of the same call ID is served as a fresh call.
+// Deadline shedding runs first: an already-expired call is shed (the
+// caller stopped waiting — executing it would be pure waste). A shed
+// call is answered with a cheap KindReject frame and touches neither
+// the reply cache nor any durable state — in particular it can never
+// poison the at-most-once record, so a later retransmission of the
+// same call ID is served as a fresh call.
 func (s *Server) dispatch(h Header, payload []byte) bool {
 	rec := s.link.Recorder()
-	s.mu.Lock()
-	cache := s.cache
-	proc := s.procs[h.ProcID]
-	auth := s.authority
-	shedExpired := s.shedExpired
-	charge := s.charge
-	s.mu.Unlock()
-	if shedExpired && h.Expiry != 0 && s.link.Clock() >= float64(h.Expiry) {
-		s.count(func(st *Stats) { st.ShedExpired++ })
+	if s.shedExpired && h.Expiry != 0 && s.link.Clock() >= float64(h.Expiry) {
+		s.stats.ShedExpired++
 		rec.Emit(obs.Event{Layer: "server", Name: "shed_expired", Client: h.ClientID, Call: h.CallID, Proc: h.ProcID})
 		s.reject(h, RejectExpired)
 		return false
 	}
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
+	// The authority and the handler are service code, so the cache,
+	// handler and charge this call is served under are read before
+	// either runs.
+	cache, proc, charge := s.cache, s.procs[h.ProcID], s.charge
 	if e, ok := cache.get(h.ClientID); ok {
 		if h.CallID == e.callID {
 			// Duplicate of the last executed call: resend the cached
 			// reply, never the handler. A nil cached frame (the
 			// EncodeErrors path) suppresses the execution but sends
 			// nothing — there is no reply frame to resend.
-			s.count(func(st *Stats) { st.DuplicatesSuppressed++ })
+			s.stats.DuplicatesSuppressed++
 			rec.Emit(obs.Event{Layer: "server", Name: "cache_hit", Client: h.ClientID, Call: h.CallID, Proc: h.ProcID})
 			if e.frame != nil {
 				s.link.Send(s.side, e.frame)
@@ -442,29 +379,26 @@ func (s *Server) dispatch(h Header, payload []byte) bool {
 			return false
 		}
 		if h.CallID < e.callID {
-			s.count(func(st *Stats) { st.StaleFrames++ })
+			s.stats.StaleFrames++
 			rec.Emit(obs.Event{Layer: "server", Name: "stale", Client: h.ClientID, Call: h.CallID})
 			return false
 		}
-	} else if auth != nil {
-		if callID, frame, ok := auth(h.ClientID); ok {
+	} else if s.authority != nil {
+		if callID, frame, ok := s.authority(h.ClientID); ok {
 			if h.CallID == callID {
 				// The op is in the durable log: serve the regenerated
 				// reply and refill the cache fast path. The handler
 				// must not run again.
-				s.count(func(st *Stats) { st.LogDuplicates++ })
+				s.stats.LogDuplicates++
 				rec.Emit(obs.Event{Layer: "server", Name: "log_hit", Client: h.ClientID, Call: h.CallID, Proc: h.ProcID})
-				evicted := cache.put(h.ClientID, h.CallID, frame)
-				if evicted > 0 {
-					s.count(func(st *Stats) { st.RepliesEvicted += evicted })
-				}
+				s.stats.RepliesEvicted += cache.put(h.ClientID, h.CallID, frame)
 				if frame != nil {
 					s.link.Send(s.side, frame)
 				}
 				return false
 			}
 			if h.CallID < callID {
-				s.count(func(st *Stats) { st.StaleFrames++ })
+				s.stats.StaleFrames++
 				rec.Emit(obs.Event{Layer: "server", Name: "stale", Client: h.ClientID, Call: h.CallID})
 				return false
 			}
@@ -504,12 +438,11 @@ func rejectAttr(reason byte) string {
 	return "reason=unknown"
 }
 
-// execute runs the handler under the caller-held reply-cache lock,
-// caches the outcome, and transmits the reply stamped with the
-// server's epoch. Returns true when the server crashed instead of
-// replying — either the handler aborted with ErrServerCrashed (the
-// service's pre-apply window) or the pre-reply window fired after the
-// handler ran.
+// execute runs the handler, caches the outcome, and transmits the
+// reply stamped with the server's epoch. Returns true when the server
+// crashed instead of replying — either the handler aborted with
+// ErrServerCrashed (the service's pre-apply window) or the pre-reply
+// window fired after the handler ran.
 func (s *Server) execute(rec *obs.Recorder, cache *replyCache, proc RawHandler, h Header, payload []byte, charge float64) bool {
 	var execStart float64
 	if rec.Enabled() {
@@ -538,19 +471,13 @@ func (s *Server) execute(rec *obs.Recorder, cache *replyCache, proc RawHandler, 
 	if err != nil {
 		// The reply cannot be encoded, but the handler has run: cache
 		// the execution anyway so retransmissions cannot repeat it.
-		evicted := cache.put(h.ClientID, h.CallID, nil)
-		s.count(func(st *Stats) {
-			st.EncodeErrors++
-			st.RepliesEvicted += evicted
-		})
+		s.stats.RepliesEvicted += cache.put(h.ClientID, h.CallID, nil)
+		s.stats.EncodeErrors++
 		return false
 	}
-	evicted := cache.put(h.ClientID, h.CallID, frame)
-	if evicted > 0 {
-		s.count(func(st *Stats) { st.RepliesEvicted += evicted })
-	}
+	s.stats.RepliesEvicted += cache.put(h.ClientID, h.CallID, frame)
 	s.link.Send(s.side, frame)
-	s.count(func(st *Stats) { st.Served++ }) // after the send: Served means "reply transmitted"
+	s.stats.Served++ // after the send: Served means "reply transmitted"
 	return false
 }
 
@@ -666,8 +593,7 @@ type Client struct {
 	// its ClientID (seeded lazily, so zero-value Clients work too).
 	jitter jitterRand
 
-	statsMu sync.Mutex
-	stats   Stats
+	stats Stats
 }
 
 // NewClient builds a client on side of link.
@@ -686,20 +612,12 @@ func NewClient(link *Link, side Endpoint) *Client {
 
 // Stats returns a snapshot of the client's transport counters.
 func (c *Client) Stats() Stats {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
 	return c.stats
 }
 
 // Epoch returns the server incarnation last observed in a reply (0
 // before the first reply arrives).
 func (c *Client) Epoch() uint32 { return c.epoch }
-
-func (c *Client) count(f func(*Stats)) {
-	c.statsMu.Lock()
-	f(&c.stats)
-	c.statsMu.Unlock()
-}
 
 // ErrCallFailed reports a call that exhausted its retries.
 var ErrCallFailed = errors.New("wire: call failed after retries")
@@ -724,7 +642,7 @@ func (e *RemoteError) Error() string { return "wire: remote: " + e.Msg }
 
 // deadlineErr records the blown budget and builds the typed error.
 func (c *Client) deadlineErr(proc uint32, start float64) error {
-	c.count(func(st *Stats) { st.DeadlineExceeded++ })
+	c.stats.DeadlineExceeded++
 	return fmt.Errorf("%w (proc %d, %.0f µs elapsed)", ErrDeadlineExceeded, proc, c.link.Clock()-start)
 }
 
@@ -814,7 +732,7 @@ func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]
 			// (re)transmission left: nobody downstream would want the
 			// answer, so the call is shed here — zero wire traffic, and
 			// on a clean wire provably unexecuted.
-			c.count(func(st *Stats) { st.ShedLocal++ })
+			c.stats.ShedLocal++
 			rec.Event("client", "call_end", c.ClientID, id, "status=shed_local")
 			return nil, fmt.Errorf("%w (proc %d, expired before send)", ErrOverloaded, proc)
 		}
@@ -827,7 +745,7 @@ func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]
 				// Out of retry tokens: abandoning beats amplifying. With
 				// rejects in this call's history the server is shedding —
 				// surface it as overload; otherwise the wire is just lossy.
-				c.count(func(st *Stats) { st.RetryBudgetDenied++ })
+				c.stats.RetryBudgetDenied++
 				rec.Event("client", "call_end", c.ClientID, id, "status=budget")
 				if rejected > 0 {
 					return nil, fmt.Errorf("%w (proc %d, retry budget exhausted after %d rejects)", ErrOverloaded, proc, rejected)
@@ -839,10 +757,8 @@ func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]
 			// N clients that lost frames to one burst do not retransmit
 			// in lockstep and re-collide forever.
 			pause := backoff * (0.5 + c.jitter.float64())
-			c.count(func(st *Stats) {
-				st.Retries++
-				st.BackoffMicros += pause
-			})
+			c.stats.Retries++
+			c.stats.BackoffMicros += pause
 			rec.Emit(obs.Event{Layer: "client", Name: "retransmit",
 				Client: c.ClientID, Call: id, Proc: proc,
 				Dur: pause, Val: float64(attempt)})
@@ -868,7 +784,7 @@ func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]
 			// next attempt (if the budget and expiry allow one) is a
 			// fresh admission try.
 			rejected++
-			c.count(func(st *Stats) { st.Rejects++ })
+			c.stats.Rejects++
 			continue
 		}
 		if c.Budget != nil {
@@ -933,13 +849,13 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 		}
 		h, payload, err := Decode(frame)
 		if err != nil {
-			c.count(func(st *Stats) { st.BadFrames++ })
+			c.stats.BadFrames++
 			putBuf(frame) // damaged: nobody will ever read it
 			continue
 		}
 		if h.Kind == KindReject && h.CallID == id && h.ClientID == c.ClientID {
 			if h.Epoch != 0 && c.Fence != nil && !c.Fence.Admit(h.Epoch) {
-				c.count(func(st *Stats) { st.FencedReplies++ })
+				c.stats.FencedReplies++
 				putBuf(frame)
 				rec.Emit(obs.Event{Layer: "client", Name: "fenced", Client: c.ClientID, Call: id, Val: float64(h.Epoch)})
 				continue
@@ -954,7 +870,7 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 			return nil, reason, nil
 		}
 		if h.Kind != KindReply || h.CallID != id || h.ClientID != c.ClientID {
-			c.count(func(st *Stats) { st.StaleFrames++ })
+			c.stats.StaleFrames++
 			putBuf(frame) // a superseded call's reply: terminally stale
 			continue
 		}
@@ -962,14 +878,14 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 			// A reply from a server incarnation older than one this
 			// caller has already heard from — a deposed primary's stale
 			// answer. Fenced off, never surfaced.
-			c.count(func(st *Stats) { st.FencedReplies++ })
+			c.stats.FencedReplies++
 			putBuf(frame)
 			rec.Emit(obs.Event{Layer: "client", Name: "fenced", Client: c.ClientID, Call: id, Val: float64(h.Epoch)})
 			continue
 		}
 		if h.Epoch != 0 {
 			if c.epoch != 0 && h.Epoch != c.epoch {
-				c.count(func(st *Stats) { st.SessionsReestablished++ })
+				c.stats.SessionsReestablished++
 				rec.Emit(obs.Event{Layer: "client", Name: "session_reestablish", Client: c.ClientID, Call: id, Val: float64(h.Epoch)})
 			}
 			c.epoch = h.Epoch

@@ -17,8 +17,6 @@ func echoRaw(h Header, a *Args, rep *Reply) error {
 // script returns link's per-frame fault script, attaching an empty one
 // on first use. A test scripts frames or seeds a plane, never both.
 func script(link *Link) *faultplane.Script {
-	link.mu.Lock()
-	defer link.mu.Unlock()
 	s, ok := link.plane.(*faultplane.Script)
 	if !ok {
 		if link.plane != nil {

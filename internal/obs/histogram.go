@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // NumBuckets is the fixed number of log2 latency buckets. Bucket 0
@@ -39,12 +38,12 @@ func bucketIndex(v float64) (idx int, clamped bool) {
 }
 
 // Histogram is a fixed-bucket log2 latency histogram over virtual
-// microseconds. The zero value is ready to use; all methods are safe
-// for concurrent use and safe on a nil receiver (a nil histogram is an
-// empty one), which is what makes the disabled-observability fast path
-// free of conditionals at call sites.
+// microseconds. The zero value is ready to use. Like the recorder that
+// holds it, a histogram belongs to one goroutine at a time and takes
+// no locks. All methods are safe on a nil receiver (a nil histogram is
+// an empty one), which is what makes the disabled-observability fast
+// path free of conditionals at call sites.
 type Histogram struct {
-	mu      sync.Mutex
 	counts  [NumBuckets]uint64
 	total   uint64
 	sum     float64
@@ -58,7 +57,6 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	idx, clamped := bucketIndex(v)
-	h.mu.Lock()
 	h.counts[idx]++
 	h.total++
 	h.sum += v
@@ -68,7 +66,6 @@ func (h *Histogram) Observe(v float64) {
 	if clamped {
 		h.clamped++
 	}
-	h.mu.Unlock()
 }
 
 // Count returns the number of observations.
@@ -76,8 +73,6 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.total
 }
 
@@ -86,8 +81,6 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.sum
 }
 
@@ -96,8 +89,6 @@ func (h *Histogram) Mean() float64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.total == 0 {
 		return 0
 	}
@@ -110,8 +101,6 @@ func (h *Histogram) Max() float64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.max
 }
 
@@ -121,8 +110,6 @@ func (h *Histogram) Clamped() uint64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.clamped
 }
 
@@ -131,8 +118,6 @@ func (h *Histogram) Buckets() [NumBuckets]uint64 {
 	if h == nil {
 		return [NumBuckets]uint64{}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.counts
 }
 
@@ -144,8 +129,6 @@ func (h *Histogram) Quantile(p float64) float64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.total == 0 {
 		return 0
 	}

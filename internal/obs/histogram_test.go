@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -130,23 +129,5 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 	}
 	if max != 4096 {
 		t.Errorf("max = %g", max)
-	}
-}
-
-func TestHistogramConcurrentObserve(t *testing.T) {
-	var h Histogram
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				h.Observe(float64(g*1000 + i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if h.Count() != 8000 {
-		t.Errorf("count = %d, want 8000", h.Count())
 	}
 }

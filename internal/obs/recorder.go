@@ -21,7 +21,6 @@ package obs
 
 import (
 	"sort"
-	"sync"
 )
 
 // Clock is a virtual-time source in microseconds. wire.Link satisfies
@@ -34,22 +33,17 @@ type Clock interface {
 // ManualClock is a settable virtual clock for layers that are not
 // driven by a wire link.
 type ManualClock struct {
-	mu sync.Mutex
-	t  float64
+	t float64
 }
 
 // Clock returns the current virtual time.
 func (m *ManualClock) Clock() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.t
 }
 
 // Advance moves the clock forward by d microseconds.
 func (m *ManualClock) Advance(d float64) {
-	m.mu.Lock()
 	m.t += d
-	m.mu.Unlock()
 }
 
 // Event is one observation on the virtual-time line. Events carrying
@@ -87,11 +81,12 @@ const DefaultEventCap = 1 << 18
 // Recorder collects events and histograms. Create one per experiment
 // with the virtual clock the traced layers share (usually the wire
 // link) and attach it with Link.SetRecorder; a nil recorder is the
-// disabled state. All methods are safe for concurrent use.
+// disabled state. A recorder takes no locks: it belongs to the
+// goroutine that owns the stack it is attached to (see package wire),
+// so its ring has a single writer.
 type Recorder struct {
-	clock Clock // immutable after construction; nil stamps events at 0
+	clock Clock // nil stamps events at 0
 
-	mu      sync.Mutex
 	seq     uint64
 	cap     int
 	head    int // index of the oldest event once the ring is full
@@ -123,9 +118,7 @@ func NewFlightRecorder(clock Clock, capacity int) *Recorder {
 // fast-path predicate spelled out.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// now reads the clock without holding r.mu, so a clock that is itself
-// a locked structure (the wire link) is never acquired inside the
-// recorder's lock — the lock order is always clock-owner → recorder.
+// now reads the recorder's clock.
 func (r *Recorder) now() float64 {
 	if r.clock == nil {
 		return 0
@@ -146,8 +139,8 @@ func (r *Recorder) Emit(e Event) {
 }
 
 // EmitAt records a fully-typed event with the caller's timestamp — the
-// form used by a caller that already holds the clock's own lock
-// (wire.Link records from inside Send with the link clock in hand).
+// form for a caller that already has the time in hand (wire.Link
+// stamps a send with the reading its wire-time charge returned).
 func (r *Recorder) EmitAt(e Event) {
 	if r == nil {
 		return
@@ -176,7 +169,6 @@ func (r *Recorder) EventAt(t float64, layer, name string, client, call uint32, a
 // overwriting the oldest event once full. Wrapping is as deterministic
 // as recording: same event stream in, same retained window out.
 func (r *Recorder) record(e Event) {
-	r.mu.Lock()
 	r.seq++
 	e.Seq = r.seq
 	if len(r.ring) < r.cap {
@@ -189,7 +181,6 @@ func (r *Recorder) record(e Event) {
 		}
 		r.dropped++
 	}
-	r.mu.Unlock()
 }
 
 // Observe records a value into the named histogram class, creating it
@@ -205,8 +196,6 @@ func (r *Recorder) Histogram(class string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h, ok := r.hists[class]
 	if !ok {
 		if r.hists == nil {
@@ -223,8 +212,6 @@ func (r *Recorder) Classes() []string {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.hists))
 	for n := range r.hists {
 		names = append(names, n)
@@ -240,8 +227,6 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Event, 0, len(r.ring))
 	out = append(out, r.ring[r.head:]...)
 	out = append(out, r.ring[:r.head]...)
@@ -253,8 +238,6 @@ func (r *Recorder) EventCount() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.ring)
 }
 
@@ -263,8 +246,6 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.dropped
 }
 

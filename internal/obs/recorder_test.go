@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -73,36 +72,6 @@ func TestSpanEventsFiltersByIdentity(t *testing.T) {
 	}
 	if got := strings.Join(names, ","); got != "call_start,execute,call_end" {
 		t.Errorf("span = %s", got)
-	}
-}
-
-func TestRecorderConcurrentUse(t *testing.T) {
-	r := NewRecorder(&ManualClock{})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Event("layer", "evt", uint32(g), uint32(i), "")
-				r.Observe("class", float64(i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if n := r.EventCount(); n != 4000 {
-		t.Errorf("events = %d, want 4000", n)
-	}
-	// Seq must be gapless and strictly increasing.
-	seen := map[uint64]bool{}
-	for _, e := range r.Events() {
-		if seen[e.Seq] {
-			t.Fatalf("duplicate seq %d", e.Seq)
-		}
-		seen[e.Seq] = true
-	}
-	if h := r.Histogram("class"); h.Count() != 4000 {
-		t.Errorf("histogram count = %d", h.Count())
 	}
 }
 

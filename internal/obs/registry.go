@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"sync"
 
 	"archos/internal/trace"
 )
@@ -16,9 +15,9 @@ type Source func() map[string]float64
 
 // Registry unifies the stack's scattered counter surfaces behind one
 // snapshot/diff API: register each subsystem's Source under a name,
-// then Snapshot() the whole stack at once. Safe for concurrent use.
+// then Snapshot() the whole stack at once. Like the stack whose
+// counters it reads, a registry belongs to one goroutine at a time.
 type Registry struct {
-	mu      sync.Mutex
 	names   []string
 	sources map[string]Source
 }
@@ -31,8 +30,6 @@ func NewRegistry() *Registry {
 // Register binds a source under name; its metrics appear in snapshots
 // as "name.metric". Re-registering a name replaces the source.
 func (g *Registry) Register(name string, src Source) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if _, ok := g.sources[name]; !ok {
 		g.names = append(g.names, name)
 	}
@@ -41,20 +38,10 @@ func (g *Registry) Register(name string, src Source) {
 
 // Snapshot reads every source once and returns the combined view.
 func (g *Registry) Snapshot() Snapshot {
-	g.mu.Lock()
-	names := append([]string(nil), g.names...)
-	sources := make([]Source, len(names))
-	for i, n := range names {
-		sources[i] = g.sources[n]
-	}
-	g.mu.Unlock()
-	// Sources run outside the registry lock: a source may itself take a
-	// subsystem lock (stats mutexes), and nothing here depends on the
-	// registry staying frozen while it does.
 	out := Snapshot{}
-	for i, src := range sources {
-		for k, v := range src() {
-			out[names[i]+"."+k] = v
+	for _, n := range g.names {
+		for k, v := range g.sources[n]() {
+			out[n+"."+k] = v
 		}
 	}
 	return out
