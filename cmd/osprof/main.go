@@ -52,56 +52,12 @@ func main() {
 		return
 	}
 
-	var meter *obs.AllocMeter
-	if *allocs {
-		meter = obs.NewAllocMeter()
-	}
-
-	cm := kernel.NewCostModel(arch.R3000)
-	link := wire.NewLink(ipc.NetworkConfig{Name: "prof-local", BandwidthMbps: 1e6})
-	var plane *faultplane.Plane
-	if *chaos {
-		plane = faultplane.New(faultplane.Chaos(*seed))
-		link.SetFaultPlane(plane)
-	}
-	remote := fsserver.NewRemoteOnLink(fs.New(256), cm, link)
-	rec := obs.NewRecorder(link)
-	remote.SetRecorder(rec)
-
-	if meter != nil {
-		meter.Reset() // measure the replay, not the setup above
-	}
-	ops, err := fsserver.DefaultAndrewMini().Run(remote)
+	out, rec, err := profileReport(*chaos, *seed, *allocs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "profile run failed:", err)
 		os.Exit(1)
 	}
-
-	st := remote.Stats()
-	fmt.Printf("osprof: andrew-mini, %d ops over the decomposed file service (R3000)", ops)
-	if *chaos {
-		fmt.Printf(", chaos seed %d", *seed)
-	}
-	fmt.Printf("\n\n")
-
-	fmt.Println(breakdownTable(cm, st, plane))
-	fmt.Println(obs.LatencyTable(rec, "Latency distribution (virtual µs)"))
-
-	reg := obs.NewRegistry()
-	reg.Register("fsserver", obs.StructSource(func() interface{} { return remote.Stats() }))
-	reg.Register("rpc", obs.HistogramSource(rec, "call.roundtrip"))
-	if plane != nil {
-		reg.Register("fault", obs.StructSource(func() interface{} { return plane.Counts() }))
-	}
-	fmt.Println(reg.Snapshot().Table("Metrics registry snapshot"))
-
-	if meter != nil {
-		alloc := obs.NewRegistry()
-		alloc.Register("goheap", meter.PerOpSource(func() float64 { return float64(ops) }))
-		fmt.Println(alloc.Snapshot().Table("Host allocation (real heap, machine-local)"))
-	}
-
-	fmt.Printf("virtual time %.0f µs, %d trace events\n", link.Clock(), rec.EventCount())
+	fmt.Print(out)
 	if *traceOut != "" {
 		if err := obs.ExportChromeFile(*traceOut, rec); err != nil {
 			fmt.Fprintln(os.Stderr, "trace export failed:", err)
@@ -116,6 +72,67 @@ func main() {
 			fmt.Printf("jsonl events written to %s\n", *jsonlOut)
 		}
 	}
+}
+
+// profileReport replays the andrew-mini script over a single-server
+// decomposed file service with a recorder attached — under the
+// reference chaos policy at seed when chaos is set — and renders the
+// default report: the virtual-time breakdown by layer, the latency
+// table and the metrics registry. Everything runs on the virtual
+// clock, so the report is byte-reproducible per seed. With allocs set
+// it also carries the host heap allocation table, which is
+// machine-local. The recorder is returned for the trace exports.
+func profileReport(chaos bool, seed int64, allocs bool) (string, *obs.Recorder, error) {
+	var meter *obs.AllocMeter
+	if allocs {
+		meter = obs.NewAllocMeter()
+	}
+
+	cm := kernel.NewCostModel(arch.R3000)
+	link := wire.NewLink(ipc.NetworkConfig{Name: "prof-local", BandwidthMbps: 1e6})
+	var plane *faultplane.Plane
+	if chaos {
+		plane = faultplane.New(faultplane.Chaos(seed))
+		link.SetFaultPlane(plane)
+	}
+	remote := fsserver.NewRemoteOnLink(fs.New(256), cm, link)
+	rec := obs.NewRecorder(link)
+	remote.SetRecorder(rec)
+
+	if meter != nil {
+		meter.Reset() // measure the replay, not the setup above
+	}
+	ops, err := fsserver.DefaultAndrewMini().Run(remote)
+	if err != nil {
+		return "", nil, err
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "osprof: andrew-mini, %d ops over the decomposed file service (R3000)", ops)
+	if chaos {
+		fmt.Fprintf(&b, ", chaos seed %d", seed)
+	}
+	fmt.Fprintf(&b, "\n\n")
+
+	fmt.Fprintln(&b, breakdownTable(cm, remote.Stats(), plane))
+	fmt.Fprintln(&b, obs.LatencyTable(rec, "Latency distribution (virtual µs)"))
+
+	reg := obs.NewRegistry()
+	reg.Register("fsserver", obs.StructSource(func() interface{} { return remote.Stats() }))
+	reg.Register("rpc", obs.HistogramSource(rec, "call.roundtrip"))
+	if plane != nil {
+		reg.Register("fault", obs.StructSource(func() interface{} { return plane.Counts() }))
+	}
+	fmt.Fprintln(&b, reg.Snapshot().Table("Metrics registry snapshot"))
+
+	if meter != nil {
+		alloc := obs.NewRegistry()
+		alloc.Register("goheap", meter.PerOpSource(func() float64 { return float64(ops) }))
+		fmt.Fprintln(&b, alloc.Snapshot().Table("Host allocation (real heap, machine-local)"))
+	}
+
+	fmt.Fprintf(&b, "virtual time %.0f µs, %d trace events\n", link.Clock(), rec.EventCount())
+	return b.String(), rec, nil
 }
 
 // critpathReport runs the andrew-mini script against a replicated

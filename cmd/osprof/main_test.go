@@ -9,17 +9,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestCritpathReportGolden pins the -critpath report byte for byte:
-// the replicated chaos+crash soak on the default seed must fold into
-// exactly this per-layer cost table, run after run, machine after
-// machine. Regenerate with `go test ./cmd/osprof -update`.
-func TestCritpathReportGolden(t *testing.T) {
-	got, err := critpathReport(1991, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "critpath.golden")
+// checkGolden compares got with testdata/name byte for byte, rewriting
+// the file first under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -33,7 +27,41 @@ func TestCritpathReportGolden(t *testing.T) {
 		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("critpath report drifted from golden\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("report drifted from %s\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestCritpathReportGolden pins the -critpath report byte for byte:
+// the replicated chaos+crash soak on the default seed must fold into
+// exactly this per-layer cost table, run after run, machine after
+// machine. Regenerate with `go test ./cmd/osprof -update`.
+func TestCritpathReportGolden(t *testing.T) {
+	got, err := critpathReport(1991, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "critpath.golden", got)
+}
+
+// TestProfileReportGolden pins the default report — `osprof` and
+// `osprof -chaos -seed 3` — byte for byte: the virtual-time breakdown,
+// the latency table and every row of the metrics registry. A counter
+// that appears, disappears or moves shows up here. Regenerate with
+// `go test ./cmd/osprof -update`.
+func TestProfileReportGolden(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		chaos  bool
+		seed   int64
+	}{
+		{"profile.golden", false, 1991},
+		{"profile_chaos_seed3.golden", true, 3},
+	} {
+		got, _, err := profileReport(c.chaos, c.seed, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, c.golden, got)
 	}
 }
 
