@@ -116,6 +116,7 @@ func TestPolicyValidateRejectsNaNAndRange(t *testing.T) {
 		"negative Loss":      {Loss: -0.01},
 		"Loss above one":     {Loss: 1.01},
 		"negative DelayMax":  {DelayMicrosMax: -5},
+		"infinite DelayMax":  {Seed: 1, DelayProb: 1, DelayMicrosMax: math.Inf(1)},
 		"negative BurstLen":  {BurstLen: -1},
 		"burst never starts": {BurstProb: 0.1, BurstLen: 0},
 		"Duplicate above 1":  {Duplicate: 2},

@@ -77,8 +77,9 @@ func checkProb(name string, v float64) error {
 }
 
 // Validate checks every probability for NaN and [0,1] membership and
-// every magnitude for negativity, returning a descriptive error naming
-// the offending field. New panics on exactly this error.
+// every magnitude for NaN, infinity and negativity, returning a
+// descriptive error naming the offending field. New panics on exactly
+// this error.
 func (p Policy) Validate() error {
 	for _, pr := range []struct {
 		name string
@@ -92,8 +93,11 @@ func (p Policy) Validate() error {
 			return err
 		}
 	}
-	if math.IsNaN(p.DelayMicrosMax) || p.DelayMicrosMax < 0 {
-		return fmt.Errorf("faultplane: DelayMicrosMax = %g, want a non-negative duration", p.DelayMicrosMax)
+	if d := p.DelayMicrosMax; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+		// An infinite delay would push the clock every link of the
+		// stack shares to +Inf, and a zero draw would count 0 × Inf =
+		// NaN µs of delay.
+		return fmt.Errorf("faultplane: DelayMicrosMax = %g, want a finite, non-negative duration", p.DelayMicrosMax)
 	}
 	if p.BurstLen < 0 {
 		return fmt.Errorf("faultplane: BurstLen = %d negative", p.BurstLen)

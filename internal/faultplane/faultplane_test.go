@@ -96,6 +96,7 @@ func TestNewRejectsBadPolicy(t *testing.T) {
 		{Loss: -0.1},
 		{Corrupt: 1.5},
 		{DelayMicrosMax: -1},
+		{Seed: 1, DelayProb: 1, DelayMicrosMax: math.Inf(1)},
 		{BurstLen: -2},
 		{BurstLoss: 2},
 	} {
