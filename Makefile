@@ -45,14 +45,16 @@ bench-compare:
 	$(GO) run ./cmd/rpcbench -bench -benchcompare BENCH_rpc.json
 	$(GO) run ./cmd/rpcbench -load -loadcompare BENCH_load.json
 
-# Short fuzz passes over the wire codec's three fuzz targets, the WAL
-# ship batch decoder, the frame checksum against its byte-pair
-# reference and the WAL snapshot image decoder; native Go fuzzing runs
-# one target per invocation.
+# Short fuzz passes over the wire codec's four fuzz targets (the frame
+# decoder, the boxed codec both ways, and the typed argument cursor
+# every handler decodes calls through), the WAL ship batch decoder, the
+# frame checksum against its byte-pair reference and the WAL snapshot
+# image decoder; native Go fuzzing runs one target per invocation.
 fuzz-smoke:
 	$(GO) test ./internal/ipc/wire/ -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s
 	$(GO) test ./internal/ipc/wire/ -run='^$$' -fuzz='^FuzzUnmarshal$$' -fuzztime=10s
 	$(GO) test ./internal/ipc/wire/ -run='^$$' -fuzz='^FuzzMarshalRoundTrip$$' -fuzztime=10s
+	$(GO) test ./internal/ipc/wire/ -run='^$$' -fuzz='^FuzzArgs$$' -fuzztime=10s
 	$(GO) test ./internal/fs/ -run='^$$' -fuzz='^FuzzDecodeRecords$$' -fuzztime=10s
 	$(GO) test ./internal/ipc/wire/ -run='^$$' -fuzz='^FuzzChecksum$$' -fuzztime=10s
 	$(GO) test ./internal/fs/ -run='^$$' -fuzz='^FuzzRestore$$' -fuzztime=10s

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -172,5 +173,181 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(again, data) {
 			t.Fatal("decode∘encode changed the frame bytes")
 		}
+	})
+}
+
+// valueLen is the fuzz oracle for one value of the stream format,
+// written from the format alone: the length of the value rest starts
+// with, and whether it is well-formed — a known tag, a length prefix
+// within maxPayload, and the whole body present.
+func valueLen(rest []byte) (int, bool) {
+	if len(rest) == 0 {
+		return 0, false
+	}
+	body := 0
+	switch tag(rest[0]) {
+	case tagU32:
+		body = 4
+	case tagU64, tagI64, tagF64:
+		body = 8
+	case tagBool:
+		body = 1
+	case tagString, tagBytes:
+		if len(rest) < 5 {
+			return 0, false
+		}
+		u := binary.BigEndian.Uint32(rest[1:])
+		if u > maxPayload {
+			return 0, false
+		}
+		body = 4 + int(u)
+	default:
+		return 0, false
+	}
+	return 1 + body, len(rest) >= 1+body
+}
+
+// argsGetters reads the next value with each getter in turn and
+// reports whether the value read is its type's zero value.
+var argsGetters = []func(a *Args) bool{
+	func(a *Args) bool { return a.Uint32() == 0 },
+	func(a *Args) bool { return a.Uint64() == 0 },
+	func(a *Args) bool { return a.Int64() == 0 },
+	func(a *Args) bool { return !a.Bool() },
+	func(a *Args) bool { return math.Float64bits(a.Float64()) == 0 },
+	func(a *Args) bool { return a.String() == "" },
+	func(a *Args) bool { return a.StringBytes() == nil },
+	func(a *Args) bool { return a.Bytes() == nil },
+}
+
+// checkPoisoned asserts that a faulted cursor stays faulted: every
+// getter returns its zero value, Err keeps the first fault and More
+// reports nothing left.
+func checkPoisoned(t *testing.T, a *Args) {
+	t.Helper()
+	first := a.Err()
+	for g, get := range argsGetters {
+		if !get(a) {
+			t.Errorf("getter %d returned a nonzero value after a fault", g)
+		}
+		if a.Err() != first {
+			t.Fatalf("getter %d changed err from %v to %v", g, first, a.Err())
+		}
+	}
+	if a.More() {
+		t.Error("a poisoned cursor reports more values")
+	}
+}
+
+// FuzzArgs drives the typed cursor that every handler decodes untrusted
+// call frames through. It walks arbitrary bytes with the getter each
+// tag byte names and re-appends each value with the matching typed
+// appender; a byte that names no tag gets a getter picked by its value,
+// which must refuse it. The cursor must never panic, must accept each
+// value exactly when valueLen calls it well-formed, and so must end
+// with a nil Err exactly when the walk consumed the whole stream. An
+// accepted stream must re-encode to its own bytes, except that a bool
+// body byte other than 0 re-encodes as 1. After the first fault, at
+// the end of an accepted stream or at a malformed value, every getter
+// must return its zero value and Err must stay set.
+func FuzzArgs(f *testing.F) {
+	var valid []byte
+	valid = AppendUint32(valid, 7)
+	valid = AppendUint64(valid, 1<<40)
+	valid = AppendInt64(valid, -9)
+	valid = AppendBool(valid, true)
+	valid = AppendFloat64(valid, math.NaN())
+	valid = AppendString(valid, "path/name")
+	valid = AppendString(valid, "")
+	valid = AppendBytes(valid, []byte{1, 2, 3})
+	for _, s := range corruptionSeeds(valid) {
+		f.Add(s)
+	}
+	for cut := 0; cut < len(valid); cut += 3 {
+		f.Add(valid[:cut])
+	}
+	f.Add([]byte{byte(tagBool), 2})                             // a bool body the appender never writes
+	f.Add([]byte{byte(tagString), 0xFF, 0xFF, 0xFF, 0xFF})      // hostile length
+	f.Add([]byte{byte(tagBytes), 0x00, 0x01, 0x00, 0x00, 0x41}) // length just above maxPayload
+	f.Add([]byte{0x00})                                         // unknown tag
+	// The largest body a length prefix may announce, and one byte more.
+	f.Add(AppendBytes(nil, make([]byte, maxPayload)))
+	f.Add(append([]byte{byte(tagBytes), 0x00, 0x01, 0x00, 0x00}, make([]byte, maxPayload+1)...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a := NewArgs(data)
+		var out []byte
+		// Every value takes at least its tag byte, so a walk of more
+		// than len(data) steps is a cursor that stopped advancing.
+		for i := 0; a.More() && i <= len(data); i++ {
+			at := a.off
+			n, ok := valueLen(data[at:])
+			switch tag(data[at]) {
+			case tagU32:
+				out = AppendUint32(out, a.Uint32())
+			case tagU64:
+				out = AppendUint64(out, a.Uint64())
+			case tagI64:
+				out = AppendInt64(out, a.Int64())
+			case tagBool:
+				out = AppendBool(out, a.Bool())
+			case tagF64:
+				out = AppendFloat64(out, a.Float64())
+			case tagString:
+				if i%2 == 0 {
+					out = AppendString(out, a.String())
+				} else {
+					out = AppendString(out, string(a.StringBytes()))
+				}
+			case tagBytes:
+				out = AppendBytes(out, a.Bytes())
+			default:
+				argsGetters[int(data[at])%len(argsGetters)](&a)
+			}
+			if (a.Err() == nil) != ok {
+				t.Fatalf("value %d at offset %d: cursor err = %v, oracle well-formed = %v", i, at, a.Err(), ok)
+			}
+			if ok && a.off != at+n {
+				t.Fatalf("value %d at offset %d: cursor advanced to %d, want %d", i, at, a.off, at+n)
+			}
+		}
+		consumed := a.off == len(data)
+		if (a.Err() == nil) != consumed {
+			t.Fatalf("err = %v, but the walk consumed %d of %d bytes", a.Err(), a.off, len(data))
+		}
+		if a.Err() == nil {
+			want := append([]byte{}, data...)
+			for at := 0; at < len(want); {
+				n, _ := valueLen(want[at:])
+				if tag(want[at]) == tagBool && want[at+1] != 0 {
+					want[at+1] = 1
+				}
+				at += n
+			}
+			if !bytes.Equal(out, want) {
+				t.Fatalf("re-encoding differs from the input\n got %x\nwant %x", out, want)
+			}
+			// Reading past the end of an accepted stream is a fault.
+			argsGetters[len(data)%len(argsGetters)](&a)
+			if a.Err() == nil {
+				t.Fatal("a getter read past the end of the stream without a fault")
+			}
+			if len(data) > 0 {
+				// So is a getter of the wrong type, and it leaves the
+				// cursor on a well-formed value that the right getter
+				// must now refuse too.
+				b := NewArgs(data)
+				if tag(data[0]) == tagBytes {
+					b.Uint32()
+				} else {
+					b.Bytes()
+				}
+				if b.Err() == nil {
+					t.Fatalf("a wrong-type getter accepted tag %d", data[0])
+				}
+				checkPoisoned(t, &b)
+			}
+		}
+		checkPoisoned(t, &a)
 	})
 }
