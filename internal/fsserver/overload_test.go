@@ -2,7 +2,6 @@ package fsserver
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"archos/internal/arch"
@@ -13,38 +12,24 @@ import (
 	"archos/internal/kernel"
 )
 
-// shedRemote builds a decomposed arrangement on an Ethernet-class link
-// (nonzero per-frame charge) with deadline-aware shedding armed — the
-// harness every overload test starts from. An op issued with
-// expireSoon gets its expiry stamped one microsecond ahead: the client
-// pre-send check passes, the frame's own wire charge pushes the clock
-// past the expiry, and the server sheds it — a deterministic
-// server-side shed through the normal client path.
-func shedRemote(t *testing.T) (*Remote, *wire.Link) {
-	t.Helper()
+// TestOverloadErrorSplit: a shed op surfaces as the typed ErrOverloaded
+// with its own counter, a transport-exhausted op stays ErrUnavailable —
+// the two failure classes never conflate. The shed is deterministic:
+// on an Ethernet-class link a 1 µs deadline, stamped into the call
+// header, expires while the frame is in flight, so the server sheds the
+// single attempt.
+func TestOverloadErrorSplit(t *testing.T) {
 	cm := kernel.NewCostModel(arch.R3000)
 	link := wire.NewLink(ipc.Ethernet10)
 	remote := NewRemoteOnLink(fs.New(64), cm, link)
 	remote.server.Wire.SetShedExpired(true)
-	return remote, link
-}
 
-func expireSoon(r *Remote, link *wire.Link) {
-	r.SetExpiry(link.Clock() + 1)
-}
-
-// TestOverloadErrorSplit: a shed op surfaces as the typed ErrOverloaded
-// with its own counter, a transport-exhausted op stays ErrUnavailable —
-// the two failure classes never conflate.
-func TestOverloadErrorSplit(t *testing.T) {
-	remote, link := shedRemote(t)
-
-	expireSoon(remote, link)
+	remote.Tune(0, 1)
 	err := remote.Mkdir("/shed")
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("shed op err = %v, want ErrOverloaded", err)
 	}
-	if errors.Is(err, ErrUnavailable) || errors.Is(err, ErrDegraded) {
+	if errors.Is(err, ErrUnavailable) {
 		t.Fatalf("shed op err = %v leaked into another class", err)
 	}
 	if _, err := remote.server.CurrentFS().Stat("/shed"); err == nil {
@@ -53,7 +38,6 @@ func TestOverloadErrorSplit(t *testing.T) {
 
 	// A lost frame with no retries left is the transport failing — the
 	// old catch-all, now strictly for non-overload failures.
-	remote.SetExpiry(0)
 	remote.Tune(0, 0)
 	faults := &faultplane.Script{}
 	faults.Drop(link.Frames() + 1)
@@ -70,80 +54,8 @@ func TestOverloadErrorSplit(t *testing.T) {
 	if st.OverloadedOps != 1 || st.DegradedOps != 1 {
 		t.Errorf("overloaded = %d degraded = %d, want 1 and 1", st.OverloadedOps, st.DegradedOps)
 	}
-	if st.Wire.ShedExpired != 1 || st.Wire.ShedLocal != 1 {
-		t.Errorf("wire shedExpired = %d shedLocal = %d, want 1 and 1",
-			st.Wire.ShedExpired, st.Wire.ShedLocal)
-	}
-}
-
-// TestBreakerFastFailsAndRecovers: consecutive overloads trip the
-// breaker; while open, ops fail fast as ErrDegraded with zero wire
-// traffic; after the seeded cooldown the probe goes out and a healthy
-// answer closes the breaker.
-func TestBreakerFastFailsAndRecovers(t *testing.T) {
-	remote, link := shedRemote(t)
-	remote.EnableBreaker(2, 10_000)
-
-	for i := 0; i < 2; i++ {
-		expireSoon(remote, link)
-		if err := remote.Mkdir(fmt.Sprintf("/m%d", i)); !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("op %d err = %v, want ErrOverloaded", i, err)
-		}
-	}
-
-	// Tripped: the next op must fail locally — no frame leaves.
-	remote.SetExpiry(0)
-	frames := link.Frames()
-	err := remote.Mkdir("/fast")
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("open-breaker err = %v, want ErrDegraded", err)
-	}
-	if link.Frames() != frames {
-		t.Errorf("breaker open yet %d frames hit the wire", link.Frames()-frames)
-	}
-	st := remote.Stats()
-	if st.BreakerFastFails != 1 || st.BreakerOpens != 1 || st.OverloadedOps != 2 {
-		t.Errorf("fastFails = %d opens = %d overloaded = %d, want 1, 1, 2",
-			st.BreakerFastFails, st.BreakerOpens, st.OverloadedOps)
-	}
-
-	// Past the worst-case cooldown (base × 1.5) the probe is admitted;
-	// the service is healthy again, so the probe closes the breaker.
-	link.AdvanceClock(15_001)
-	if err := remote.Mkdir("/probe"); err != nil {
-		t.Fatalf("probe failed: %v", err)
-	}
-	if err := remote.Mkdir("/after"); err != nil {
-		t.Fatalf("post-recovery op failed: %v", err)
-	}
-	if st := remote.Stats(); st.BreakerFastFails != 1 {
-		t.Errorf("fastFails grew to %d after recovery, want 1", st.BreakerFastFails)
-	}
-}
-
-// TestBreakerProbeReopens: a probe that comes back shed re-opens the
-// breaker for a fresh cooldown instead of letting traffic through.
-func TestBreakerProbeReopens(t *testing.T) {
-	remote, link := shedRemote(t)
-	remote.EnableBreaker(1, 10_000)
-
-	expireSoon(remote, link)
-	if err := remote.Mkdir("/m"); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
-	}
-	link.AdvanceClock(15_001)
-	// The probe goes out — and is shed too (still "overloaded").
-	expireSoon(remote, link)
-	if err := remote.Mkdir("/m2"); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("probe err = %v, want ErrOverloaded", err)
-	}
-	// Re-opened: the very next op fails fast again.
-	remote.SetExpiry(0)
-	if err := remote.Mkdir("/m3"); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("err after failed probe = %v, want ErrDegraded", err)
-	}
-	if st := remote.Stats(); st.BreakerOpens != 2 {
-		t.Errorf("breaker opens = %d, want 2", st.BreakerOpens)
+	if st.Wire.ShedExpired != 1 || st.Wire.Rejects != 1 {
+		t.Errorf("wire shedExpired = %d rejects = %d, want 1 and 1", st.Wire.ShedExpired, st.Wire.Rejects)
 	}
 }
 

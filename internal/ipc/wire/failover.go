@@ -129,15 +129,6 @@ func (f *FailoverClient) Tune(maxRetries int, deadlineMicros float64) {
 	}
 }
 
-// SetExpiry applies an absolute virtual-time expiry to every
-// underlying client (see Client.Expiry); 0 clears it. Callers running
-// against an SLA re-stamp it per call.
-func (f *FailoverClient) SetExpiry(micros float64) {
-	for _, c := range f.clients {
-		c.Expiry = micros
-	}
-}
-
 // Stats sums the transport counters of every underlying client and adds
 // the failover count.
 func (f *FailoverClient) Stats() Stats {

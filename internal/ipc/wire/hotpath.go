@@ -109,12 +109,6 @@ func (w *CallArgs) marshal(args []interface{}) error {
 	return nil
 }
 
-// Abandon returns an unissued builder to the pools without sending —
-// the escape hatch for a caller that stages arguments and then decides
-// not to place the call (a fast-failing circuit breaker, say). Never
-// call it after CallRaw, which releases the builder itself.
-func (w *CallArgs) Abandon() { w.release() }
-
 // release returns the builder (and its buffer) to the pools.
 func (w *CallArgs) release() {
 	if cap(w.frame) > maxPooledBuf {

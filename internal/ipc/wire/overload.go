@@ -16,18 +16,20 @@ import "archos/internal/obs"
 //   - Deadline shedding: the server (SetShedExpired) refuses calls
 //     whose deadline has already passed with a cheap KindReject frame
 //     — no handler execution, no log append, nothing cached.
-//   - Retry budgets: a client's retransmissions are paid for by its
-//     successes (a token bucket earning a fraction per success), so N
-//     clients cannot multiply an overloaded server's arrival rate.
+//   - Retry budgets: a caller's retransmissions are paid for by its
+//     successes (RetryBudget, a token bucket earning a fraction per
+//     success), so N connections cannot multiply an overloaded
+//     server's arrival rate. The load generator (workload.RunLoad)
+//     holds the one budget, shared across its connection pool.
 
 // RetryBudget is a token bucket that makes retransmissions a fraction
-// of successes rather than a multiple of failures. Each successful
-// call earns Ratio tokens (capped at Burst); each retransmission
-// spends one. When the bucket is empty the client abandons the call
-// instead of retrying — under server overload, retries are the fuel of
-// the metastable state, and the budget cuts the fuel line. One budget
-// may be shared by several clients (the per-process budget of the
-// classic formulation) or held per client.
+// of successes rather than a multiple of failures. Each delivered reply
+// earns ratio tokens (capped at burst); each retransmitted copy spends
+// one. When the bucket is empty the copy is not sent — under server
+// overload, retries are the fuel of the metastable state, and the
+// budget cuts the fuel line. A denial stops the copy, not the call: the
+// call still waits out its own deadline. One budget shared by all of a
+// process's connections is the classic per-process formulation.
 type RetryBudget struct {
 	ratio  float64
 	burst  float64
