@@ -79,7 +79,10 @@ type FS struct {
 	inodes  map[uint64]*inode
 	nextIno uint64
 
-	fds    map[int]*fd
+	// fds holds descriptor records by value, so an Open or Create
+	// allocates no record of its own; an op that moves an offset
+	// stores the record back.
+	fds    map[int]fd
 	nextFD int
 
 	cache *blockCache
@@ -98,7 +101,7 @@ type fd struct {
 func New(cacheBlocks int) *FS {
 	f := &FS{
 		inodes: map[uint64]*inode{},
-		fds:    map[int]*fd{},
+		fds:    map[int]fd{},
 		cache:  newBlockCache(cacheBlocks),
 		ops:    map[string]int64{},
 	}
@@ -269,7 +272,7 @@ func (f *FS) Open(path string) (int, error) {
 
 func (f *FS) allocFD(n *inode) int {
 	f.nextFD++
-	f.fds[f.nextFD] = &fd{ino: n.ino}
+	f.fds[f.nextFD] = fd{ino: n.ino}
 	return f.nextFD
 }
 
@@ -298,6 +301,7 @@ func (f *FS) Read(fdno int, buf []byte) (int, error) {
 	c := copy(buf, n.data[d.offset:])
 	f.touchBlocks(n, d.offset, c)
 	d.offset += c
+	f.fds[fdno] = d
 	return c, nil
 }
 
@@ -335,6 +339,7 @@ func (f *FS) Write(fdno int, buf []byte) (int, error) {
 	copy(n.data[d.offset:end], buf)
 	f.touchBlocks(n, d.offset, len(buf))
 	d.offset = end
+	f.fds[fdno] = d
 	return len(buf), nil
 }
 
@@ -348,6 +353,7 @@ func (f *FS) Seek(fdno, offset int) error {
 		return fmt.Errorf("fs: negative offset %d", offset)
 	}
 	d.offset = offset
+	f.fds[fdno] = d
 	return nil
 }
 

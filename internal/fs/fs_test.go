@@ -111,6 +111,68 @@ func TestReadWriteSeek(t *testing.T) {
 	}
 }
 
+func TestDescriptorOffsetsAdvanceAndSurviveRestore(t *testing.T) {
+	// Descriptor records are held by value, so every op that moves an
+	// offset must store it back: consecutive writes append, consecutive
+	// reads continue where the last one stopped, a seek lands, and a
+	// snapshot carries each descriptor's offset into the restored file
+	// system.
+	f := New(64)
+	wr, err := f.Create("/log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"ab", "cd", "ef"} {
+		if _, err := f.Write(wr, []byte(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rd, err := f.Open("/log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func(fsys *FS, fdno, n int) string {
+		t.Helper()
+		b, err := fsys.ReadN(fdno, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if got := next(f, rd, 2) + next(f, rd, 2); got != "abcd" {
+		t.Errorf("two reads of 2 = %q, want \"abcd\"", got)
+	}
+	if err := f.Seek(wr, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"X", "Y"} {
+		if _, err := f.Write(wr, []byte(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	w := NewWAL(64)
+	if err := w.Snapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	g, _, _, err := Recover(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fsys := range []*FS{f, g} {
+		name := [...]string{"live", "restored"}[i]
+		if _, err := fsys.Write(wr, []byte("Z")); err != nil {
+			t.Fatal(err)
+		}
+		if got := next(fsys, rd, 8); got != "ef" {
+			t.Errorf("%s: read from offset 4 = %q, want \"ef\"", name, got)
+		}
+		if data, err := fsys.ReadFile("/log"); err != nil || string(data) != "aXYZef" {
+			t.Errorf("%s: file = %q, %v, want \"aXYZef\"", name, data, err)
+		}
+	}
+}
+
 func TestCreateTruncates(t *testing.T) {
 	f := New(64)
 	f.WriteFile("/f", []byte("long original content"))

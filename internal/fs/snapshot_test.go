@@ -254,7 +254,7 @@ func TestImageSpecMatchesEncoder(t *testing.T) {
 	// imageSpec.body writes the layout encodeImage writes, so the
 	// refusals below are of images one field away from a real one.
 	f, sessions := specFS(t)
-	got := encodeImage(64, f, sessions)
+	got := encodeImage(nil, 64, f, sessions)
 	if want := seal(validSpec().body()); !bytes.Equal(got, want) {
 		t.Fatalf("encodeImage = %x\nspec builds  %x", got, want)
 	}
@@ -403,7 +403,7 @@ func checkRestore(t *testing.T, img []byte) {
 	for _, s := range sessions {
 		bySession[s.Client] = s
 	}
-	g, again, err := restore(encodeImage(f.CacheBlocks(), f, bySession))
+	g, again, err := restore(encodeImage(nil, f.CacheBlocks(), f, bySession))
 	if err != nil {
 		t.Fatalf("the image of an accepted image's file system is refused: %v", err)
 	}
@@ -482,5 +482,125 @@ func BenchmarkRestore(b *testing.B) {
 		if _, _, err := restore(img); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// grow logs n files of size bytes each under /g, created, written and
+// closed by client c.
+func grow(t *testing.T, w *WAL, f *FS, c uint32, n, size int) {
+	t.Helper()
+	call := uint32(0)
+	do := func(r Record) ApplyResult {
+		call++
+		r.Client, r.Call = c, call
+		return logged(t, w, f, r)
+	}
+	do(Record{Op: OpMkdir, Path: "/g"})
+	for i := 0; i < n; i++ {
+		fd := do(Record{Op: OpCreate, Path: fmt.Sprintf("/g/f%03d", i)}).FD
+		do(Record{Op: OpWrite, FD: fd, Data: bytes.Repeat([]byte{byte(i)}, size)})
+		do(Record{Op: OpClose, FD: fd})
+	}
+}
+
+func TestSnapshotReusesImageBuffer(t *testing.T) {
+	// A snapshot encodes into the previous image's array when it fits.
+	// The image must stay byte-identical to a fresh encode, with no
+	// stale bytes from the larger image it overwrote, and a grown image
+	// that no longer fits gets a buffer of its own.
+	w, f := NewWAL(64), New(64)
+	fresh := func() []byte { return encodeImage(nil, w.cacheBlocks, f, w.sessions) }
+	grow(t, w, f, 7, 32, 1024)
+	if err := w.Snapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.snapshot, fresh()) {
+		t.Fatal("grown image differs from a fresh encode")
+	}
+	big := &w.snapshot[0]
+
+	for i := 0; i < 30; i++ {
+		logged(t, w, f, Record{Op: OpUnlink, Path: fmt.Sprintf("/g/f%03d", i), Client: 8, Call: uint32(i + 1)})
+	}
+	if err := w.Snapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if &w.snapshot[0] != big {
+		t.Error("the shrunk image was not written over the grown one's buffer")
+	}
+	if !bytes.Equal(w.snapshot, fresh()) {
+		t.Fatalf("shrunk image (%d bytes) differs from a fresh encode (%d bytes)", len(w.snapshot), len(fresh()))
+	}
+	g, _, _, err := Recover(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Fingerprint() != f.Fingerprint() {
+		t.Error("recovery from the reused image lost state")
+	}
+
+	fd := logged(t, w, f, Record{Op: OpCreate, Path: "/huge", Client: 9, Call: 1}).FD
+	logged(t, w, f, Record{Op: OpWrite, FD: fd, Data: bytes.Repeat([]byte{0xab}, 64<<10), Client: 9, Call: 2})
+	if err := w.Snapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.snapshot, fresh()) || cap(w.snapshot) != len(w.snapshot) {
+		t.Errorf("an image outgrowing the buffer: %d bytes in a buffer of %d, want a fresh encode sized exactly",
+			len(w.snapshot), cap(w.snapshot))
+	}
+}
+
+func TestSnapshotBytesOutlivesTheNextSnapshot(t *testing.T) {
+	// SnapshotBytes hands out a copy: the next snapshot, written over
+	// the log's own buffer, must not reach it.
+	w, f := NewWAL(64), New(64)
+	grow(t, w, f, 7, 8, 512)
+	if err := w.Snapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	img, seq := w.SnapshotBytes()
+	kept := bytes.Clone(img)
+	for i := 0; i < 8; i++ {
+		logged(t, w, f, Record{Op: OpUnlink, Path: fmt.Sprintf("/g/f%03d", i), Client: 8, Call: uint32(i + 1)})
+	}
+	if err := w.Snapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img, kept) {
+		t.Fatal("the next snapshot changed a copy taken with SnapshotBytes")
+	}
+	restored, _, err := NewWAL(64).InstallSnapshot(img, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.Stat("/g/f000"); err != nil {
+		t.Errorf("the copied image lost its files: %v", err)
+	}
+}
+
+func TestSnapshotOverwritesARottedImage(t *testing.T) {
+	// Bit rot in the stored image must not survive the next snapshot,
+	// which rewrites every byte of the same buffer: recovery after it
+	// restores the live state.
+	w, f := NewWAL(64), New(64)
+	workout(t, w, f)
+	if err := w.Snapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if !w.CorruptSnapshotByte(17) {
+		t.Fatal("no snapshot to damage")
+	}
+	if _, _, _, err := Recover(w); err == nil {
+		t.Fatal("recovery accepted a rotted image")
+	}
+	if err := w.Snapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	g, _, _, err := Recover(w)
+	if err != nil {
+		t.Fatalf("recovery after a fresh snapshot: %v", err)
+	}
+	if g.Fingerprint() != f.Fingerprint() {
+		t.Error("recovered fingerprint differs from the live one")
 	}
 }

@@ -714,9 +714,13 @@ const minInodeBytes, minEntryBytes, minFDBytes, minSessionBytes = 4, 2, 3, 2*4 +
 
 // Snapshot captures f — which must reflect every record in the log
 // through the tail — and truncates the tail. The session table rides
-// inside the snapshot. The error is always nil.
+// inside the snapshot. The new image is encoded into the previous
+// one's buffer when it fits: nothing else holds that buffer
+// (SnapshotBytes copies out, InstallSnapshot copies in and restore
+// copies out), and every byte of it is rewritten. The error is always
+// nil.
 func (w *WAL) Snapshot(f *FS) error {
-	w.snapshot = encodeImage(w.cacheBlocks, f, w.sessions)
+	w.snapshot = encodeImage(w.snapshot, w.cacheBlocks, f, w.sessions)
 	w.snapSeq = w.nextSeq
 	w.stats.Snapshots++
 	w.stats.SnapshotBytes = len(w.snapshot)
@@ -730,9 +734,11 @@ func (w *WAL) Snapshot(f *FS) error {
 // bytes in a sorted walk — inodes by number, each directory's entries
 // by name, descriptors by number, sessions by client — so the image is
 // a pure function of the logical state, and last a CRC-32 (IEEE) of
-// everything before it. One buffer is sized exactly before the first
-// append, and each file's bytes are copied into it once.
-func encodeImage(cacheBlocks int, f *FS, sessions map[uint32]SessionRecord) []byte {
+// everything before it. The image's size is computed before the first
+// append; it is written over dst's array when that holds it, else into
+// one fresh buffer of exactly that size, and each file's bytes are
+// copied into it once.
+func encodeImage(dst []byte, cacheBlocks int, f *FS, sessions map[uint32]SessionRecord) []byte {
 	nodes := make([]*inode, 0, len(f.inodes))
 	for _, n := range f.inodes {
 		nodes = append(nodes, n)
@@ -764,7 +770,10 @@ func encodeImage(cacheBlocks int, f *FS, sessions map[uint32]SessionRecord) []by
 			uvarintLen(uint64(len(s.Result.Data))) + len(s.Result.Data) + uvarintLen(uint64(len(s.Err))) + len(s.Err)
 	}
 
-	b := make([]byte, 0, size)
+	b := dst[:0]
+	if cap(b) < size {
+		b = make([]byte, 0, size)
+	}
 	b = append(b, snapFormat)
 	b = binary.AppendVarint(b, int64(cacheBlocks))
 	b = binary.AppendUvarint(b, f.nextIno)
@@ -886,15 +895,15 @@ func restore(img []byte) (*FS, []SessionRecord, error) {
 		d.err = checkTree(nodes, first, kids)
 	}
 
-	fds := make([]fd, d.count(minFDBytes))
-	f.fds = make(map[int]*fd, len(fds))
-	for i, prev := 0, 0; i < len(fds) && d.err == nil; i++ {
+	fds := d.count(minFDBytes)
+	f.fds = make(map[int]fd, fds)
+	for i, prev := 0, 0; i < fds && d.err == nil; i++ {
 		no := d.int()
-		fds[i].ino, fds[i].offset = d.uvarint(), d.int()
-		if n := f.inodes[fds[i].ino]; no <= prev || no > f.nextFD || n == nil || n.kind != KindFile {
-			d.fail("descriptor %d on inode %d: out of order, above %d, or not on a file", no, fds[i].ino, f.nextFD)
+		r := fd{ino: d.uvarint(), offset: d.int()}
+		if n := f.inodes[r.ino]; no <= prev || no > f.nextFD || n == nil || n.kind != KindFile {
+			d.fail("descriptor %d on inode %d: out of order, above %d, or not on a file", no, r.ino, f.nextFD)
 		}
-		f.fds[no] = &fds[i]
+		f.fds[no] = r
 		prev = no
 	}
 	sessions := make([]SessionRecord, d.count(minSessionBytes))

@@ -173,16 +173,16 @@ func writeAllocs(t *testing.T, r *Remote) (write, pair float64) {
 
 func TestReplicatedWriteAllocationsPerBackup(t *testing.T) {
 	// Every logged op is shipped to each backup before it is
-	// acknowledged. The round's batch is encoded once and shared, so
-	// what a backup adds is its ship call and its apply: the call's
-	// reply frame, and the one copy of each Path and Data its log keeps
-	// (Write measures 2.5 per backup per logged op, Mkdir+Unlink 3).
+	// acknowledged. The round's batch is encoded once and shared and
+	// the ship call's reply frame is recycled, so what a backup adds is
+	// its apply: the one copy of each Path and Data its log keeps
+	// (Write measures 1 per backup per logged op, Mkdir+Unlink 2).
 	// That price is bounded per backup and per logged op against the
 	// same op on one server.
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const backups, bound = 2, 4
+	const backups, bound = 2, 2
 	cm := kernel.NewCostModel(arch.R3000)
 	singleWrite, singlePair := writeAllocs(t, NewRemoteOnLink(fs.New(64), cm, wire.NewLink(localNet)))
 	cluster := NewCluster(64, cm, ReplicaConfig{Backups: backups, Failover: true, AckTimeoutMicros: 2e6, AckRetries: 64})
@@ -194,6 +194,108 @@ func TestReplicatedWriteAllocationsPerBackup(t *testing.T) {
 	}
 	if per := (replPair - singlePair) / backups / 2; per > bound {
 		t.Errorf("replicated Mkdir+Unlink costs %.1f allocs per backup per logged op, want at most %d", per, bound)
+	}
+}
+
+// opAllocs measures the steady-state allocations of each op sequence in
+// the per-op table through r, after a warm-up of each.
+func opAllocs(t *testing.T, r *Remote) map[string]float64 {
+	t.Helper()
+	const runs, warm = 300, 16
+	fd, err := r.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Write(fd, bytes.Repeat([]byte{0x3c}, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	wfd, err := r.Create("/w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Close is measured alone on descriptors opened beforehand, one per
+	// call AllocsPerRun makes (it runs f once more to warm up).
+	open := make([]int, 0, warm+runs+1)
+	for len(open) < cap(open) {
+		fd, err := r.Open("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, fd)
+	}
+	payload := bytes.Repeat([]byte{0x5a}, 2048)
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	openClose := func(between func(fd int)) func() {
+		return func() {
+			fd, err := r.Open("/f")
+			must(err)
+			between(fd)
+			must(r.Close(fd))
+		}
+	}
+	ops := []struct {
+		name string
+		f    func()
+	}{
+		{"Stat", func() { _, err := r.Stat("/f"); must(err) }},
+		{"Close", func() { must(r.Close(open[0])); open = open[1:] }},
+		{"Open+Close", openClose(func(int) {})},
+		{"Open+Read 1 KiB+Close", openClose(func(fd int) {
+			if data, err := r.Read(fd, 1024); err != nil || len(data) != 1024 {
+				t.Fatalf("Read = %d bytes, %v", len(data), err)
+			}
+		})},
+		{"Open+Write 2 KiB+Close", openClose(func(fd int) { _, err := r.Write(fd, payload); must(err) })},
+		{"Write 2 KiB", func() { _, err := r.Write(wfd, payload); must(err) }},
+		{"Mkdir+Unlink", func() { must(r.Mkdir("/p")); must(r.Unlink("/p")) }},
+	}
+	got := map[string]float64{}
+	for _, op := range ops {
+		for i := 0; i < warm; i++ {
+			op.f()
+		}
+		got[op.name] = testing.AllocsPerRun(runs, op.f)
+	}
+	return got
+}
+
+func TestSteadyStateAllocsPerOp(t *testing.T) {
+	// What an op allocates once the pools are warm is what the stack
+	// keeps or hands back: a logged path or payload (one copy per node
+	// that logs it), a read's result (the server's buffer, each
+	// backup's replay of it, and the caller's copy), an inode. Frames,
+	// descriptor records and snapshot images are reused. Stat and Close
+	// keep nothing and allocate nothing.
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	cm := kernel.NewCostModel(arch.R3000)
+	single := opAllocs(t, NewRemoteOnLink(fs.New(64), cm, wire.NewLink(localNet)))
+	cluster := NewCluster(64, cm, ReplicaConfig{Backups: 2, Failover: true, AckTimeoutMicros: 2e6, AckRetries: 64})
+	replicated := opAllocs(t, cluster.NewClient())
+	for _, want := range []struct {
+		op                 string
+		single, replicated float64
+	}{
+		{"Stat", 0, 0},
+		{"Close", 0, 0},
+		{"Open+Close", 1, 3},
+		{"Open+Read 1 KiB+Close", 3, 7},
+		{"Open+Write 2 KiB+Close", 2, 6},
+		{"Write 2 KiB", 1, 3},
+		{"Mkdir+Unlink", 4, 12},
+	} {
+		t.Logf("%-22s single %2.0f, 2 backups %2.0f", want.op, single[want.op], replicated[want.op])
+		if got := single[want.op]; got > want.single {
+			t.Errorf("%s allocates %.0f times on one server, want at most %.0f", want.op, got, want.single)
+		}
+		if got := replicated[want.op]; got > want.replicated {
+			t.Errorf("%s allocates %.0f times with 2 backups, want at most %.0f", want.op, got, want.replicated)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@
 package fsserver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -558,8 +559,9 @@ func (r *Remote) LatencyClass() string { return r.class }
 // retransmission bound and the per-call virtual-time deadline (0 keeps
 // calls unbounded). Each call carries its deadline in the header, so a
 // server with deadline shedding armed rejects a call that arrives after
-// it. A call that exhausts either budget surfaces as ErrUnavailable
-// rather than wedging the caller.
+// it. A call that exhausts either budget surfaces as ErrUnavailable,
+// or as ErrOverloaded when the server shed one of its attempts, rather
+// than wedging the caller.
 func (r *Remote) Tune(maxRetries int, deadlineMicros float64) {
 	r.fo.Tune(maxRetries, deadlineMicros)
 }
@@ -579,9 +581,10 @@ var ErrRemote = errors.New("fsserver: remote error")
 var ErrUnavailable = errors.New("fsserver: service unavailable")
 
 // ErrOverloaded reports an operation the service refused under
-// overload: every attempt was shed by the server's deadline-aware
-// admission control. On a clean wire the op provably did not execute —
-// nothing ran, nothing was logged.
+// overload: the retry or deadline budget ran out after the server's
+// deadline-aware admission control had shed an attempt. On a clean
+// wire the op provably did not execute — nothing ran, nothing was
+// logged.
 var ErrOverloaded = errors.New("fsserver: service overloaded")
 
 // mapCallError folds one concluded call's failure into the service
@@ -693,15 +696,15 @@ func (r *Remote) Read(fd, n int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The returned slice views the delivered reply frame — which is
-	// never reused — so the read path moves the payload client-side
-	// with zero copies.
+	// The result views the client's reply buffer, which its next call
+	// recycles, while Service.Read hands the caller bytes to keep: the
+	// one copy on the read path moves them out of the frame.
 	data := res.Bytes()
 	if err := r.resultFault(&res); err != nil {
 		return nil, err
 	}
 	r.stats.PayloadBytes += int64(len(data))
-	return data, nil
+	return bytes.Clone(data), nil
 }
 
 func (r *Remote) Write(fd int, data []byte) (int, error) {

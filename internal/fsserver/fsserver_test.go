@@ -67,6 +67,62 @@ func TestServiceConformance(t *testing.T) {
 	}
 }
 
+func TestRemoteReadResultOutlivesLaterCalls(t *testing.T) {
+	// The reply frame a Read arrives in goes back to the frame pool at
+	// the caller's next call, but Service.Read returns bytes the caller
+	// keeps: 64 more calls on the same Remote, reads of other bytes
+	// among them, must leave an earlier result unchanged.
+	cm := kernel.NewCostModel(arch.R3000)
+	for _, c := range []struct {
+		name   string
+		remote func() *Remote
+	}{
+		{"single", func() *Remote { return NewRemoteOnLink(fs.New(64), cm, wire.NewLink(localNet)) }},
+		{"2 backups", func() *Remote {
+			return NewCluster(64, cm, ReplicaConfig{Backups: 2, Failover: true, AckTimeoutMicros: 2e6, AckRetries: 64}).NewClient()
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := c.remote()
+			for i, path := range []string{"/a", "/b"} {
+				fd, err := r.Create(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.Write(fd, bytes.Repeat([]byte{byte('a' + i)}, 1024)); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Close(fd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			read := func(path string) []byte {
+				t.Helper()
+				fd, err := r.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := r.Read(fd, 1024)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Close(fd); err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			kept := read("/a")
+			want := bytes.Repeat([]byte{'a'}, 1024)
+			for calls := 0; calls < 64; calls += 3 {
+				read("/b")
+			}
+			if !bytes.Equal(kept, want) {
+				t.Errorf("an earlier Read result changed under later calls: %q…", kept[:16])
+			}
+		})
+	}
+}
+
 func TestRemoteErrorsCrossTheWire(t *testing.T) {
 	cm := kernel.NewCostModel(arch.R3000)
 	r := NewRemote(fs.New(64), cm)

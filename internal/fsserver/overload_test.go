@@ -59,6 +59,34 @@ func TestOverloadErrorSplit(t *testing.T) {
 	}
 }
 
+// TestShedOpOutOfDeadlineIsOverloaded: with retries left, a shed op
+// whose deadline runs out before the retransmission is still the
+// service declining it — ErrOverloaded in OverloadedOps — not a
+// transport failure in DegradedOps, which a cluster client would fail
+// over on.
+func TestShedOpOutOfDeadlineIsOverloaded(t *testing.T) {
+	cm := kernel.NewCostModel(arch.R3000)
+	remote := NewRemoteOnLink(fs.New(64), cm, wire.NewLink(ipc.Ethernet10))
+	remote.server.Wire.SetShedExpired(true)
+	remote.Tune(3, 1)
+
+	err := remote.Mkdir("/shed")
+	if !errors.Is(err, ErrOverloaded) || errors.Is(err, ErrUnavailable) {
+		t.Fatalf("shed op err = %v, want ErrOverloaded alone", err)
+	}
+	st := remote.Stats()
+	if st.OverloadedOps != 1 || st.DegradedOps != 0 {
+		t.Errorf("overloaded = %d degraded = %d, want 1 and 0", st.OverloadedOps, st.DegradedOps)
+	}
+	if st.Wire.ShedExpired != 1 || st.Wire.Rejects != 1 || st.Wire.DeadlineExceeded != 0 {
+		t.Errorf("wire shedExpired = %d rejects = %d deadlineExceeded = %d, want 1, 1 and 0",
+			st.Wire.ShedExpired, st.Wire.Rejects, st.Wire.DeadlineExceeded)
+	}
+	if _, err := remote.server.CurrentFS().Stat("/shed"); err == nil {
+		t.Error("shed op executed: /shed exists")
+	}
+}
+
 // TestShedRetransmitAcrossCrashRecovery: a shed call leaves no
 // at-most-once record anywhere — reply cache or WAL — so when the same
 // call ID is retransmitted (with a fresh deadline stamp) after the

@@ -177,7 +177,9 @@ func (f *FailoverClient) Call(proc uint32, args ...interface{}) ([]interface{}, 
 // recognise a retransmission of an op the old primary already executed
 // and shipped. The virtual time from the first transport failure to the
 // first reply after a switch is observed as the "client.failover"
-// histogram class.
+// histogram class. The result cursor views the answering endpoint
+// client's reply buffer and, as Client.CallRaw's does, stays valid
+// until this caller's next call.
 func (f *FailoverClient) CallRaw(proc uint32, w *CallArgs) (Args, error) {
 	res, err := f.callHops(proc, w)
 	w.release()

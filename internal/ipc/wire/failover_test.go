@@ -265,3 +265,29 @@ func TestFencedStaleReplyIsDiscarded(t *testing.T) {
 		t.Error("no FencedReplies counted")
 	}
 }
+
+func TestFailoverClientStaysOnASheddingPrimary(t *testing.T) {
+	// A primary that sheds every attempt is alive and declining: the
+	// call ends in ErrOverloaded when its deadline runs out, and the
+	// failover hook is never asked to switch away (the backup would
+	// inherit exactly the load the primary shed).
+	fc, servers, _ := replicaPair(t)
+	servers[0].SetShedExpired(true)
+	fc.Tune(3, 1) // 1 µs: the stamp expires in flight on Ethernet
+	hooks := 0
+	fc.OnFailover(func() int {
+		hooks++
+		return 1
+	})
+	_, err := fc.Call(1)
+	if !errors.Is(err, ErrOverloaded) {
+		t.Errorf("err = %v, want ErrOverloaded", err)
+	}
+	if hooks != 0 || fc.Active() != 0 || fc.Stats().Failovers != 0 {
+		t.Errorf("hook consulted %d times, active endpoint %d, %d failovers; want 0, 0 and 0",
+			hooks, fc.Active(), fc.Stats().Failovers)
+	}
+	if st := servers[0].Stats(); st.ShedExpired != 1 || st.Served != 0 {
+		t.Errorf("primary shed %d and served %d, want 1 and 0", st.ShedExpired, st.Served)
+	}
+}

@@ -11,7 +11,8 @@ import "sync"
 
 // bufPool recycles frame buffers. Buffers enter the pool when a cached
 // reply frame is replaced or evicted, when a call frame finishes its
-// retry loop and when a header-only receive (Link.RecvClientHeader)
+// retry loop, when a client places the call after the one whose reply
+// it accepted, and when a header-only receive (Link.RecvClientHeader)
 // has read a frame; they leave it for the next call or reply built on
 // this process. Oversized buffers are dropped so one huge payload cannot pin
 // memory forever.

@@ -444,10 +444,10 @@ func (l *Link) transmit(from Endpoint, frame []byte, owned bool) {
 	// comes from the frame pool; the terminal consumer recycles it — the
 	// server's pump after dispatch, the client's reply filter for
 	// discarded frames, a header-only receive for every frame. An
-	// accepted reply is the exception: its payload is handed to the
-	// caller as a view and the buffer is never reused.
-	// An owned frame is already the link's pooled copy and goes out as
-	// it is.
+	// accepted reply is recycled last: its payload is handed to the
+	// caller as a view, so the client keeps the buffer until it places
+	// its next call. An owned frame is already the link's pooled copy
+	// and goes out as it is.
 	out := frame
 	if !owned {
 		out = append(getBuf(), frame...)

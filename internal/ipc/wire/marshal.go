@@ -228,8 +228,9 @@ func Unmarshal(data []byte) ([]interface{}, error) {
 // owner: a server-side handler's argument views expire when the
 // handler returns (the pump recycles the call frame afterwards), so a
 // handler that keeps bytes must copy them; a client's result cursor
-// views a delivered reply frame that is never reused and stays valid
-// as long as the caller holds it.
+// views that client's reply buffer, which is recycled when the client
+// places its next call, so a caller that keeps bytes past that call
+// must copy them too.
 type Args struct {
 	data []byte
 	off  int

@@ -36,7 +36,9 @@ type RetryBudget struct {
 	tokens float64
 	rec    *obs.Recorder
 
-	earned, spent, denied int
+	// denied counts refused retransmissions; each budget_denied event
+	// carries the running count as its Val.
+	denied int
 }
 
 // SetRecorder attaches a recorder: every denial — the moment the
@@ -63,7 +65,6 @@ func (b *RetryBudget) Earn() {
 	if b.tokens > b.burst {
 		b.tokens = b.burst
 	}
-	b.earned++
 }
 
 // Spend takes one token for a retransmission, reporting whether the
@@ -71,18 +72,11 @@ func (b *RetryBudget) Earn() {
 func (b *RetryBudget) Spend() bool {
 	if b.tokens >= 1 {
 		b.tokens--
-		b.spent++
 		return true
 	}
 	b.denied++
 	b.rec.Emit(obs.Event{Layer: "overload", Name: "budget_denied", Val: float64(b.denied)})
 	return false
-}
-
-// Counts reports successes credited, retries paid for, and retries
-// denied since construction.
-func (b *RetryBudget) Counts() (earned, spent, denied int) {
-	return b.earned, b.spent, b.denied
 }
 
 // jitterRand is a tiny splitmix64 PRNG used to jitter client backoff.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"archos/internal/ipc"
+	"archos/internal/obs"
 )
 
 // TestShedExpiredCall: a call whose propagated deadline has already
@@ -217,9 +218,12 @@ func TestBackoffJitterDesynchronizes(t *testing.T) {
 
 // TestRetryBudgetTokenBucket: the bucket starts full at its burst,
 // denies a spend once empty, and refills by its ratio per earned
-// success; Counts tallies all three.
+// success; each denial emits a budget_denied event carrying the
+// running denial count.
 func TestRetryBudgetTokenBucket(t *testing.T) {
 	b := NewRetryBudget(0.5, 2)
+	rec := obs.NewRecorder(&obs.ManualClock{})
+	b.SetRecorder(rec)
 	if !b.Spend() || !b.Spend() {
 		t.Fatal("burst of 2 must fund two retries")
 	}
@@ -231,8 +235,16 @@ func TestRetryBudgetTokenBucket(t *testing.T) {
 	if !b.Spend() {
 		t.Fatal("earned token must fund a retry")
 	}
-	earned, spent, denied := b.Counts()
-	if earned != 2 || spent != 3 || denied != 1 {
-		t.Errorf("counts = %d/%d/%d, want 2/3/1", earned, spent, denied)
+	if b.Spend() {
+		t.Fatal("fifth spend must be denied")
+	}
+	var denials []float64
+	for _, e := range rec.Events() {
+		if e.Layer == "overload" && e.Name == "budget_denied" {
+			denials = append(denials, e.Val)
+		}
+	}
+	if len(denials) != 2 || denials[0] != 1 || denials[1] != 2 {
+		t.Errorf("budget_denied events carry %v, want [1 2]", denials)
 	}
 }

@@ -210,14 +210,13 @@ func TestCallRawManyClientsChaos(t *testing.T) {
 }
 
 func TestCallRawAllocsSteady(t *testing.T) {
-	// The raw path's whole-call allocation budget. The codec contributes
-	// zero (pinned separately); what remains is the delivered reply
-	// frame, which the result cursor views and the pool therefore never
-	// gets back — the one allocation the zero-copy contract costs, and
-	// the one this call measures: the pool miss that replaces it boxes
-	// its buffer in a recycled header. The bound allows one more for
-	// pool/map jitter. (The boxed equivalent measured 7 with its own
-	// server path; the original reflective path measured 17.)
+	// The raw path's whole-call allocation budget is zero. The codec
+	// contributes none (pinned separately), the call frame comes from
+	// a pooled CallArgs, and the accepted reply frame, which the result
+	// cursor views, goes back to the pool when the client places its
+	// next call. (Before replies were recycled this call allocated 1: the
+	// pool miss replacing the kept frame. The original reflective path
+	// allocated 17.)
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
@@ -245,7 +244,60 @@ func TestCallRawAllocsSteady(t *testing.T) {
 		}
 	})
 	t.Logf("allocs/op for small raw call: %.1f", allocs)
-	if allocs > 2 {
-		t.Errorf("small raw call allocates %.1f times per op, want <= 2", allocs)
+	if allocs != 0 {
+		t.Errorf("small raw call allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+func TestFailoverCallRawAllocsSteady(t *testing.T) {
+	// A FailoverClient places each call through its active endpoint's
+	// client, so a steady-state echo allocates nothing either.
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	fc, _, _ := replicaPair(t)
+	call := func() {
+		w := fc.NewCallArgs()
+		w.Int64(7)
+		res, err := fc.CallRaw(1, w)
+		if err != nil || res.Int64() != 0 || res.Err() != nil {
+			t.Fatalf("call failed: %v", err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		call()
+	}
+	allocs := testing.AllocsPerRun(500, call)
+	t.Logf("allocs/op for a failover client's raw call: %.1f", allocs)
+	if allocs != 0 {
+		t.Errorf("failover raw call allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+func TestCallRawResultValidUntilNextCall(t *testing.T) {
+	// The result cursor views the client's reply buffer: it reads the
+	// reply intact however it is held, until the same client calls
+	// again. Another client's calls never touch it.
+	link := NewLink(ipc.Ethernet10)
+	server := NewServer(link, B)
+	server.RegisterRaw(3, echoRaw)
+	a, b := NewClient(link, A), NewClient(link, A)
+	call := func(c *Client, v []byte) Args {
+		t.Helper()
+		w := c.NewCallArgs()
+		w.Bytes(v)
+		res, err := c.CallRaw(server, 3, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := bytes.Repeat([]byte("kept"), 64)
+	res := call(a, want)
+	for i := 0; i < 64; i++ {
+		call(b, bytes.Repeat([]byte{byte(i)}, len(want)))
+	}
+	if got := res.Bytes(); !bytes.Equal(got, want) || res.Err() != nil {
+		t.Errorf("result read after other clients' calls = %q, %v", got, res.Err())
 	}
 }

@@ -49,7 +49,7 @@ type Stats struct {
 	// Client side.
 	Retries               int     // retransmissions performed
 	BackoffMicros         float64 // virtual time spent backing off between retries
-	DeadlineExceeded      int     // calls abandoned when the deadline budget ran out
+	DeadlineExceeded      int     // calls that ended in ErrDeadlineExceeded when the deadline budget ran out
 	SessionsReestablished int     // epoch bumps observed: sessions re-established with a restarted server
 	FencedReplies         int     // replies discarded because their epoch predates the fence
 	Failovers             int     // endpoint switches performed by a FailoverClient
@@ -575,6 +575,11 @@ type Client struct {
 	// its ClientID (seeded lazily, so zero-value Clients work too).
 	jitter jitterRand
 
+	// reply is the frame of the last reply this client accepted. The
+	// result cursor of the last call views it, so it rejoins the frame
+	// pool when the client places its next call, not before.
+	reply []byte
+
 	stats Stats
 }
 
@@ -609,11 +614,11 @@ var ErrCallFailed = errors.New("wire: call failed after retries")
 var ErrDeadlineExceeded = errors.New("wire: call deadline exceeded")
 
 // ErrOverloaded reports a call the service refused to execute under
-// overload: the retries ran out, and the server had answered at least
-// one attempt with a KindReject (a deadline-expired shed). On a clean
-// wire the op provably did not execute — no handler ran, nothing was
-// logged or cached — so the caller may score it as refused work, not
-// lost work.
+// overload: the retries or the deadline budget ran out, and the server
+// had answered at least one attempt with a KindReject (a
+// deadline-expired shed). On a clean wire the op provably did not
+// execute — no handler ran, nothing was logged or cached — so the
+// caller may score it as refused work, not lost work.
 var ErrOverloaded = errors.New("wire: overloaded")
 
 // RemoteError carries a server-side failure back to the caller.
@@ -683,9 +688,10 @@ const okFlagBytes = 2
 // — capped exponential backoff with seed-derived jitter, deadline
 // budget, reply-protocol decode — until the call concludes. On success
 // it returns the reply's result stream: the payload past the leading ok
-// flag, ready for an Args cursor. The returned bytes view the delivered
-// frame, which the link never reuses. Frame bytes are not retained: the
-// caller may recycle frame when drive returns.
+// flag, ready for an Args cursor. The returned bytes view the accepted
+// reply frame, which the client keeps (c.reply) until its next call.
+// Frame bytes are not retained: the caller may recycle frame when drive
+// returns.
 func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]byte, error) {
 	rec := c.link.Recorder()
 	start := c.link.Clock()
@@ -700,6 +706,12 @@ func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]
 	for attempt := 0; attempt <= c.MaxRetries; attempt++ {
 		if c.overDeadline(start) {
 			rec.Event("client", "call_end", c.ClientID, id, "status=deadline")
+			if rejected > 0 {
+				// The server shed an attempt: it is alive and declining,
+				// so this is overload, not a lost frame, and a failover
+				// client must not switch away from it.
+				return nil, overloadedErr(proc, rejected)
+			}
 			return nil, c.deadlineErr(proc, start)
 		}
 		if attempt > 0 {
@@ -770,14 +782,21 @@ func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]
 	}
 	rec.Event("client", "call_end", c.ClientID, id, "status=exhausted")
 	if rejected > 0 {
-		return nil, fmt.Errorf("%w (proc %d, %d rejects)", ErrOverloaded, proc, rejected)
+		return nil, overloadedErr(proc, rejected)
 	}
 	return nil, fmt.Errorf("%w (proc %d)", ErrCallFailed, proc)
 }
 
+// overloadedErr builds the error of a call that ran out of retries or
+// deadline after the server had shed at least one of its attempts.
+func overloadedErr(proc uint32, rejected int) error {
+	return fmt.Errorf("%w (proc %d, %d rejects)", ErrOverloaded, proc, rejected)
+}
+
 // awaitReplyFrame drains this client's receive queue until the reply
 // to call id appears, returning its verified payload — or, for a
-// KindReject answering this call, a nonzero reject reason. Damaged
+// KindReject answering this call, a nonzero reject reason. The accepted
+// reply's frame becomes c.reply, which the payload views. Damaged
 // frames and frames for other calls (stale replies from earlier
 // retransmissions, duplicates) are counted and skipped; an empty queue
 // returns ErrEmpty so the caller retransmits. Other clients' replies
@@ -837,6 +856,7 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 			c.epoch = h.Epoch
 		}
 		rec.Event("client", "recv_reply", c.ClientID, id, "")
+		c.reply = frame
 		return payload, 0, nil
 	}
 }
@@ -854,10 +874,10 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 //
 // The builder must come from NewCallArgs; CallRaw seals it into the
 // call frame and recycles it win or lose. On success the returned
-// cursor is positioned at the first result; it views link-delivered
-// memory that is never reused, so the caller may hold it as long as it
-// likes (Bytes results alias that memory — copy them to keep them past
-// the reply).
+// cursor is positioned at the first result. It views this client's
+// reply buffer, which stays valid until the client's next call, as
+// bufio.Scanner.Bytes does: read the results first, and copy what must
+// outlive that call (Bytes results alias the buffer; String copies).
 func (c *Client) CallRaw(server *Server, proc uint32, w *CallArgs) (Args, error) {
 	c.nextID++
 	res, err := c.callSealed(server, c.nextID, proc, w)
@@ -869,8 +889,11 @@ func (c *Client) CallRaw(server *Server, proc uint32, w *CallArgs) (Args, error)
 // expiry stamp — and drives it. The builder stays the caller's: the
 // failover client re-seals the same one, same call ID, on each endpoint
 // it tries, so the new primary's dedup machinery recognises the
-// retransmission as the same operation.
+// retransmission as the same operation. Placing a call ends the last
+// one's results: its reply frame goes back to the pool first.
 func (c *Client) callSealed(server *Server, id uint32, proc uint32, w *CallArgs) (Args, error) {
+	putBuf(c.reply)
+	c.reply = nil
 	frame, err := FinishFrame(w.frame, Header{Kind: KindCall, CallID: id, ProcID: proc, ClientID: c.ClientID, Expiry: c.expiryStamp()})
 	if err != nil {
 		return Args{}, err
