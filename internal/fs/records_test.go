@@ -77,7 +77,7 @@ func TestDecodeRecordsRejectsMalformedBatches(t *testing.T) {
 }
 
 func TestDecodedRecordsOwnTheirBytes(t *testing.T) {
-	// A shipped batch arrives as a view into a pooled wire frame that is
+	// A shipped batch arrives as a view into a recycled wire frame that is
 	// reused once the handler returns, while the backup's log keeps the
 	// decoded records: decoding must copy every path and payload.
 	recs := batchRecords(t)

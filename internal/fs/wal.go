@@ -562,7 +562,7 @@ func DecodeRecords(data []byte) ([]Record, error) { return AppendDecodedRecords(
 // AppendDecodedRecords appends the records of a shipped batch to dst,
 // writing every field whatever dst's spare capacity held. Each Path
 // and Data is a copy, so the records outlive data — a view into a
-// pooled wire frame. Malformed input is an error, found before anything
+// recycled wire frame. Malformed input is an error, found before anything
 // is allocated for it: a wrong format byte, a count the remaining bytes
 // cannot hold, a length prefix that runs past the end, a truncated
 // field, or trailing bytes; dst then comes back as it was passed, with
@@ -717,15 +717,22 @@ const minInodeBytes, minEntryBytes, minFDBytes, minSessionBytes = 4, 2, 3, 2*4 +
 // inside the snapshot. The new image is encoded into the previous
 // one's buffer when it fits: nothing else holds that buffer
 // (SnapshotBytes copies out, InstallSnapshot copies in and restore
-// copies out), and every byte of it is rewritten. The error is always
-// nil.
+// copies out), and every byte of it is rewritten. The tail keeps its
+// array, zeroed to its capacity so it pins no logged Path or Data (a
+// quarantine or a torn-record truncation leaves records past the
+// tail's end), and the records after the snapshot refill it without
+// regrowing it: nothing holds a slice of the tail past a call
+// (AppendRecordsSince copies records out by value, and TearFinalRecord
+// and CorruptTailRecord hold a pointer only while they run). The error
+// is always nil.
 func (w *WAL) Snapshot(f *FS) error {
 	w.snapshot = encodeImage(w.snapshot, w.cacheBlocks, f, w.sessions)
 	w.snapSeq = w.nextSeq
 	w.stats.Snapshots++
 	w.stats.SnapshotBytes = len(w.snapshot)
 	w.stats.Truncated += len(w.tail)
-	w.tail = nil
+	w.tail = w.tail[:0]
+	clear(w.tail[:cap(w.tail)])
 	return nil
 }
 

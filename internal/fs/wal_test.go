@@ -335,7 +335,7 @@ func TestWALSteadyStateAllocatesNothingPerRecord(t *testing.T) {
 	}
 
 	src := NewWAL(64)
-	shipped := make([]Record, runs+1+16)
+	shipped := make([]Record, runs+1+16+(1+4+1)*64)
 	for i := range shipped {
 		shipped[i] = src.Append(rec)
 	}
@@ -352,6 +352,76 @@ func TestWALSteadyStateAllocatesNothingPerRecord(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(runs, appendShipped); got != 0 {
 		t.Errorf("AppendShipped allocates %.1f times per record, want 0", got)
+	}
+
+	// A snapshot truncates the tail but keeps its array, so the records
+	// after it refill the array instead of regrowing it from empty: a
+	// cycle of 64 records and a snapshot allocates exactly what the
+	// snapshot alone does, on the primary and on a backup. The kept
+	// array is zeroed, so its spare slots pin no logged Path or Data.
+	fsys := New(64)
+	const perCycle = 64
+	for _, tc := range []struct {
+		name      string
+		w         *WAL
+		appendOne func()
+	}{
+		{"primary", primary, func() {
+			primary.Append(rec)
+			primary.AckShipped(primary.LastSeq())
+		}},
+		{"backup", backup, appendShipped},
+	} {
+		snapshot := func() {
+			if err := tc.w.Snapshot(fsys); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle := func() {
+			for i := 0; i < perCycle; i++ {
+				tc.appendOne()
+			}
+			snapshot()
+		}
+		cycle()
+		alone := testing.AllocsPerRun(4, snapshot)
+		if got := testing.AllocsPerRun(4, cycle); got != alone {
+			t.Errorf("%s: %d records and a snapshot allocate %.1f times, the snapshot alone %.1f", tc.name, perCycle, got, alone)
+		}
+		if c := cap(tc.w.tail); c < perCycle {
+			t.Errorf("%s: tail capacity %d after a snapshot, want the kept array (≥ %d)", tc.name, c, perCycle)
+		}
+		for i, r := range tc.w.tail[:cap(tc.w.tail)] {
+			if !reflect.DeepEqual(r, Record{}) {
+				t.Fatalf("%s: spare tail slot %d after a snapshot holds %+v, want a zero Record", tc.name, i, r)
+			}
+		}
+	}
+}
+
+func TestSnapshotZeroesRecordsDroppedPastTheTail(t *testing.T) {
+	// A quarantine truncates the tail and leaves the dropped records in
+	// the array past its end. The snapshot after it zeroes the whole
+	// kept array, so neither the dropped records nor the folded ones pin
+	// a logged Path or Data.
+	w := NewWAL(64)
+	f := New(64)
+	for i := 0; i < 8; i++ {
+		logged(t, w, f, Record{Op: OpCreate, Path: fmt.Sprintf("/f%d", i), Client: 1, Call: uint32(i + 1)})
+	}
+	if n := w.QuarantineFrom(5); n != 4 {
+		t.Fatalf("quarantined %d records, want 4", n)
+	}
+	if err := w.Snapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.tail) != 0 || cap(w.tail) < 8 {
+		t.Fatalf("tail len %d cap %d after a snapshot, want the kept array, empty", len(w.tail), cap(w.tail))
+	}
+	for i, r := range w.tail[:cap(w.tail)] {
+		if !reflect.DeepEqual(r, Record{}) {
+			t.Errorf("kept tail slot %d holds %+v, want a zero Record", i, r)
+		}
 	}
 }
 

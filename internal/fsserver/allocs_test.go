@@ -16,7 +16,7 @@ import (
 
 // readAllocs measures the steady-state allocations of one Stat and one
 // ReadDir through r, over a small tree and after a warm-up that fills
-// the frame pools and the recorder's histogram classes.
+// the stack's free lists and the recorder's histogram classes.
 func readAllocs(t *testing.T, r *Remote) (stat, readDir float64) {
 	t.Helper()
 	if err := r.Mkdir("/d"); err != nil {
@@ -91,7 +91,7 @@ func TestServerQueryHitsAllocateNothing(t *testing.T) {
 	// A Stat or ReadDir that finds its path costs the server nothing on
 	// the heap: the path is resolved from the call frame's bytes, the
 	// listing goes through the server's reused buffer, and the frames
-	// come from the link's pool. Calls are sealed by hand into one
+	// come from the stack's free list. Calls are sealed by hand into one
 	// buffer and their replies drained header-only, as the load engine
 	// drives the server, so only the server side is counted.
 	if raceEnabled {
@@ -264,7 +264,7 @@ func opAllocs(t *testing.T, r *Remote) map[string]float64 {
 }
 
 func TestSteadyStateAllocsPerOp(t *testing.T) {
-	// What an op allocates once the pools are warm is what the stack
+	// What an op allocates once the free lists are warm is what the stack
 	// keeps or hands back: a logged path or payload (one copy per node
 	// that logs it), a read's result (the server's buffer, each
 	// backup's replay of it, and the caller's copy), an inode. Frames,

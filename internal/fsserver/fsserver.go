@@ -17,11 +17,11 @@
 // replication, recovery and healing those ops trigger run synchronously
 // inside them. Handing a stack to another goroutine needs a
 // happens-before edge, such as the channel hand-off Interleave makes
-// between the clients it runs. Independent stacks share nothing but
-// the wire frame-buffer pools, so they may run on separate goroutines
-// at once. The race detector enforces the contract: a second goroutine
-// touching a stack without such an edge is a data race, reported in
-// any -race run that exercises it.
+// between the clients it runs. Independent stacks share nothing — the
+// wire frame buffers a stack recycles stay on its own VClock — so they
+// may run on separate goroutines at once. The race detector enforces
+// the contract: a second goroutine touching a stack without such an
+// edge is a data race, reported in any -race run that exercises it.
 package fsserver
 
 import (

@@ -68,7 +68,7 @@ func TestServiceConformance(t *testing.T) {
 }
 
 func TestRemoteReadResultOutlivesLaterCalls(t *testing.T) {
-	// The reply frame a Read arrives in goes back to the frame pool at
+	// The reply frame a Read arrives in goes back to the free list at
 	// the caller's next call, but Service.Read returns bytes the caller
 	// keeps: 64 more calls on the same Remote, reads of other bytes
 	// among them, must leave an earlier result unchanged.

@@ -150,7 +150,9 @@ func transportFailure(err error) bool {
 	return errors.Is(err, ErrCallFailed) || errors.Is(err, ErrDeadlineExceeded)
 }
 
-// NewCallArgs returns a pooled argument builder for CallRaw.
+// NewCallArgs returns an argument builder for CallRaw from the stack's
+// free list. Every endpoint sits on the one stack, so the builder
+// returns to the list it came from whichever endpoint answers.
 func (f *FailoverClient) NewCallArgs() *CallArgs { return f.clients[0].NewCallArgs() }
 
 // Call invokes proc with boxed args and returns the boxed results — the

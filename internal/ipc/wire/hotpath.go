@@ -1,77 +1,100 @@
 package wire
 
-import "sync"
-
-// The hot-path buffer plumbing: pooled frame buffers and the two
+// The hot-path buffer plumbing: each stack's free lists of frame
+// buffers, argument builders and handler carriers, and the two
 // stub-style builders — CallArgs on the client side, Reply on the
 // server side — that write typed values straight into a frame with the
 // header reserved in place, so the steady-state call path performs no
 // per-call allocation in the codec: no boxed []interface{}, no
 // payload→frame copy, no fresh frame buffer.
 
-// bufPool recycles frame buffers. Buffers enter the pool when a cached
-// reply frame is replaced or evicted, when a call frame finishes its
-// retry loop, when a client places the call after the one whose reply
-// it accepted, and when a header-only receive (Link.RecvClientHeader)
-// has read a frame; they leave it for the next call or reply built on
-// this process. Oversized buffers are dropped so one huge payload cannot pin
-// memory forever.
-var bufPool = sync.Pool{
-	New: func() interface{} {
-		p := hdrPool.Get().(*[]byte)
-		*p = make([]byte, 0, 512)
-		return p
-	},
+// freeList is a LIFO of recycled values, one per kind on each stack's
+// VClock. The stack's goroutine is its only user (see the package
+// doc), so it takes no lock and pins nothing to a processor. LIFO
+// suits the nesting: a primary's handler builds the ship call while
+// its client's builder is live, and each backup's handler runs inside
+// the primary's dispatch, so the value taken last is returned first.
+type freeList[T any] struct {
+	items []T
 }
 
-// hdrPool recycles the *[]byte boxes the buffer pool traffics in:
-// without it every putBuf would heap-allocate a fresh slice header to
-// hand to sync.Pool, costing an allocation to save one. Headers cycle
-// between the pools — getBuf frees a header that the next putBuf or
-// bufPool miss reuses — so the steady state allocates no buffer or box.
-var hdrPool = sync.Pool{New: func() interface{} { return new([]byte) }}
+// maxFree caps each free list. Only memory depends on it: a put past
+// the cap drops the value to the GC, and a get from an empty list
+// makes a fresh one. A call takes and returns a handful of frames, so
+// 64 covers the steady state; a burst beyond it (a crash purging a
+// deep queue, a state transfer) hands the excess back to the GC.
+const maxFree = 64
 
-// maxPooledBuf bounds what returns to the pool: a frame is at most
+func (f *freeList[T]) get() (x T, ok bool) {
+	n := len(f.items) - 1
+	if n < 0 {
+		return x, false
+	}
+	x = f.items[n]
+	var zero T
+	f.items[n] = zero
+	f.items = f.items[:n]
+	return x, true
+}
+
+func (f *freeList[T]) put(x T) {
+	if len(f.items) < maxFree {
+		f.items = append(f.items, x)
+	}
+}
+
+// maxRecycledBuf bounds what returns to a free list: a frame is at most
 // header + maxPayload, anything bigger is a batching container that
 // grew unusually — let the GC have it.
-const maxPooledBuf = headerBytes + maxPayload
+const maxRecycledBuf = headerBytes + maxPayload
 
-func getBuf() []byte {
-	p := bufPool.Get().(*[]byte)
-	b := *p
-	*p = nil
-	hdrPool.Put(p)
-	return b[:0]
+// getBuf takes a frame buffer from the stack's free list, or makes one
+// when the list is empty. Buffers enter the list when a cached reply
+// frame is replaced or evicted, when a call frame finishes its retry
+// loop, when a client places the call after the one whose reply it
+// accepted, and when a header-only receive (Link.RecvClientHeader) has
+// read a frame; they leave it for the next call, reply or in-flight
+// copy built on the same stack.
+func (v *VClock) getBuf() []byte {
+	if b, ok := v.bufs.get(); ok {
+		return b
+	}
+	return make([]byte, 0, 512)
 }
 
-func putBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
+// putBuf returns a frame buffer to the stack's free list. Oversized
+// buffers are dropped so one huge payload cannot pin memory forever,
+// and so is every buffer past the list's cap.
+func (v *VClock) putBuf(b []byte) {
+	if cap(b) == 0 || cap(b) > maxRecycledBuf {
 		return
 	}
-	p := hdrPool.Get().(*[]byte)
-	*p = b[:0]
-	bufPool.Put(p)
+	v.bufs.put(b[:0])
 }
 
-// CallArgs builds one call's argument payload directly into a pooled
+// CallArgs builds one call's argument payload directly into a recycled
 // frame buffer, header space reserved up front. Obtain one from
 // NewCallArgs, append the procedure's arguments with the typed methods,
 // and pass it to CallRaw (of a Client or a FailoverClient) — which
-// seals the frame, drives the call, and recycles the buffer. The
-// writers mirror the Append* marshallers one-to-one.
+// seals the frame, drives the call, and recycles the builder with its
+// buffer. The writers mirror the Append* marshallers one-to-one.
 type CallArgs struct {
 	frame []byte
+	clock *VClock // the stack whose free list the builder returns to
 }
 
-var callArgsPool = sync.Pool{New: func() interface{} { return new(CallArgs) }}
-
-// NewCallArgs returns a pooled argument builder with frame header space
-// reserved. It must be passed to CallRaw (which releases it); building
-// one and abandoning it leaks nothing but forfeits the pooled buffer.
+// NewCallArgs returns an argument builder from the stack's free list,
+// with frame header space reserved. It must be passed to CallRaw (which
+// releases it); building one and abandoning it leaks nothing but
+// forfeits the recycled buffer.
 func (c *Client) NewCallArgs() *CallArgs {
-	w := callArgsPool.Get().(*CallArgs)
+	v := c.link.clock
+	w, ok := v.args.get()
+	if !ok {
+		w = &CallArgs{clock: v}
+	}
 	if w.frame == nil {
-		w.frame = getBuf()
+		w.frame = v.getBuf()
 	}
 	w.frame = BeginFrame(w.frame[:0])
 	return w
@@ -110,23 +133,23 @@ func (w *CallArgs) marshal(args []interface{}) error {
 	return nil
 }
 
-// release returns the builder (and its buffer) to the pools.
+// release returns the builder, with its buffer, to the free list of
+// the stack it came from.
 func (w *CallArgs) release() {
-	if cap(w.frame) > maxPooledBuf {
+	if cap(w.frame) > maxRecycledBuf {
 		w.frame = nil
 	}
-	callArgsPool.Put(w)
+	w.clock.args.put(w)
 }
 
 // rawCall carries the cursor and builder handed to a raw handler. The
-// pair is pooled and passed by pointer so neither escapes to the heap
-// per call; a handler must not retain either past its return.
+// pair comes from the stack's free list and is passed by pointer so
+// neither escapes to the heap per call; a handler must not retain
+// either past its return.
 type rawCall struct {
 	args Args
 	rep  Reply
 }
-
-var rawCallPool = sync.Pool{New: func() interface{} { return new(rawCall) }}
 
 // Reply builds a raw handler's results directly into the reply frame,
 // header space and the ok flag already written by the dispatcher. The

@@ -53,7 +53,7 @@ type Link struct {
 	// frames instead of transmitting, and the receiver's poll flushes
 	// everything staged in its direction as one KindBatch container —
 	// one per-packet charge amortised over every coalesced frame, the
-	// way a NIC coalesces interrupts. Staged frames are pooled copies;
+	// way a NIC coalesces interrupts. Staged frames are recycled copies;
 	// stagedBytes tracks the container payload each direction has
 	// accumulated so a flush never overflows maxPayload.
 	batching    bool
@@ -91,8 +91,18 @@ func NewLinkOnClock(net ipc.NetworkConfig, clock *VClock) *Link {
 
 // VClock is a shared virtual-time source in microseconds. Every link
 // created on the same VClock advances and reads the same timeline.
+//
+// A VClock is also the one object every link, client and server of a
+// stack reaches, so it holds the stack's free lists (hotpath.go): the
+// frame buffers, argument builders and handler carriers the stack
+// recycles. They belong to the stack's goroutine like everything else
+// in it, so independent stacks share no buffer.
 type VClock struct {
 	micros float64
+
+	bufs  freeList[[]byte]
+	args  freeList[*CallArgs]
+	calls freeList[*rawCall]
 }
 
 // NewVClock builds a clock at time zero.
@@ -278,10 +288,10 @@ func (l *Link) deliver(from Endpoint, frame []byte) {
 			if i+n > len(payload) {
 				break // unreachable behind the checksum; drop the tail
 			}
-			l.deliver(from, append(getBuf(), payload[i:i+n]...))
+			l.deliver(from, append(l.clock.getBuf(), payload[i:i+n]...))
 			i += n
 		}
-		putBuf(frame)
+		l.clock.putBuf(frame)
 		return
 	}
 	to := opposite(from)
@@ -350,7 +360,7 @@ func (l *Link) Send(from Endpoint, frame []byte) {
 					Client: clientID, Call: callID, Val: float64(len(frame)), Attrs: kindAttr(kind)})
 			}
 			st := l.stage(from)
-			*st = append(*st, append(getBuf(), frame...))
+			*st = append(*st, append(l.clock.getBuf(), frame...))
 			l.stagedBytes[d] += entry
 			return
 		}
@@ -376,14 +386,14 @@ func (l *Link) flushBatch(from Endpoint) {
 		l.transmit(from, staged[0], true)
 		return
 	}
-	payload := getBuf()
+	payload := l.clock.getBuf()
 	for _, f := range staged {
 		payload = binary.BigEndian.AppendUint32(payload, uint32(len(f)))
 		payload = append(payload, f...)
-		putBuf(f)
+		l.clock.putBuf(f)
 	}
-	container, err := AppendEncode(getBuf(), Header{Kind: KindBatch}, payload)
-	putBuf(payload)
+	container, err := AppendEncode(l.clock.getBuf(), Header{Kind: KindBatch}, payload)
+	l.clock.putBuf(payload)
 	if err != nil {
 		panic(err) // staging bounds the payload; cannot happen
 	}
@@ -400,7 +410,7 @@ func (l *Link) flushBatch(from Endpoint) {
 
 // transmit is the wire proper: virtual-time charge, fault decisions,
 // and delivery for one transmitted unit. owned marks a frame the link
-// already holds a pooled copy of (a flushed stage or a built
+// already holds a recycled copy of (a flushed stage or a built
 // container); an unowned frame is copied first, because the sender may
 // reuse its buffer the moment Send returns.
 func (l *Link) transmit(from Endpoint, frame []byte, owned bool) {
@@ -436,21 +446,21 @@ func (l *Link) transmit(from Endpoint, frame []byte, owned bool) {
 			l.obs.EventAt(now, "fault", "drop", clientID, callID, "")
 		}
 		if owned {
-			putBuf(frame)
+			l.clock.putBuf(frame)
 		}
 		return
 	}
 	// The in-flight copy (the sender may reuse its buffer immediately)
-	// comes from the frame pool; the terminal consumer recycles it — the
-	// server's pump after dispatch, the client's reply filter for
-	// discarded frames, a header-only receive for every frame. An
+	// comes from the stack's free list; the terminal consumer recycles
+	// it — the server's pump after dispatch, the client's reply filter
+	// for discarded frames, a header-only receive for every frame. An
 	// accepted reply is recycled last: its payload is handed to the
 	// caller as a view, so the client keeps the buffer until it places
-	// its next call. An owned frame is already the link's pooled copy
+	// its next call. An owned frame is already the link's recycled copy
 	// and goes out as it is.
 	out := frame
 	if !owned {
-		out = append(getBuf(), frame...)
+		out = append(l.clock.getBuf(), frame...)
 	}
 	if d.Corrupt {
 		flipBit(out, d.CorruptOffset)
@@ -470,7 +480,7 @@ func (l *Link) transmit(from Endpoint, frame []byte, owned bool) {
 		delivered++
 	}
 	if d.Duplicate {
-		dup := append(getBuf(), out...)
+		dup := append(l.clock.getBuf(), out...)
 		now = l.clock.add(l.Net.PacketMicros(len(out))) // the copy occupies the wire too
 		if l.obs != nil {
 			l.obs.EventAt(now, "fault", "duplicate", clientID, callID, "")
@@ -509,7 +519,7 @@ func (l *Link) PurgeToward(at Endpoint) int {
 	q, _ := l.queues(opposite(at))
 	n := len(*q)
 	for _, f := range *q {
-		putBuf(f)
+		l.clock.putBuf(f)
 	}
 	*q = nil
 	return n
@@ -587,16 +597,16 @@ func (l *Link) RecvClient(at Endpoint, clientID uint32) ([]byte, error) {
 }
 
 // RecvClientHeader is RecvClient for a caller that reads only headers:
-// it pops the client's next frame, decodes and verifies it, returns the
-// buffer to the frame pool — a damaged frame too — and hands back the
-// header alone, so no view into the recycled buffer escapes. A damaged
-// frame returns its decode error, an empty queue ErrEmpty.
+// it pops the client's next frame, decodes and verifies it, returns
+// the buffer to the stack's free list — a damaged frame too — and hands
+// back the header alone, so no view into the recycled buffer escapes.
+// A damaged frame returns its decode error, an empty queue ErrEmpty.
 func (l *Link) RecvClientHeader(at Endpoint, clientID uint32) (Header, error) {
 	frame, err := l.RecvClient(at, clientID)
 	if err != nil {
 		return Header{}, err
 	}
 	h, _, err := Decode(frame)
-	putBuf(frame)
+	l.clock.putBuf(frame)
 	return h, err
 }

@@ -18,11 +18,13 @@
 // another goroutine needs a happens-before edge, such as a channel
 // hand-off. Several callers of one stack are simulated clients that
 // its goroutine interleaves in an order it fixes, which is what makes
-// same-seed runs byte-identical. Independent stacks share nothing but
-// the frame-buffer pools (sync.Pool), so they may run on separate
-// goroutines at once. The race detector enforces the contract: a
-// second goroutine touching a stack without such an edge is a data
-// race, reported in any -race run that exercises it.
+// same-seed runs byte-identical. Independent stacks share nothing —
+// each recycles its frame buffers and builders on its own VClock's
+// free lists — so they may run on separate goroutines at once. The
+// race detector enforces the contract: a second goroutine touching a
+// stack without such an edge, or a buffer that crossed from one stack
+// into another, is a data race, reported in any -race run that
+// exercises it.
 package wire
 
 import (
@@ -156,7 +158,7 @@ func Encode(h Header, payload []byte) ([]byte, error) {
 }
 
 // AppendEncode appends a complete frame for h and payload to dst and
-// returns the extended slice — the pooled-buffer variant of Encode.
+// returns the extended slice — the recycled-buffer variant of Encode.
 // The frame must start at dst's beginning: pass a zero-length slice
 // (dst[:0] of a recycled buffer) or nil.
 func AppendEncode(dst []byte, h Header, payload []byte) ([]byte, error) {

@@ -135,7 +135,7 @@ func TestCallRawServerCrashWindow(t *testing.T) {
 func TestCallRawManyClientsChaos(t *testing.T) {
 	// The raw path with many simulated clients on one link, interleaved
 	// round-robin: retransmission, duplicate suppression, and reply
-	// routing all run through pooled frames, and the non-idempotent
+	// routing all run through recycled frames, and the non-idempotent
 	// handler still executes exactly once per call. The chaos input runs
 	// the reference fault policy. The clean input is the throughput
 	// probe's load — 8 clients × 2000 calls to a handler that checksums
@@ -212,11 +212,11 @@ func TestCallRawManyClientsChaos(t *testing.T) {
 func TestCallRawAllocsSteady(t *testing.T) {
 	// The raw path's whole-call allocation budget is zero. The codec
 	// contributes none (pinned separately), the call frame comes from
-	// a pooled CallArgs, and the accepted reply frame, which the result
-	// cursor views, goes back to the pool when the client places its
-	// next call. (Before replies were recycled this call allocated 1: the
-	// pool miss replacing the kept frame. The original reflective path
-	// allocated 17.)
+	// a recycled CallArgs, and the accepted reply frame, which the result
+	// cursor views, goes back to the stack's free list when the client
+	// places its next call. (Before replies were recycled this call
+	// allocated 1: the pool miss replacing the kept frame. The original
+	// reflective path allocated 17.)
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
@@ -227,7 +227,7 @@ func TestCallRawAllocsSteady(t *testing.T) {
 		rep.Int64(a.Int64())
 		return a.Err()
 	})
-	// Warm the pools.
+	// Warm the free lists.
 	for i := 0; i < 8; i++ {
 		w := client.NewCallArgs()
 		w.Int64(7)

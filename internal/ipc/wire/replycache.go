@@ -23,6 +23,7 @@ type replyCache struct {
 	cap     int
 	entries map[uint32]*list.Element
 	lru     *list.List // front = most recently used
+	clock   *VClock    // the stack whose free list takes retired frames
 }
 
 // cacheEntry is the at-most-once record for one client: the last call
@@ -34,11 +35,11 @@ type cacheEntry struct {
 	frame    []byte
 }
 
-func newReplyCache(capacity int) *replyCache {
+func newReplyCache(capacity int, clock *VClock) *replyCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &replyCache{cap: capacity, entries: map[uint32]*list.Element{}, lru: list.New()}
+	return &replyCache{cap: capacity, entries: map[uint32]*list.Element{}, lru: list.New(), clock: clock}
 }
 
 // get returns the client's cached record and bumps its recency.
@@ -55,15 +56,15 @@ func (c *replyCache) get(clientID uint32) (*cacheEntry, bool) {
 // recently used client when the cache is full. It returns how many
 // entries were evicted.
 //
-// Replaced and evicted reply frames are recycled into the frame-buffer
-// pool: the cache held their only reference — the link copies frames on
+// Replaced and evicted reply frames are recycled into the stack's free
+// list: the cache held their only reference — the link copies frames on
 // Send, so a cached frame that has been transmitted (even several
 // times, for duplicates) shares no memory with anything in flight.
 func (c *replyCache) put(clientID, callID uint32, frame []byte) int {
 	if el, ok := c.entries[clientID]; ok {
 		e := el.Value.(*cacheEntry)
 		if e.frame != nil {
-			putBuf(e.frame)
+			c.clock.putBuf(e.frame)
 		}
 		e.callID = callID
 		e.frame = frame
@@ -75,7 +76,7 @@ func (c *replyCache) put(clientID, callID uint32, frame []byte) int {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
 		if old := oldest.Value.(*cacheEntry); old.frame != nil {
-			putBuf(old.frame)
+			c.clock.putBuf(old.frame)
 		}
 		delete(c.entries, oldest.Value.(*cacheEntry).clientID)
 		evicted++

@@ -118,7 +118,7 @@ func NewServer(link *Link, side Endpoint) *Server {
 		link:  link,
 		side:  side,
 		procs: map[uint32]RawHandler{},
-		cache: newReplyCache(defaultCacheCapacity),
+		cache: newReplyCache(defaultCacheCapacity, link.clock),
 		epoch: 1,
 	}
 }
@@ -135,7 +135,7 @@ func (s *Server) RegisterRaw(proc uint32, h RawHandler) {
 // Call before serving; replacing the cache mid-traffic forgets every
 // at-most-once record.
 func (s *Server) ConfigureReplyCache(capacity int) {
-	s.cache = newReplyCache(capacity)
+	s.cache = newReplyCache(capacity, s.link.clock)
 }
 
 // SetShedExpired arms deadline-aware shedding: a call whose propagated
@@ -250,7 +250,7 @@ func (s *Server) crashPoint(p faultplane.CrashPoint) bool {
 func (s *Server) Restart() {
 	s.epoch++
 	s.procs = map[uint32]RawHandler{}
-	s.cache = newReplyCache(s.cache.cap)
+	s.cache = newReplyCache(s.cache.cap, s.link.clock)
 	s.stats.Restarts++
 	s.link.Recorder().Event("server", "restart", 0, 0, "epoch="+strconv.Itoa(int(s.epoch)))
 }
@@ -314,22 +314,22 @@ func (s *Server) Poll() {
 		h, payload, err := Decode(frame)
 		if err != nil {
 			s.stats.BadFrames++
-			putBuf(frame)
+			s.link.clock.putBuf(frame)
 			continue
 		}
 		if h.Kind != KindCall {
-			putBuf(frame)
+			s.link.clock.putBuf(frame)
 			continue
 		}
 		if s.crashPoint(faultplane.CrashOnRecv) {
-			putBuf(frame)
+			s.link.clock.putBuf(frame)
 			return // died holding the frame; the client retransmits
 		}
 		crashed := s.dispatch(h, payload)
 		// The call frame's life ends with its dispatch: handlers see the
 		// payload only as views that expire when they return, so the
-		// buffer can rejoin the pool.
-		putBuf(frame)
+		// buffer can rejoin the free list.
+		s.link.clock.putBuf(frame)
 		if crashed {
 			return // died mid-dispatch
 		}
@@ -405,8 +405,8 @@ func (s *Server) dispatch(h Header, payload []byte) bool {
 
 // reject declines a call without executing it: a one-byte KindReject
 // frame naming the reason, stamped with the server's epoch so fencing
-// applies to rejections too. The frame is built in a pooled buffer and
-// recycled immediately (Send copies) — a shed costs one small frame
+// applies to rejections too. The frame is built in a recycled buffer
+// and returned at once (Send copies) — a shed costs one small frame
 // and touches neither the reply cache nor any durable state, which is
 // what makes shedding cheaper than serving.
 func (s *Server) reject(h Header, reason byte) {
@@ -415,14 +415,15 @@ func (s *Server) reject(h Header, reason byte) {
 			Client: h.ClientID, Call: h.CallID, Proc: h.ProcID,
 			Val: float64(reason), Attrs: rejectAttr(reason)})
 	}
-	buf := append(BeginFrame(getBuf()), reason)
+	free := s.link.clock
+	buf := append(BeginFrame(free.getBuf()), reason)
 	frame, err := FinishFrame(buf, Header{Kind: KindReject, CallID: h.CallID, ProcID: h.ProcID, ClientID: h.ClientID, Epoch: s.Epoch()})
 	if err != nil {
-		putBuf(buf)
+		free.putBuf(buf)
 		return
 	}
 	s.link.Send(s.side, frame)
-	putBuf(frame)
+	free.putBuf(frame)
 }
 
 // rejectAttr preformats the reason attribute of a reject event —
@@ -477,16 +478,20 @@ func (s *Server) execute(rec *obs.Recorder, cache *replyCache, proc RawHandler, 
 	return false
 }
 
-// runHandler runs a handler and builds its reply in place in a pooled
-// frame buffer — ok flag, then whatever results the handler appends —
-// sealed with the header written over the space reserved by
+// runHandler runs a handler and builds its reply in place in a
+// recycled frame buffer — ok flag, then whatever results the handler
+// appends — sealed with the header written over the space reserved by
 // BeginFrame. A failed call, an unbound procedure (nil proc) included,
 // is answered [false, message]; the pre-reply crash window is drawn for
 // every call that did not die in the handler.
 func (s *Server) runHandler(proc RawHandler, h Header, payload []byte) (frame []byte, encErr error, crashed bool) {
-	rc := rawCallPool.Get().(*rawCall)
+	free := s.link.clock
+	rc, ok := free.calls.get()
+	if !ok {
+		rc = new(rawCall)
+	}
 	rc.args = NewArgs(payload)
-	rc.rep = Reply{frame: AppendBool(BeginFrame(getBuf()), true)}
+	rc.rep = Reply{frame: AppendBool(BeginFrame(free.getBuf()), true)}
 	err := ErrNoProc
 	if proc != nil {
 		err = proc(h, &rc.args, &rc.rep)
@@ -497,16 +502,16 @@ func (s *Server) runHandler(proc RawHandler, h Header, payload []byte) (frame []
 		err = rc.args.Err()
 	}
 	// The cursor views the call frame and the builder the reply frame;
-	// both die with this dispatch, so the carrier must not pin them in
-	// the pool.
+	// both die with this dispatch, so the carrier must not pin them on
+	// the free list.
 	replyFrame := rc.rep.frame
 	*rc = rawCall{}
-	rawCallPool.Put(rc)
+	free.calls.put(rc)
 	if errors.Is(err, ErrServerCrashed) {
 		// The crash schedule fired inside the handler — between the
 		// service's log append and its apply. The op is durable in the
 		// log; the process is gone.
-		putBuf(replyFrame)
+		free.putBuf(replyFrame)
 		s.enterCrashed(faultplane.CrashPreApply)
 		return nil, nil, true
 	}
@@ -519,12 +524,12 @@ func (s *Server) runHandler(proc RawHandler, h Header, payload []byte) (frame []
 		// Logged, applied — and dead before the reply could leave. The
 		// retransmission will be answered from the durable log by the
 		// restarted server.
-		putBuf(replyFrame)
+		free.putBuf(replyFrame)
 		return nil, nil, true
 	}
 	frame, ferr := FinishFrame(replyFrame, Header{Kind: KindReply, CallID: h.CallID, ProcID: h.ProcID, ClientID: h.ClientID, Epoch: s.Epoch()})
 	if ferr != nil {
-		putBuf(replyFrame)
+		free.putBuf(replyFrame)
 		return nil, ferr, false
 	}
 	return frame, nil, false
@@ -576,8 +581,8 @@ type Client struct {
 	jitter jitterRand
 
 	// reply is the frame of the last reply this client accepted. The
-	// result cursor of the last call views it, so it rejoins the frame
-	// pool when the client places its next call, not before.
+	// result cursor of the last call views it, so it rejoins the stack's
+	// free list when the client places its next call, not before.
 	reply []byte
 
 	stats Stats
@@ -815,13 +820,13 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 		h, payload, err := Decode(frame)
 		if err != nil {
 			c.stats.BadFrames++
-			putBuf(frame) // damaged: nobody will ever read it
+			c.link.clock.putBuf(frame) // damaged: nobody will ever read it
 			continue
 		}
 		if h.Kind == KindReject && h.CallID == id && h.ClientID == c.ClientID {
 			if h.Epoch != 0 && c.Fence != nil && !c.Fence.Admit(h.Epoch) {
 				c.stats.FencedReplies++
-				putBuf(frame)
+				c.link.clock.putBuf(frame)
 				rec.Emit(obs.Event{Layer: "client", Name: "fenced", Client: c.ClientID, Call: id, Val: float64(h.Epoch)})
 				continue
 			}
@@ -829,14 +834,14 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 			if len(payload) >= 1 {
 				reason = payload[0]
 			}
-			putBuf(frame) // the reason byte is all there was to read
+			c.link.clock.putBuf(frame) // the reason byte is all there was to read
 			rec.Emit(obs.Event{Layer: "client", Name: "rejected",
 				Client: c.ClientID, Call: id, Val: float64(reason), Attrs: rejectAttr(reason)})
 			return nil, reason, nil
 		}
 		if h.Kind != KindReply || h.CallID != id || h.ClientID != c.ClientID {
 			c.stats.StaleFrames++
-			putBuf(frame) // a superseded call's reply: terminally stale
+			c.link.clock.putBuf(frame) // a superseded call's reply: terminally stale
 			continue
 		}
 		if h.Epoch != 0 && c.Fence != nil && !c.Fence.Admit(h.Epoch) {
@@ -844,7 +849,7 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 			// caller has already heard from — a deposed primary's stale
 			// answer. Fenced off, never surfaced.
 			c.stats.FencedReplies++
-			putBuf(frame)
+			c.link.clock.putBuf(frame)
 			rec.Emit(obs.Event{Layer: "client", Name: "fenced", Client: c.ClientID, Call: id, Val: float64(h.Epoch)})
 			continue
 		}
@@ -890,9 +895,9 @@ func (c *Client) CallRaw(server *Server, proc uint32, w *CallArgs) (Args, error)
 // failover client re-seals the same one, same call ID, on each endpoint
 // it tries, so the new primary's dedup machinery recognises the
 // retransmission as the same operation. Placing a call ends the last
-// one's results: its reply frame goes back to the pool first.
+// one's results: its reply frame goes back to the free list first.
 func (c *Client) callSealed(server *Server, id uint32, proc uint32, w *CallArgs) (Args, error) {
-	putBuf(c.reply)
+	c.link.clock.putBuf(c.reply)
 	c.reply = nil
 	frame, err := FinishFrame(w.frame, Header{Kind: KindCall, CallID: id, ProcID: proc, ClientID: c.ClientID, Expiry: c.expiryStamp()})
 	if err != nil {

@@ -344,9 +344,9 @@ func TestWireClockMatchesCostModel(t *testing.T) {
 
 // TestRecvClientHeaderRecyclesWithoutAllocating: the header-only
 // receive returns an intact reply's verified header and a damaged
-// one's decode error, and sends both buffers back to the frame pool.
-// The link copies every sent frame into a pooled buffer, so a round
-// that sends and receives two frames allocates nothing once each
+// one's decode error, and sends both buffers back to the stack's free
+// list. The link copies every sent frame into a recycled buffer, so a
+// round that sends and receives two frames allocates nothing once each
 // receive recycles what it took.
 func TestRecvClientHeaderRecyclesWithoutAllocating(t *testing.T) {
 	link := NewLink(ipc.Ethernet10)
@@ -376,7 +376,7 @@ func TestRecvClientHeaderRecyclesWithoutAllocating(t *testing.T) {
 		}
 	}
 	if raceEnabled {
-		round() // the pool drops buffers at random under the race detector
+		round() // allocation counts are inflated under the race detector
 		return
 	}
 	if allocs := testing.AllocsPerRun(rounds, round); allocs != 0 {

@@ -51,7 +51,7 @@ func newEcho() (*wire.Link, *wire.Server) {
 	return link, server
 }
 
-// RawCallSmall times the end-to-end raw call path: pooled frames,
+// RawCallSmall times the end-to-end raw call path: recycled frames,
 // typed appenders, cached execution, one int64 each way.
 func RawCallSmall(b *testing.B) {
 	link, server := newEcho()

@@ -66,6 +66,42 @@ func TestFlightRingExactFit(t *testing.T) {
 	}
 }
 
+// TestTakeEventsHandsOverTheRing: TakeEvents returns what Events
+// would, in Seq order, before the ring wraps, at the exact fit and
+// after wrapping at every offset, without copying the ring; the
+// recorder is left empty and records into a fresh ring afterwards.
+func TestTakeEventsHandsOverTheRing(t *testing.T) {
+	for _, n := range []int{0, 3, 7, 8, 9, 12, 15, 16, 21} {
+		rec := NewFlightRecorder(&tickClock{}, 8)
+		for i := 0; i < n; i++ {
+			rec.Emit(Event{Layer: "l", Name: "e", Val: float64(i)})
+		}
+		want := rec.Events()
+		ring := rec.ring
+		got := rec.TakeEvents()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d events: TakeEvents = %v, want Events' %v", n, got, want)
+		}
+		if len(got) > 0 && &got[0] != &ring[0] {
+			t.Errorf("%d events: TakeEvents copied the ring instead of handing it over", n)
+		}
+		if c := rec.EventCount(); c != 0 || len(rec.Events()) != 0 {
+			t.Errorf("%d events: recorder holds %d events after TakeEvents, want 0", n, c)
+		}
+		rec.Emit(Event{Layer: "l", Name: "after"})
+		if ev := rec.Events(); len(ev) != 1 || ev[0].Name != "after" || ev[0].Seq != uint64(n+1) {
+			t.Errorf("%d events: recording after TakeEvents gave %v, want one event with Seq %d", n, ev, n+1)
+		}
+		if len(got) > 0 && got[len(got)-1].Name != "e" {
+			t.Errorf("%d events: recording after TakeEvents wrote into the handed-over ring", n)
+		}
+	}
+	var nilRec *Recorder
+	if got := nilRec.TakeEvents(); got != nil {
+		t.Errorf("nil recorder TakeEvents = %v, want nil", got)
+	}
+}
+
 // TestSpanIndexMatchesLinearScan: the indexed lookup returns exactly
 // what the linear scan does, for every identity, and Identities lists
 // them in sorted order.

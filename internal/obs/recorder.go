@@ -20,6 +20,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -135,17 +136,22 @@ func (r *Recorder) Emit(e Event) {
 		return
 	}
 	e.T = r.now()
-	r.record(e)
+	s := r.slot()
+	*s = e
+	s.Seq = r.seq
 }
 
 // EmitAt records a fully-typed event with the caller's timestamp — the
 // form for a caller that already has the time in hand (wire.Link
-// stamps a send with the reading its wire-time charge returned).
+// stamps a send with the reading its wire-time charge returned). It
+// inlines, so the event is written once, straight into its ring slot.
 func (r *Recorder) EmitAt(e Event) {
 	if r == nil {
 		return
 	}
-	r.record(e)
+	s := r.slot()
+	*s = e
+	s.Seq = r.seq
 }
 
 // Event appends an event stamped with the recorder's clock. Safe on a
@@ -154,33 +160,35 @@ func (r *Recorder) Event(layer, name string, client, call uint32, attrs string) 
 	if r == nil {
 		return
 	}
-	r.record(Event{T: r.now(), Layer: layer, Name: name, Client: client, Call: call, Attrs: attrs})
+	r.EmitAt(Event{T: r.now(), Layer: layer, Name: name, Client: client, Call: call, Attrs: attrs})
 }
 
 // EventAt appends an event with an explicit timestamp.
 func (r *Recorder) EventAt(t float64, layer, name string, client, call uint32, attrs string) {
-	if r == nil {
-		return
-	}
-	r.record(Event{T: t, Layer: layer, Name: name, Client: client, Call: call, Attrs: attrs})
+	r.EmitAt(Event{T: t, Layer: layer, Name: name, Client: client, Call: call, Attrs: attrs})
 }
 
-// record assigns the sequence number and appends into the ring,
-// overwriting the oldest event once full. Wrapping is as deterministic
-// as recording: same event stream in, same retained window out.
-func (r *Recorder) record(e Event) {
+// slot advances the sequence number and returns the ring slot the
+// event that takes it is written into: the next free one while the
+// ring grows, then the oldest, which it overwrites. Wrapping is as
+// deterministic as recording: same event stream in, same retained
+// window out. It stays out of line so that EmitAt, its one caller on
+// the hot path, is small enough to inline into each emitting site.
+//
+//go:noinline
+func (r *Recorder) slot() *Event {
 	r.seq++
-	e.Seq = r.seq
-	if len(r.ring) < r.cap {
-		r.ring = append(r.ring, e)
-	} else {
-		r.ring[r.head] = e
-		r.head++
-		if r.head == len(r.ring) {
-			r.head = 0
-		}
-		r.dropped++
+	if n := len(r.ring); n < r.cap {
+		r.ring = append(r.ring, Event{})
+		return &r.ring[n]
 	}
+	s := &r.ring[r.head]
+	r.head++
+	if r.head == len(r.ring) {
+		r.head = 0
+	}
+	r.dropped++
+	return s
 }
 
 // Observe records a value into the named histogram class, creating it
@@ -230,6 +238,22 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, 0, len(r.ring))
 	out = append(out, r.ring[r.head:]...)
 	out = append(out, r.ring[:r.head]...)
+	return out
+}
+
+// TakeEvents returns the retained event stream in Seq order, as Events
+// does, but hands over the ring itself instead of copying it: the ring
+// is rotated into order in place, and the recorder is left empty, to
+// record into a fresh ring. The sequence and dropped counts carry on.
+func (r *Recorder) TakeEvents() []Event {
+	if r == nil {
+		return nil
+	}
+	out := r.ring
+	slices.Reverse(out[:r.head])
+	slices.Reverse(out[r.head:])
+	slices.Reverse(out)
+	r.ring, r.head = nil, 0
 	return out
 }
 

@@ -270,7 +270,7 @@ type pending struct {
 	call   uint32
 	proc   uint32
 	expiry uint32
-	path   *loadPath
+	path   uint32 // Zipf rank
 	enq    float64
 }
 
@@ -281,7 +281,7 @@ type pending struct {
 // complete the op's current incarnation. Records live by value in
 // loadRun.flights, keyed by the call's (client, call) identity.
 type flight struct {
-	op   *lop
+	op   uint32 // index of the op record (loadRun.op)
 	gen  int
 	sent int // transmissions of this incarnation
 	seen int // responses drained for it
@@ -290,7 +290,7 @@ type flight struct {
 // lop is one logical operation (and its re-issued incarnations).
 type lop struct {
 	proc uint32
-	path *loadPath
+	path uint32 // Zipf rank
 
 	arrival  float64 // this incarnation's scheduled issue time
 	deadline float64
@@ -314,12 +314,15 @@ const (
 	evServe
 )
 
+// levent is one scheduled event. It names its op by index rather than
+// by pointer, so the heap holds no pointers: sifting it moves plain
+// words, with no GC write barrier, and the collector never scans it.
 type levent struct {
 	t    float64
 	seq  int // tie-break, preserving scheduling order
-	kind int
-	op   *lop
 	gen  int
+	op   uint32 // index of the op record (loadRun.op)
+	kind uint8
 }
 
 // before orders events by time, then by scheduling order. seq is unique
@@ -353,14 +356,12 @@ func (h *eventHeap) push(e levent) {
 }
 
 // pop removes and returns the earliest event: the last event takes the
-// root's place and moves down past every child that precedes it. The
-// vacated slot is cleared so the slice pins no finished op.
+// root's place and moves down past every child that precedes it.
 func (h *eventHeap) pop() levent {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = levent{}
 	q = q[:n]
 	if n > 0 {
 		i := 0
@@ -404,8 +405,9 @@ type loadRun struct {
 
 	events eventHeap
 	seq    int
-	slab   []lop  // op records not yet handed out
-	frame  []byte // the serve chain's sealing buffer
+	slabs  [][]lop // op records, opSlab to a slab, never reused
+	nops   int     // op records handed out
+	frame  []byte  // the serve chain's sealing buffer
 
 	connID  []uint32 // pool index -> wire client ID
 	nextCID []uint32 // pool index -> next call ID
@@ -637,30 +639,42 @@ func (r *loadRun) activate(t float64) {
 			if r.arrive.Float64() < c.WriteFraction {
 				proc = fsserver.ProcMkdir
 			}
-			// Op records come 1,024 to an allocation and are never
-			// reused: a stale timer's op stays valid, and its gen
-			// check retires it.
-			if len(r.slab) == 0 {
-				r.slab = make([]lop, 1024)
-			}
-			op := &r.slab[0]
-			r.slab = r.slab[1:]
-			*op = lop{
+			id := r.newOp()
+			*r.op(id) = lop{
 				proc:     proc,
-				path:     &r.paths[r.zipf.Uint64()],
+				path:     uint32(r.zipf.Uint64()),
 				arrival:  arrival,
 				deadline: arrival + c.DeadlineMicros,
 				conn:     -1,
 			}
 			r.res.Offered++
 			r.point(arrival).Offered++
-			r.push(levent{t: arrival, kind: evArrive, op: op})
+			r.push(levent{t: arrival, kind: evArrive, op: id})
 		}
 		// Mean burst size of the (uncapped) Pareto, so activations are
 		// paced to deliver rate(t) ops per second.
 		meanBurst := c.ParetoAlpha / (c.ParetoAlpha - 1)
 		r.push(levent{t: t + r.arrive.ExpFloat64()*meanBurst*1e6/r.rate(t), kind: evActivate})
 	}
+}
+
+// opSlab is how many op records one allocation holds.
+const opSlab = 1024
+
+// newOp hands out the next op record and returns its index. Records
+// come opSlab to an allocation and are never reused: a stale timer's
+// op stays valid, and its gen check retires it.
+func (r *loadRun) newOp() uint32 {
+	if r.nops%opSlab == 0 {
+		r.slabs = append(r.slabs, make([]lop, opSlab))
+	}
+	r.nops++
+	return uint32(r.nops - 1)
+}
+
+// op returns the op record with index id.
+func (r *loadRun) op(id uint32) *lop {
+	return &r.slabs[id/opSlab][id%opSlab]
 }
 
 // burstSize draws a Pareto(1, alpha) burst, capped.
@@ -682,13 +696,14 @@ func (r *loadRun) burstSize() int {
 // issue places one incarnation of an op onto the wire: grab a
 // connection and a call ID, transmit, and arm the retransmission and
 // deadline timers.
-func (r *loadRun) issue(op *lop) {
+func (r *loadRun) issue(id uint32) {
+	op := r.op(id)
 	now := r.link.Clock()
 	if len(r.free) == 0 {
 		r.res.ClientDropped++
 		r.rec.Emit(obs.Event{Layer: "client", Name: "drop_local",
 			Val: float64(r.res.ClientDropped)})
-		r.fail(op, now, false)
+		r.fail(id, now, false)
 		return
 	}
 	ci := r.free[len(r.free)-1]
@@ -702,11 +717,11 @@ func (r *loadRun) issue(op *lop) {
 		Client: r.connID[ci], Call: op.callID, Proc: op.proc})
 	op.attempts = 1
 	op.backoff = r.cfg.RetransmitMicros
-	r.flights[flightKey(r.connID[ci], op.callID)] = flight{op: op, gen: op.gen}
+	r.flights[flightKey(r.connID[ci], op.callID)] = flight{op: id, gen: op.gen}
 	r.send(op)
 	r.res.Issued++
-	r.push(levent{t: now + op.backoff*(0.5+r.behave.Float64()), kind: evRetx, op: op, gen: op.gen})
-	r.push(levent{t: op.deadline, kind: evTimeout, op: op, gen: op.gen})
+	r.push(levent{t: now + op.backoff*(0.5+r.behave.Float64()), kind: evRetx, op: id, gen: op.gen})
+	r.push(levent{t: op.deadline, kind: evTimeout, op: id, gen: op.gen})
 }
 
 // send enqueues one transmission of the op's current incarnation on
@@ -765,7 +780,7 @@ func (r *loadRun) serve() {
 			Dur: now - p.enq, Val: float64(len(r.sendQ) - r.sendHead)})
 	}
 	frame, err := wire.AppendEncode(r.frame[:0], wire.Header{Kind: wire.KindCall,
-		CallID: p.call, ProcID: p.proc, ClientID: p.client, Expiry: p.expiry}, p.path.payload)
+		CallID: p.call, ProcID: p.proc, ClientID: p.client, Expiry: p.expiry}, r.paths[p.path].payload)
 	if err != nil {
 		panic(err) // bounded payload over our own codec: cannot fail
 	}
@@ -794,7 +809,8 @@ func (r *loadRun) queueDrain(ci int) {
 // work — and when the retries or the budget run out it simply stops
 // sending copies. Giving up belongs to the deadline timer alone: a
 // caller waits out its full patience before pressing the button again.
-func (r *loadRun) retx(op *lop, gen int) {
+func (r *loadRun) retx(id uint32, gen int) {
+	op := r.op(id)
 	if op.state != opInFlight || op.gen != gen {
 		return
 	}
@@ -815,25 +831,26 @@ func (r *loadRun) retx(op *lop, gen int) {
 	if op.backoff *= 2; op.backoff > 4*r.cfg.RetransmitMicros {
 		op.backoff = 4 * r.cfg.RetransmitMicros
 	}
-	r.push(levent{t: now + op.backoff*(0.5+r.behave.Float64()), kind: evRetx, op: op, gen: gen})
+	r.push(levent{t: now + op.backoff*(0.5+r.behave.Float64()), kind: evRetx, op: id, gen: gen})
 }
 
 // timeout fires at the incarnation's deadline: if no response settled
 // the op by then, the caller gives up — and, re-issues permitting,
 // presses the button again.
-func (r *loadRun) timeout(op *lop, gen int) {
-	if op.state != opInFlight || op.gen != gen {
+func (r *loadRun) timeout(id uint32, gen int) {
+	if op := r.op(id); op.state != opInFlight || op.gen != gen {
 		return
 	}
 	r.res.Timeouts++
-	r.fail(op, r.link.Clock(), false)
+	r.fail(id, r.link.Clock(), false)
 }
 
 // fail ends one incarnation: release the connection, score the
 // failure, and — sessions being sessions — schedule the re-issue if
 // the op has presses left. The re-issue is a fresh call: new call ID,
 // new deadline, a fresh draw on the service.
-func (r *loadRun) fail(op *lop, now float64, rejected bool) {
+func (r *loadRun) fail(id uint32, now float64, rejected bool) {
+	op := r.op(id)
 	op.state = opFailed
 	r.res.Failed++
 	r.point(now).Failed++
@@ -854,7 +871,7 @@ func (r *loadRun) fail(op *lop, now float64, rejected bool) {
 		r.res.Reissues++
 		op.arrival = now + r.cfg.ReissueDelay*(0.5+r.behave.Float64())
 		op.deadline = op.arrival + r.cfg.DeadlineMicros
-		r.push(levent{t: op.arrival, kind: evArrive, op: op})
+		r.push(levent{t: op.arrival, kind: evArrive, op: id})
 	}
 }
 
@@ -868,7 +885,7 @@ func (r *loadRun) release(op *lop) {
 // drain routes every response delivered this round to its op. Replies
 // — success or remote error — prove execution and earn the budget;
 // rejects prove the opposite. Only the header is read, so every frame
-// goes back to the link's pool as it is received.
+// goes back to the stack's free list as it is received.
 func (r *loadRun) drain() {
 	for len(r.drainQ) > 0 {
 		ci := r.drainQ[len(r.drainQ)-1]
@@ -888,7 +905,7 @@ func (r *loadRun) drain() {
 				continue
 			}
 			fl.seen++
-			op := fl.op
+			op := r.op(fl.op)
 			live := fl.gen == op.gen && op.state == opInFlight
 			now := r.link.Clock()
 			switch h.Kind {
@@ -900,7 +917,7 @@ func (r *loadRun) drain() {
 					op.answered = true
 					r.res.Executed++
 					if op.proc == fsserver.ProcMkdir {
-						r.accepted[op.path.name] = true
+						r.accepted[r.paths[op.path].name] = true
 					}
 				}
 				if live {
@@ -924,7 +941,7 @@ func (r *loadRun) drain() {
 			case wire.KindReject:
 				r.point(now).Shed++
 				if live {
-					r.fail(op, now, true)
+					r.fail(fl.op, now, true)
 				}
 			}
 			if fl.seen == fl.sent && (fl.gen != op.gen || op.state != opInFlight) {
@@ -1006,7 +1023,7 @@ func (r *loadRun) finish() {
 	}
 	res.TraceRetained = r.rec.EventCount()
 	res.TraceDropped = r.rec.Dropped()
-	res.TraceTail = r.rec.Events()
+	res.TraceTail = r.rec.TakeEvents()
 }
 
 // p99 is the 99th-percentile of one window's completion latencies.

@@ -224,7 +224,7 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 			pushOdds = 1
 		}
 		if len(want) == 0 || rng.Intn(4) < pushOdds {
-			e := levent{t: float64(rng.Intn(8)), seq: seq, kind: rng.Intn(5), gen: rng.Intn(3)}
+			e := levent{t: float64(rng.Intn(8)), seq: seq, kind: uint8(rng.Intn(5)), gen: rng.Intn(3)}
 			seq++
 			got.push(e)
 			heap.Push(&want, e)

@@ -106,11 +106,12 @@ func traceJSONL(rec *obs.Recorder) ([]byte, error) {
 }
 
 // TestParallelStacksShareNothing checks the single-ownership contract
-// (see package wire): independent stacks share nothing but the frame
-// pools, so stacks driven at once, each by its own goroutine, report
-// exactly what each reports when run alone — state fingerprints,
-// counters, clocks, recorder JSONL and LoadResults. Under -race, any
-// state these runs reach from two goroutines is a reported race.
+// (see package wire): independent stacks share nothing, not even the
+// frame buffers each recycles on its own VClock, so stacks driven at
+// once, each by its own goroutine, report exactly what each reports
+// when run alone — state fingerprints, counters, clocks, recorder JSONL
+// and LoadResults. Under -race, any state these runs reach from two
+// goroutines, a buffer that crossed stacks included, is a reported race.
 func TestParallelStacksShareNothing(t *testing.T) {
 	stacks := []struct {
 		name string
