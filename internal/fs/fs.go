@@ -1,11 +1,10 @@
 // Package fs is an in-memory hierarchical file system in the shape of
 // the Unix services the paper's Section 5 workloads pound on: inodes,
-// directories, file descriptors, a block cache with hit statistics,
-// and per-operation cost accounting on a simulated architecture. It is
-// the substrate a "Unix server" serves — directly (the monolithic
-// arrangement) or across address spaces over RPC (the Mach 3.0
-// arrangement); package fsserver wires it to the ipc/wire transport so
-// both arrangements can run the same workload for real.
+// directories, file descriptors and a block cache with hit statistics.
+// It is the substrate a "Unix server" serves — directly (the
+// monolithic arrangement) or across address spaces over RPC (the Mach
+// 3.0 arrangement); package fsserver wires it to the ipc/wire
+// transport so both arrangements can run the same workload for real.
 package fs
 
 import (
@@ -16,7 +15,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
+	"strings"
 )
 
 // Errors mirror the Unix ones the paper's scripts would see.
@@ -67,16 +66,54 @@ type inode struct {
 	ino      uint64
 	kind     FileKind
 	data     []byte            // regular files
-	children map[string]uint64 // directories
+	children map[string]*inode // directories
 	nlink    int
+
+	// listing is a directory's children sorted by name, current while
+	// sorted is set (see dirty and entries); callers get copies.
+	listing []dirent
+	sorted  bool
+}
+
+// dirent is one directory entry.
+type dirent struct {
+	name string
+	n    *inode
+}
+
+// dirty marks the listing stale after a change to children, dropping
+// its entries so that it pins no removed inode; of a run of changes,
+// only the first pays for the clear.
+func (n *inode) dirty() {
+	if n.sorted {
+		clear(n.listing)
+		n.listing, n.sorted = n.listing[:0], false
+	}
+}
+
+// entries returns the directory's entries sorted by name, refilling
+// the listing when it is stale. A refill allocates only when the
+// directory has outgrown the listing's array, and then once.
+func (n *inode) entries() []dirent {
+	if !n.sorted {
+		n.listing = slices.Grow(n.listing, len(n.children))
+		for name, c := range n.children {
+			n.listing = append(n.listing, dirent{name, c})
+		}
+		slices.SortFunc(n.listing, func(a, b dirent) int { return strings.Compare(a.name, b.name) })
+		n.sorted = true
+	}
+	return n.listing
 }
 
 // FS is the file system. It takes no locks: like the single-threaded
 // servers of the era, it belongs to one goroutine at a time — for a
 // served FS, the goroutine that owns its server's stack (see package
-// fsserver).
+// fsserver). A read may refill a stale listing, so Fingerprint and
+// RangeFingerprints write too and fall under the same contract.
 type FS struct {
-	inodes  map[uint64]*inode
+	root    *inode
+	ninodes int // live inodes, the root included: the size of a snapshot's inode table
 	nextIno uint64
 
 	// fds holds descriptor records by value, so an Open or Create
@@ -86,29 +123,23 @@ type FS struct {
 	nextFD int
 
 	cache *blockCache
-
-	// Counters for the workload studies.
-	ops map[string]int64
 }
 
 type fd struct {
-	ino    uint64
+	n      *inode
 	offset int
 }
 
 // New creates an empty file system with a block cache of cacheBlocks
 // blocks (0 disables caching: every block access is a "disk" access).
 func New(cacheBlocks int) *FS {
-	f := &FS{
-		inodes: map[uint64]*inode{},
-		fds:    map[int]fd{},
-		cache:  newBlockCache(cacheBlocks),
-		ops:    map[string]int64{},
+	return &FS{
+		root:    &inode{ino: 1, kind: KindDir, children: map[string]*inode{}, nlink: 2},
+		ninodes: 1,
+		nextIno: 1,
+		fds:     map[int]fd{},
+		cache:   newBlockCache(cacheBlocks),
 	}
-	root := &inode{ino: 1, kind: KindDir, children: map[string]uint64{}, nlink: 2}
-	f.inodes[1] = root
-	f.nextIno = 1
-	return f
 }
 
 // pathDepth is how many components a lookup resolves in an array on
@@ -171,17 +202,15 @@ func components[P pathArg](dst []P, path P) ([]P, error) {
 // descend follows the directory components parts down from the root,
 // charging a cache access for each directory it reads.
 func descend[P pathArg](f *FS, path P, parts []P) (*inode, error) {
-	cur := f.inodes[1]
+	cur := f.root
 	for _, p := range parts {
 		if cur.kind != KindDir {
 			return nil, errPath(ErrNotDir, path)
 		}
 		f.cache.access(cur.ino, 0) // directory block read
-		ino, ok := cur.children[string(p)]
-		if !ok {
+		if cur = cur.children[string(p)]; cur == nil {
 			return nil, errPath(ErrNotExist, path)
 		}
-		cur = f.inodes[ino]
 	}
 	return cur, nil
 }
@@ -218,7 +247,6 @@ func (f *FS) walkParent(path string) (*inode, string, error) {
 
 // Mkdir creates a directory.
 func (f *FS) Mkdir(path string) error {
-	f.ops["mkdir"]++
 	dir, name, err := f.walkParent(path)
 	if err != nil {
 		return err
@@ -227,39 +255,35 @@ func (f *FS) Mkdir(path string) error {
 		return errPath(ErrExist, path)
 	}
 	f.nextIno++
-	n := &inode{ino: f.nextIno, kind: KindDir, children: map[string]uint64{}, nlink: 2}
-	f.inodes[n.ino] = n
-	dir.children[name] = n.ino
+	f.ninodes++
+	dir.children[name] = &inode{ino: f.nextIno, kind: KindDir, children: map[string]*inode{}, nlink: 2}
+	dir.dirty()
 	dir.nlink++
 	return nil
 }
 
 // Create makes (or truncates) a regular file and opens it.
 func (f *FS) Create(path string) (int, error) {
-	f.ops["create"]++
 	dir, name, err := f.walkParent(path)
 	if err != nil {
 		return -1, err
 	}
-	var n *inode
-	if ino, exists := dir.children[name]; exists {
-		n = f.inodes[ino]
-		if n.kind == KindDir {
-			return -1, errPath(ErrIsDir, path)
-		}
-		n.data = n.data[:0]
-	} else {
+	n := dir.children[name]
+	if n == nil {
 		f.nextIno++
+		f.ninodes++
 		n = &inode{ino: f.nextIno, kind: KindFile, nlink: 1}
-		f.inodes[n.ino] = n
-		dir.children[name] = n.ino
+		dir.children[name] = n
+		dir.dirty()
+	} else if n.kind == KindDir {
+		return -1, errPath(ErrIsDir, path)
 	}
+	n.data = n.data[:0]
 	return f.allocFD(n), nil
 }
 
 // Open opens an existing regular file.
 func (f *FS) Open(path string) (int, error) {
-	f.ops["open"]++
 	n, err := walk(f, path)
 	if err != nil {
 		return -1, err
@@ -272,13 +296,12 @@ func (f *FS) Open(path string) (int, error) {
 
 func (f *FS) allocFD(n *inode) int {
 	f.nextFD++
-	f.fds[f.nextFD] = fd{ino: n.ino}
+	f.fds[f.nextFD] = fd{n: n}
 	return f.nextFD
 }
 
 // Close releases a descriptor.
 func (f *FS) Close(fdno int) error {
-	f.ops["close"]++
 	if _, ok := f.fds[fdno]; !ok {
 		return ErrBadFD
 	}
@@ -289,12 +312,11 @@ func (f *FS) Close(fdno int) error {
 // Read reads up to len(buf) bytes at the descriptor's offset, advancing
 // it. Each touched block goes through the block cache.
 func (f *FS) Read(fdno int, buf []byte) (int, error) {
-	f.ops["read"]++
 	d, ok := f.fds[fdno]
 	if !ok {
 		return 0, ErrBadFD
 	}
-	n := f.inodes[d.ino]
+	n := d.n
 	if d.offset >= len(n.data) {
 		return 0, nil // EOF
 	}
@@ -317,7 +339,7 @@ func (f *FS) ReadN(fdno, n int) ([]byte, error) {
 	}
 	left := 0
 	if d, ok := f.fds[fdno]; ok {
-		left = len(f.inodes[d.ino].data) - d.offset
+		left = len(d.n.data) - d.offset
 	}
 	buf := make([]byte, max(min(n, left), 0))
 	c, err := f.Read(fdno, buf)
@@ -326,12 +348,11 @@ func (f *FS) ReadN(fdno, n int) ([]byte, error) {
 
 // Write writes buf at the descriptor's offset, extending the file.
 func (f *FS) Write(fdno int, buf []byte) (int, error) {
-	f.ops["write"]++
 	d, ok := f.fds[fdno]
 	if !ok {
 		return 0, ErrBadFD
 	}
-	n := f.inodes[d.ino]
+	n := d.n
 	end := d.offset + len(buf)
 	if end > len(n.data) {
 		n.data = append(n.data, make([]byte, end-len(n.data))...)
@@ -373,16 +394,14 @@ func (f *FS) touchBlocks(n *inode, off, length int) {
 // removed file close with it, so no descriptor outlives its inode:
 // later calls on them get ErrBadFD.
 func (f *FS) Unlink(path string) error {
-	f.ops["unlink"]++
 	dir, name, err := f.walkParent(path)
 	if err != nil {
 		return err
 	}
-	ino, ok := dir.children[name]
+	n, ok := dir.children[name]
 	if !ok {
 		return errPath(ErrNotExist, path)
 	}
-	n := f.inodes[ino]
 	if n.kind == KindDir {
 		if len(n.children) > 0 {
 			return errPath(ErrNotEmpty, path)
@@ -390,11 +409,12 @@ func (f *FS) Unlink(path string) error {
 		dir.nlink--
 	}
 	delete(dir.children, name)
+	dir.dirty()
 	n.nlink--
 	if n.nlink <= 0 || n.kind == KindDir {
-		delete(f.inodes, ino)
+		f.ninodes--
 		for no, d := range f.fds {
-			if d.ino == ino {
+			if d.n == n {
 				delete(f.fds, no)
 			}
 		}
@@ -410,7 +430,6 @@ func (f *FS) Stat(path string) (Stat, error) { return stat(f, path) }
 func (f *FS) StatBytes(path []byte) (Stat, error) { return stat(f, path) }
 
 func stat[P pathArg](f *FS, path P) (Stat, error) {
-	f.ops["stat"]++
 	n, err := walk(f, path)
 	if err != nil {
 		return Stat{}, err
@@ -433,7 +452,6 @@ func (f *FS) ReadDir(path string) ([]string, error) { return readDir(f, nil, pat
 func (f *FS) AppendDir(dst []string, path []byte) ([]string, error) { return readDir(f, dst, path) }
 
 func readDir[P pathArg](f *FS, dst []string, path P) ([]string, error) {
-	f.ops["readdir"]++
 	n, err := walk(f, path)
 	if err != nil {
 		return nil, err
@@ -442,12 +460,10 @@ func readDir[P pathArg](f *FS, dst []string, path P) ([]string, error) {
 		return nil, errPath(ErrNotDir, path)
 	}
 	f.cache.access(n.ino, 0)
-	start := len(dst)
 	dst = slices.Grow(dst, len(n.children))
-	for name := range n.children {
-		dst = append(dst, name)
+	for _, e := range n.entries() {
+		dst = append(dst, e.name)
 	}
-	slices.Sort(dst[start:])
 	return dst, nil
 }
 
@@ -477,30 +493,24 @@ func (f *FS) WriteFile(path string, data []byte) error {
 
 // Fingerprint returns a stable digest of the logical file-system state
 // — every path with its kind, size, and content bytes — walking the
-// tree directly so neither the block cache nor the operation counters
-// are disturbed. Two file systems holding the same tree produce the
-// same fingerprint; a single double-applied or lost write changes it.
+// tree directly so the block cache is not disturbed. Two file systems
+// holding the same tree produce the same fingerprint; a single
+// double-applied or lost write changes it.
 func (f *FS) Fingerprint() string {
 	h := sha256.New()
 	var walk func(prefix string, n *inode)
 	walk = func(prefix string, n *inode) {
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			c := f.inodes[n.children[name]]
-			path := prefix + "/" + name
-			fmt.Fprintf(h, "%s|%v|%d\n", path, c.kind, len(c.data))
-			if c.kind == KindDir {
-				walk(path, c)
+		for _, e := range n.entries() {
+			path := prefix + "/" + e.name
+			fmt.Fprintf(h, "%s|%v|%d\n", path, e.n.kind, len(e.n.data))
+			if e.n.kind == KindDir {
+				walk(path, e.n)
 			} else {
-				h.Write(c.data)
+				h.Write(e.n.data)
 			}
 		}
 	}
-	walk("", f.inodes[1])
+	walk("", f.root)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -518,45 +528,30 @@ func (f *FS) RangeFingerprints(n int) []uint64 {
 	out := make([]uint64, n)
 	var walk func(prefix string, node *inode)
 	walk = func(prefix string, node *inode) {
-		names := make([]string, 0, len(node.children))
-		for name := range node.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			c := f.inodes[node.children[name]]
-			path := prefix + "/" + name
+		for _, e := range node.entries() {
+			path := prefix + "/" + e.name
 			ri := int(crc32.ChecksumIEEE([]byte(path))) % n
 			if ri < 0 {
 				ri += n
 			}
 			h := sha256.New()
-			fmt.Fprintf(h, "%s|%v|%d\n", path, c.kind, len(c.data))
-			if c.kind == KindDir {
-				walk(path, c)
+			fmt.Fprintf(h, "%s|%v|%d\n", path, e.n.kind, len(e.n.data))
+			if e.n.kind == KindDir {
+				walk(path, e.n)
 			} else {
-				h.Write(c.data)
+				h.Write(e.n.data)
 			}
 			var word [8]byte
 			copy(word[:], h.Sum(nil))
 			out[ri] ^= binary.BigEndian.Uint64(word[:])
 		}
 	}
-	walk("", f.inodes[1])
+	walk("", f.root)
 	return out
 }
 
 // OpenFDs returns the number of live descriptors.
 func (f *FS) OpenFDs() int { return len(f.fds) }
-
-// OpCounts returns a copy of the per-operation counters.
-func (f *FS) OpCounts() map[string]int64 {
-	out := make(map[string]int64, len(f.ops))
-	for k, v := range f.ops {
-		out[k] = v
-	}
-	return out
-}
 
 // CacheStats reports block-cache hits and misses ("disk" reads).
 func (f *FS) CacheStats() (hits, misses int64) { return f.cache.hits, f.cache.misses }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +70,9 @@ func TestReadWriteSeek(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if f.OpenFDs() != 1 {
+		t.Errorf("open fds after Create = %d, want 1", f.OpenFDs())
+	}
 	if n, err := f.Write(fd, []byte("hello world")); err != nil || n != 11 {
 		t.Fatalf("write: %d %v", n, err)
 	}
@@ -102,6 +106,9 @@ func TestReadWriteSeek(t *testing.T) {
 	}
 	if err := f.Close(fd); err != nil {
 		t.Fatal(err)
+	}
+	if f.OpenFDs() != 0 {
+		t.Errorf("open fds after Close = %d, want 0", f.OpenFDs())
 	}
 	if _, err := f.Read(fd, buf); !errors.Is(err, ErrBadFD) {
 		t.Errorf("read after close: %v", err)
@@ -217,8 +224,60 @@ func TestReadDirSorted(t *testing.T) {
 	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
 		t.Errorf("readdir = %v", names)
 	}
+	// The caller gets a copy: writing over it leaves the directory's
+	// own listing alone.
+	names[0] = "z"
+	if again, _ := f.AppendDir(nil, []byte("/d")); !reflect.DeepEqual(again, []string{"a", "b", "c"}) {
+		t.Errorf("readdir after the caller wrote over its result = %v", again)
+	}
 	if _, err := f.ReadDir("/d/a"); !errors.Is(err, ErrNotDir) {
 		t.Errorf("readdir on file: %v", err)
+	}
+}
+
+func TestListingRefillAllocatesOnlyToGrow(t *testing.T) {
+	// A directory that has outgrown its listing's array gets a new one
+	// in one allocation however many names it holds, and a listing
+	// refilled after a change reuses its array.
+	fresh := make([]*inode, 101) // AllocsPerRun(100) runs f 101 times
+	for i := range fresh {
+		n := &inode{kind: KindDir, children: map[string]*inode{}}
+		for j := 0; j < 16; j++ {
+			n.children[fmt.Sprintf("f%02d", j)] = &inode{kind: KindFile}
+		}
+		fresh[i] = n
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		n := fresh[0]
+		fresh = fresh[1:]
+		if ents := n.entries(); len(ents) != 16 || ents[15].name != "f15" {
+			t.Fatalf("entries = %v", ents)
+		}
+	}); got != 1 {
+		t.Errorf("the first listing of a 16-entry directory allocates %.1f times, want 1", got)
+	}
+	f := New(64)
+	if err := f.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 16; j++ {
+		if err := f.WriteFile(fmt.Sprintf("/d/f%02d", j), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := walk(f, "/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.entries()
+	if got := testing.AllocsPerRun(100, func() {
+		d.dirty()
+		if len(d.listing) != 0 {
+			t.Fatal("a stale listing kept its entries")
+		}
+		d.entries()
+	}); got != 0 {
+		t.Errorf("refilling a listing in its own array allocates %.1f times, want 0", got)
 	}
 }
 
@@ -295,27 +354,10 @@ func TestReadNRefusesNegativeCountAndCapsBuffer(t *testing.T) {
 	}
 }
 
-func TestOpCounts(t *testing.T) {
-	f := New(16)
-	f.Mkdir("/d")
-	fd, _ := f.Create("/d/f")
-	f.Write(fd, []byte("x"))
-	f.Close(fd)
-	f.Open("/d/f")
-	f.Stat("/d/f")
-	ops := f.OpCounts()
-	for _, k := range []string{"mkdir", "create", "write", "close", "open", "stat"} {
-		if ops[k] != 1 {
-			t.Errorf("ops[%s] = %d, want 1", k, ops[k])
-		}
-	}
-	if f.OpenFDs() != 1 {
-		t.Errorf("open fds = %d, want 1", f.OpenFDs())
-	}
-}
-
-// TestFSMatchesMapModel replays random whole-file writes/reads/unlinks
-// against a map reference.
+// TestFSMatchesMapModel replays random whole-file writes/reads/unlinks,
+// listings of the root and snapshot round trips against a map
+// reference. A listing that a Create or an Unlink leaves stale, or that
+// a restore fills wrongly, differs from the reference's sorted names.
 func TestFSMatchesMapModel(t *testing.T) {
 	f := func(ops []uint16) bool {
 		fsys := New(32)
@@ -323,7 +365,7 @@ func TestFSMatchesMapModel(t *testing.T) {
 		names := []string{"/a", "/b", "/c", "/d"}
 		for _, op := range ops {
 			name := names[int(op)%len(names)]
-			switch (op >> 8) % 3 {
+			switch (op >> 8) % 5 {
 			case 0: // write
 				data := []byte{byte(op), byte(op >> 4)}
 				if err := fsys.WriteFile(name, data); err != nil {
@@ -346,6 +388,22 @@ func TestFSMatchesMapModel(t *testing.T) {
 					return false
 				}
 				delete(ref, name)
+			case 3: // list the root
+				got, err := fsys.ReadDir("/")
+				want := make([]string, 0, len(ref))
+				for path := range ref {
+					want = append(want, path[1:])
+				}
+				slices.Sort(want)
+				if err != nil || !slices.Equal(got, want) {
+					return false
+				}
+			case 4: // swap in the file system its snapshot image restores
+				g, _, err := restore(encodeImage(nil, fsys.CacheBlocks(), fsys, nil))
+				if err != nil || g.Fingerprint() != fsys.Fingerprint() {
+					return false
+				}
+				fsys = g
 			}
 		}
 		return true
@@ -375,13 +433,12 @@ func TestFingerprintTracksLogicalState(t *testing.T) {
 	if a.Fingerprint() == build([]byte("content")).Fingerprint() {
 		t.Error("doubled content not reflected in fingerprint")
 	}
-	// Fingerprinting must not disturb the observable counters.
+	// Fingerprinting must not disturb the block cache's counters.
 	hitsBefore, missesBefore := a.CacheStats()
-	opsBefore := a.OpCounts()["read"]
 	a.Fingerprint()
 	hitsAfter, missesAfter := a.CacheStats()
-	if hitsBefore != hitsAfter || missesBefore != missesAfter || a.OpCounts()["read"] != opsBefore {
-		t.Error("Fingerprint perturbed cache or op counters")
+	if hitsBefore != hitsAfter || missesBefore != missesAfter {
+		t.Error("Fingerprint perturbed the cache counters")
 	}
 }
 

@@ -433,7 +433,7 @@ func FuzzRestore(f *testing.F) {
 
 // benchTree builds the resident tree of the host-time benchmark: 16
 // directories of 16 files of 2 KiB.
-func benchTree(b *testing.B) *FS {
+func benchTree(b testing.TB) *FS {
 	f := New(256)
 	data := bytes.Repeat([]byte("0123456789abcdef"), 128)
 	for d := 0; d < 16; d++ {
@@ -483,6 +483,57 @@ func BenchmarkRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+func TestSnapshotAllocatesOneInodeTable(t *testing.T) {
+	// Once the image buffer and the directories' listings are built, a
+	// snapshot of the benchmark tree allocates one thing: the table its
+	// inodes are gathered into, sized exactly. A gather that grows its
+	// table by append allocates 8 times here.
+	f := benchTree(t)
+	w := NewWAL(256)
+	if err := w.Snapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if err := w.Snapshot(f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 1 {
+		t.Errorf("a snapshot of the benchmark tree allocates %.1f times, want 1", got)
+	}
+}
+
+// BenchmarkLookup measures the two name-space queries on the benchmark
+// tree: a Stat of a depth-3 path and a ReadDir of a 16-entry directory.
+func BenchmarkLookup(b *testing.B) {
+	f := benchTree(b)
+	if err := f.Mkdir("/d07/sub"); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.WriteFile("/d07/sub/f", []byte("x")); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Stat", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.Stat("/d07/sub/f"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ReadDir", func(b *testing.B) {
+		var names []string
+		dir := []byte("/d03")
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if names, err = f.AppendDir(names[:0], dir); err != nil || len(names) != 16 {
+				b.Fatalf("AppendDir = %d names, %v", len(names), err)
+			}
+		}
+	})
 }
 
 // grow logs n files of size bytes each under /g, created, written and

@@ -746,30 +746,30 @@ func (w *WAL) Snapshot(f *FS) error {
 // one fresh buffer of exactly that size, and each file's bytes are
 // copied into it once.
 func encodeImage(dst []byte, cacheBlocks int, f *FS, sessions map[uint32]SessionRecord) []byte {
-	nodes := make([]*inode, 0, len(f.inodes))
-	for _, n := range f.inodes {
-		nodes = append(nodes, n)
+	nodes := append(make([]*inode, 0, f.ninodes), f.root)
+	for i := 0; i < len(nodes); i++ {
+		for _, e := range nodes[i].entries() {
+			nodes = append(nodes, e.n)
+		}
 	}
 	slices.SortFunc(nodes, func(a, b *inode) int { return cmp.Compare(a.ino, b.ino) })
 	fdnos, clients := sortedKeys(f.fds), sortedKeys(sessions)
 
 	size := 1 + varintLen(int64(cacheBlocks)) + uvarintLen(f.nextIno) + uvarintLen(uint64(f.nextFD)) +
 		uvarintLen(uint64(len(nodes))) + uvarintLen(uint64(len(fdnos))) + uvarintLen(uint64(len(clients))) + 4
-	widest := 0
 	for _, n := range nodes {
 		size += uvarintLen(n.ino) + uvarintLen(uint64(n.kind)) + uvarintLen(uint64(n.nlink))
 		if n.kind != KindDir {
 			size += uvarintLen(uint64(len(n.data))) + len(n.data)
 			continue
 		}
-		size += uvarintLen(uint64(len(n.children)))
-		for name, ino := range n.children {
-			size += uvarintLen(uint64(len(name))) + len(name) + uvarintLen(ino)
+		size += uvarintLen(uint64(len(n.listing)))
+		for _, e := range n.listing {
+			size += uvarintLen(uint64(len(e.name))) + len(e.name) + uvarintLen(e.n.ino)
 		}
-		widest = max(widest, len(n.children))
 	}
 	for _, no := range fdnos {
-		size += uvarintLen(uint64(no)) + uvarintLen(f.fds[no].ino) + uvarintLen(uint64(f.fds[no].offset))
+		size += uvarintLen(uint64(no)) + uvarintLen(f.fds[no].n.ino) + uvarintLen(uint64(f.fds[no].offset))
 	}
 	for _, c := range clients {
 		s := sessions[c]
@@ -786,7 +786,6 @@ func encodeImage(dst []byte, cacheBlocks int, f *FS, sessions map[uint32]Session
 	b = binary.AppendUvarint(b, f.nextIno)
 	b = binary.AppendUvarint(b, uint64(f.nextFD))
 	b = binary.AppendUvarint(b, uint64(len(nodes)))
-	names := make([]string, 0, widest)
 	for _, n := range nodes {
 		b = binary.AppendUvarint(b, n.ino)
 		b = binary.AppendUvarint(b, uint64(n.kind))
@@ -796,22 +795,17 @@ func encodeImage(dst []byte, cacheBlocks int, f *FS, sessions map[uint32]Session
 			b = append(b, n.data...)
 			continue
 		}
-		names = names[:0]
-		for name := range n.children {
-			names = append(names, name)
-		}
-		slices.Sort(names)
-		b = binary.AppendUvarint(b, uint64(len(names)))
-		for _, name := range names {
-			b = binary.AppendUvarint(b, uint64(len(name)))
-			b = append(b, name...)
-			b = binary.AppendUvarint(b, n.children[name])
+		b = binary.AppendUvarint(b, uint64(len(n.listing)))
+		for _, e := range n.listing {
+			b = binary.AppendUvarint(b, uint64(len(e.name)))
+			b = append(b, e.name...)
+			b = binary.AppendUvarint(b, e.n.ino)
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(fdnos)))
 	for _, no := range fdnos {
 		b = binary.AppendUvarint(b, uint64(no))
-		b = binary.AppendUvarint(b, f.fds[no].ino)
+		b = binary.AppendUvarint(b, f.fds[no].n.ino)
 		b = binary.AppendUvarint(b, uint64(f.fds[no].offset))
 	}
 	b = binary.AppendUvarint(b, uint64(len(clients)))
@@ -858,8 +852,8 @@ func restore(img []byte) (*FS, []SessionRecord, error) {
 	f := New(int(d.varint()))
 	f.nextIno, f.nextFD = d.uvarint(), d.int()
 	nodes := make([]inode, d.count(minInodeBytes))
-	f.inodes = make(map[uint64]*inode, len(nodes))
-	// kids[first[i]:first[i+1]] are the inodes node i's entries name.
+	// kids[first[i]:first[i+1]] are the inodes node i's entries name, in
+	// the order of its listing.
 	first := make([]int, len(nodes)+1)
 	var kids []uint64
 	for i := 0; i < len(nodes) && d.err == nil; i++ {
@@ -875,14 +869,15 @@ func restore(img []byte) (*FS, []SessionRecord, error) {
 			}
 		case n.kind == KindDir:
 			entries := d.count(minEntryBytes)
-			n.children = make(map[string]uint64, entries)
+			n.children = make(map[string]*inode, entries)
+			n.listing, n.sorted = make([]dirent, 0, entries), true // entries come in name order
 			prev := ""
 			for j := 0; j < entries && d.err == nil; j++ {
 				name, ino := string(d.bytes()), d.uvarint()
 				if !validName(name) || name <= prev {
 					d.fail("directory %d: entry %q out of order or not a name", n.ino, name)
 				}
-				n.children[name] = ino
+				n.listing = append(n.listing, dirent{name: name})
 				kids = append(kids, ino)
 				prev = name
 			}
@@ -890,7 +885,6 @@ func restore(img []byte) (*FS, []SessionRecord, error) {
 			d.fail("inode %d: kind %d with link count %d", n.ino, n.kind, n.nlink)
 		}
 		first[i+1] = len(kids)
-		f.inodes[n.ino] = n
 	}
 	switch {
 	case d.err != nil:
@@ -899,18 +893,20 @@ func restore(img []byte) (*FS, []SessionRecord, error) {
 	case f.nextIno < nodes[len(nodes)-1].ino:
 		d.fail("next inode %d is below inode %d", f.nextIno, nodes[len(nodes)-1].ino)
 	default:
-		d.err = checkTree(nodes, first, kids)
+		d.err = linkTree(nodes, first, kids)
+		f.root, f.ninodes = &nodes[0], len(nodes)
 	}
 
 	fds := d.count(minFDBytes)
 	f.fds = make(map[int]fd, fds)
 	for i, prev := 0, 0; i < fds && d.err == nil; i++ {
-		no := d.int()
-		r := fd{ino: d.uvarint(), offset: d.int()}
-		if n := f.inodes[r.ino]; no <= prev || no > f.nextFD || n == nil || n.kind != KindFile {
-			d.fail("descriptor %d on inode %d: out of order, above %d, or not on a file", no, r.ino, f.nextFD)
+		no, ino, offset := d.int(), d.uvarint(), d.int()
+		at, found := inodeAt(nodes, ino)
+		if no <= prev || no > f.nextFD || !found || nodes[at].kind != KindFile {
+			d.fail("descriptor %d on inode %d: out of order, above %d, or not on a file", no, ino, f.nextFD)
+			break
 		}
-		f.fds[no] = r
+		f.fds[no] = fd{n: &nodes[at], offset: offset}
 		prev = no
 	}
 	sessions := make([]SessionRecord, d.count(minSessionBytes))
@@ -935,35 +931,43 @@ func restore(img []byte) (*FS, []SessionRecord, error) {
 	return f, sessions, nil
 }
 
-// checkTree walks the decoded inodes breadth-first from the root,
-// nodes[0], and refuses anything but a tree: an entry naming a missing
-// inode, the root or an inode already named, a directory whose link
-// count is not two plus its subdirectories, or an inode never reached.
-func checkTree(nodes []inode, first []int, kids []uint64) error {
+// linkTree walks the decoded inodes breadth-first from the root,
+// nodes[0], pointing each directory entry at the inode it names, and
+// refuses anything but a tree: an entry naming a missing inode, the
+// root or an inode already named, a directory whose link count is not
+// two plus its subdirectories, or an inode never reached.
+func linkTree(nodes []inode, first []int, kids []uint64) error {
 	seen := make([]bool, len(nodes))
 	seen[0] = true
 	queue := append(make([]int, 0, len(nodes)), 0)
 	for q := 0; q < len(queue); q++ {
-		dir, subdirs := queue[q], 0
-		for _, ino := range kids[first[dir]:first[dir+1]] {
-			i, found := slices.BinarySearchFunc(nodes, ino, func(n inode, ino uint64) int { return cmp.Compare(n.ino, ino) })
+		dir, subdirs := &nodes[queue[q]], 0
+		for j, ino := range kids[first[queue[q]]:first[queue[q]+1]] {
+			i, found := inodeAt(nodes, ino)
 			if !found || i == 0 || seen[i] {
-				return fmt.Errorf("directory %d names inode %d: missing, the root, or named twice", nodes[dir].ino, ino)
+				return fmt.Errorf("directory %d names inode %d: missing, the root, or named twice", dir.ino, ino)
 			}
 			seen[i] = true
 			queue = append(queue, i)
 			if nodes[i].kind == KindDir {
 				subdirs++
 			}
+			dir.listing[j].n = &nodes[i]
+			dir.children[dir.listing[j].name] = &nodes[i]
 		}
-		if n := &nodes[dir]; n.kind == KindDir && n.nlink != 2+subdirs {
-			return fmt.Errorf("directory %d has link count %d and %d subdirectories", n.ino, n.nlink, subdirs)
+		if dir.kind == KindDir && dir.nlink != 2+subdirs {
+			return fmt.Errorf("directory %d has link count %d and %d subdirectories", dir.ino, dir.nlink, subdirs)
 		}
 	}
 	if len(queue) != len(nodes) {
 		return fmt.Errorf("%d inodes unreachable from the root", len(nodes)-len(queue))
 	}
 	return nil
+}
+
+// inodeAt finds inode number ino in nodes, sorted by number.
+func inodeAt(nodes []inode, ino uint64) (int, bool) {
+	return slices.BinarySearchFunc(nodes, ino, func(n inode, ino uint64) int { return cmp.Compare(n.ino, ino) })
 }
 
 // validName reports whether name can be a directory entry: a path

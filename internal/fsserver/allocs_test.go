@@ -213,6 +213,20 @@ func opAllocs(t *testing.T, r *Remote) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A 16-entry directory with names of three bytes, as in the
+	// host-time benchmark's tree.
+	if err := r.Mkdir("/l"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		fd, err := r.Create(fmt.Sprintf("/l/f%02d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(fd); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Close is measured alone on descriptors opened beforehand, one per
 	// call AllocsPerRun makes (it runs f once more to warm up).
 	open := make([]int, 0, warm+runs+1)
@@ -252,6 +266,11 @@ func opAllocs(t *testing.T, r *Remote) map[string]float64 {
 		{"Open+Write 2 KiB+Close", openClose(func(fd int) { _, err := r.Write(fd, payload); must(err) })},
 		{"Write 2 KiB", func() { _, err := r.Write(wfd, payload); must(err) }},
 		{"Mkdir+Unlink", func() { must(r.Mkdir("/p")); must(r.Unlink("/p")) }},
+		{"ReadDir 16 entries", func() {
+			if names, err := r.ReadDir("/l"); err != nil || len(names) != 16 || names[15] != "f15" {
+				t.Fatalf("ReadDir = %v, %v", names, err)
+			}
+		}},
 	}
 	got := map[string]float64{}
 	for _, op := range ops {
@@ -267,9 +286,11 @@ func TestSteadyStateAllocsPerOp(t *testing.T) {
 	// What an op allocates once the free lists are warm is what the stack
 	// keeps or hands back: a logged path or payload (one copy per node
 	// that logs it), a read's result (the server's buffer, each
-	// backup's replay of it, and the caller's copy), an inode. Frames,
-	// descriptor records and snapshot images are reused. Stat and Close
-	// keep nothing and allocate nothing.
+	// backup's replay of it, and the caller's copy), an inode, a
+	// listing's names (one string and the slice of views into it,
+	// however long the listing). Frames, descriptor records, snapshot
+	// images and directory listings are reused. Stat and Close keep
+	// nothing and allocate nothing.
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
@@ -288,6 +309,7 @@ func TestSteadyStateAllocsPerOp(t *testing.T) {
 		{"Open+Write 2 KiB+Close", 2, 6},
 		{"Write 2 KiB", 1, 3},
 		{"Mkdir+Unlink", 4, 12},
+		{"ReadDir 16 entries", 2, 2},
 	} {
 		t.Logf("%-22s single %2.0f, 2 backups %2.0f", want.op, single[want.op], replicated[want.op])
 		if got := single[want.op]; got > want.single {

@@ -28,6 +28,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 
 	"archos/internal/faultplane"
 	"archos/internal/fs"
@@ -741,17 +742,29 @@ func (r *Remote) Stat(path string) (fs.Stat, error) {
 	return st, nil
 }
 
+// ReadDir hands the caller a listing in two allocations however long
+// it is: the names, which view the client's reply buffer until its
+// next call, are counted and sized first, then copied into one string
+// and sliced out of it into an exactly sized slice.
 func (r *Remote) ReadDir(path string) ([]string, error) {
 	res, err := r.pathCall(ProcReadDir, path)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for res.More() {
-		names = append(names, res.String())
+	scan, count, size := res, 0, 0
+	for ; scan.More(); count++ {
+		size += len(scan.StringBytes())
 	}
-	if err := r.resultFault(&res); err != nil {
+	if err := r.resultFault(&scan); err != nil || count == 0 {
 		return nil, err
+	}
+	var all strings.Builder
+	all.Grow(size)
+	names := make([]string, count)
+	for i := range names {
+		at := all.Len()
+		all.Write(res.StringBytes())
+		names[i] = all.String()[at:]
 	}
 	return names, nil
 }

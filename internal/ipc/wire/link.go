@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"archos/internal/faultplane"
 	"archos/internal/ipc"
@@ -35,7 +36,9 @@ type Link struct {
 
 	// per-client reply queues, indexed by receiving endpoint then by
 	// the client ID parsed (best-effort, pre-checksum) from the frame.
-	clientQ [2]map[uint32][][]byte
+	// Client IDs are dense (1..nextClient), so each endpoint's queues
+	// are a slice grown on demand; an ID past its end has no frames.
+	clientQ [2][][][]byte
 
 	// held frames: reordered by the fault plane, delivered after the
 	// next frame sent in the same direction.
@@ -296,10 +299,11 @@ func (l *Link) deliver(from Endpoint, frame []byte) {
 	}
 	to := opposite(from)
 	if id, ok := routeClientID(frame); ok && id >= 1 && id <= l.nextClient {
-		if l.clientQ[to] == nil {
-			l.clientQ[to] = map[uint32][][]byte{}
+		qs := &l.clientQ[to]
+		if n := int(id) + 1; n > len(*qs) {
+			*qs = slices.Grow(*qs, n-len(*qs))[:n]
 		}
-		l.clientQ[to][id] = append(l.clientQ[to][id], frame)
+		(*qs)[id] = append((*qs)[id], frame)
 		return
 	}
 	q, _ := l.queues(from)
@@ -574,16 +578,14 @@ func popFrame(q *[][]byte) []byte {
 // failures are observed and counted rather than pooling forever.
 func (l *Link) RecvClient(at Endpoint, clientID uint32) ([]byte, error) {
 	from := opposite(at)
-	if len(l.clientQ[at][clientID]) == 0 {
+	if l.queued(at, clientID) == 0 {
 		l.flushHeld(from)
+		if l.batching && l.queued(at, clientID) == 0 {
+			l.flushBatch(from)
+		}
 	}
-	if len(l.clientQ[at][clientID]) == 0 && l.batching {
-		l.flushBatch(from)
-	}
-	if frames := l.clientQ[at][clientID]; len(frames) > 0 {
-		f := popFrame(&frames)
-		l.clientQ[at][clientID] = frames
-		return f, nil
+	if l.queued(at, clientID) > 0 {
+		return popFrame(&l.clientQ[at][clientID]), nil
 	}
 	// Damaged frames that could not be routed sit in the shared queue;
 	// any client may collect one — but never a well-formed call, which
@@ -594,6 +596,15 @@ func (l *Link) RecvClient(at Endpoint, clientID uint32) ([]byte, error) {
 		return f, nil
 	}
 	return nil, ErrEmpty
+}
+
+// queued returns how many frames wait in clientID's reply queue at
+// endpoint at.
+func (l *Link) queued(at Endpoint, clientID uint32) int {
+	if qs := l.clientQ[at]; int(clientID) < len(qs) {
+		return len(qs[clientID])
+	}
+	return 0
 }
 
 // RecvClientHeader is RecvClient for a caller that reads only headers:

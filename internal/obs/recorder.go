@@ -130,15 +130,13 @@ func (r *Recorder) now() float64 {
 // Emit records a fully-typed event stamped with the recorder's clock
 // (e.T is overwritten; e.Seq is assigned). Safe on a nil recorder.
 // This is the hot-path form: with constant Layer/Name strings and the
-// numeric fields it performs no allocation.
+// numeric fields it performs no allocation, and it inlines, leaving
+// one call (emit) per event.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
 	}
-	e.T = r.now()
-	s := r.slot()
-	*s = e
-	s.Seq = r.seq
+	r.emit(&e)
 }
 
 // EmitAt records a fully-typed event with the caller's timestamp — the
@@ -168,15 +166,31 @@ func (r *Recorder) EventAt(t float64, layer, name string, client, call uint32, a
 	r.EmitAt(Event{T: t, Layer: layer, Name: name, Client: client, Call: call, Attrs: attrs})
 }
 
-// slot advances the sequence number and returns the ring slot the
+// slot is next kept out of line, so that EmitAt, its one caller on the
+// hot path, is small enough to inline into each emitting site.
+//
+//go:noinline
+func (r *Recorder) slot() *Event { return r.next() }
+
+// emit is Emit's out-of-line half: it reads the clock and writes the
+// event, stamped, into its slot. It takes the event by pointer, which
+// keeps Emit small enough to inline into each emitting site (the clock
+// read alone would not fit), and the event is still copied once.
+//
+//go:noinline
+func (r *Recorder) emit(e *Event) {
+	t := r.now()
+	s := r.next()
+	*s = *e
+	s.T, s.Seq = t, r.seq
+}
+
+// next advances the sequence number and returns the ring slot the
 // event that takes it is written into: the next free one while the
 // ring grows, then the oldest, which it overwrites. Wrapping is as
 // deterministic as recording: same event stream in, same retained
-// window out. It stays out of line so that EmitAt, its one caller on
-// the hot path, is small enough to inline into each emitting site.
-//
-//go:noinline
-func (r *Recorder) slot() *Event {
+// window out.
+func (r *Recorder) next() *Event {
 	r.seq++
 	if n := len(r.ring); n < r.cap {
 		r.ring = append(r.ring, Event{})
