@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -151,6 +152,28 @@ const pathDepth = 16
 // bytes never copies the path into a string unless an error names it.
 type pathArg interface{ ~string | ~[]byte }
 
+// Named reports whether err is one of the five sentinels whose
+// failures name their path: ErrNotExist, ErrExist, ErrNotDir, ErrIsDir
+// or ErrNotEmpty, bare. The path ops fail with these bare, and the
+// public methods return exactly these wrapped with the path, with the
+// text err.Error() + NamedSep + path. Every other error is returned
+// whole: ErrNameTooBig and ErrBadFD bare, their text naming no path,
+// and the relative-path error and ErrBadCount as complete fmt errors.
+// StatBytes, AppendDir and ApplySession leave a Named failure bare, so
+// a caller that holds the path can write the whole text where it goes
+// without building it.
+func Named(err error) bool {
+	switch err {
+	case ErrNotExist, ErrExist, ErrNotDir, ErrIsDir, ErrNotEmpty:
+		return true
+	}
+	return false
+}
+
+// NamedSep joins a Named sentinel's text to the path in the failure's
+// whole text.
+const NamedSep = ": "
+
 // pathError is an operation's failure on a path: the sentinel, which
 // errors.Is matches through Unwrap, and the message "<sentinel>: <path>",
 // formatted once when the error is made.
@@ -165,7 +188,16 @@ func (e *pathError) Unwrap() error { return e.err }
 // errPath wraps sentinel err with the path it failed on: the error
 // record and its message, two allocations.
 func errPath[P pathArg](err error, path P) error {
-	return &pathError{err: err, msg: err.Error() + ": " + string(path)}
+	return &pathError{err: err, msg: err.Error() + NamedSep + string(path)}
+}
+
+// named is a path op's error as the public methods return it: a Named
+// sentinel wrapped with the path, anything else as it is.
+func named(err error, path string) error {
+	if Named(err) {
+		return errPath(err, path)
+	}
+	return err
 }
 
 // components appends the components of an absolute path to dst: empty
@@ -201,15 +233,15 @@ func components[P pathArg](dst []P, path P) ([]P, error) {
 
 // descend follows the directory components parts down from the root,
 // charging a cache access for each directory it reads.
-func descend[P pathArg](f *FS, path P, parts []P) (*inode, error) {
+func descend[P pathArg](f *FS, parts []P) (*inode, error) {
 	cur := f.root
 	for _, p := range parts {
 		if cur.kind != KindDir {
-			return nil, errPath(ErrNotDir, path)
+			return nil, ErrNotDir
 		}
 		f.cache.access(cur.ino, 0) // directory block read
 		if cur = cur.children[string(p)]; cur == nil {
-			return nil, errPath(ErrNotExist, path)
+			return nil, ErrNotExist
 		}
 	}
 	return cur, nil
@@ -222,7 +254,7 @@ func walk[P pathArg](f *FS, path P) (*inode, error) {
 	if err != nil {
 		return nil, err
 	}
-	return descend(f, path, parts)
+	return descend(f, parts)
 }
 
 // walkParent resolves the directory containing path and the final name.
@@ -233,26 +265,28 @@ func (f *FS) walkParent(path string) (*inode, string, error) {
 		return nil, "", err
 	}
 	if len(parts) == 0 {
-		return nil, "", errPath(ErrExist, path)
+		return nil, "", ErrExist
 	}
-	cur, err := descend(f, path, parts[:len(parts)-1])
+	cur, err := descend(f, parts[:len(parts)-1])
 	if err != nil {
 		return nil, "", err
 	}
 	if cur.kind != KindDir {
-		return nil, "", errPath(ErrNotDir, path)
+		return nil, "", ErrNotDir
 	}
 	return cur, parts[len(parts)-1], nil
 }
 
 // Mkdir creates a directory.
-func (f *FS) Mkdir(path string) error {
+func (f *FS) Mkdir(path string) error { return named(f.mkdir(path), path) }
+
+func (f *FS) mkdir(path string) error {
 	dir, name, err := f.walkParent(path)
 	if err != nil {
 		return err
 	}
 	if _, exists := dir.children[name]; exists {
-		return errPath(ErrExist, path)
+		return ErrExist
 	}
 	f.nextIno++
 	f.ninodes++
@@ -264,6 +298,11 @@ func (f *FS) Mkdir(path string) error {
 
 // Create makes (or truncates) a regular file and opens it.
 func (f *FS) Create(path string) (int, error) {
+	fdno, err := f.create(path)
+	return fdno, named(err, path)
+}
+
+func (f *FS) create(path string) (int, error) {
 	dir, name, err := f.walkParent(path)
 	if err != nil {
 		return -1, err
@@ -276,7 +315,7 @@ func (f *FS) Create(path string) (int, error) {
 		dir.children[name] = n
 		dir.dirty()
 	} else if n.kind == KindDir {
-		return -1, errPath(ErrIsDir, path)
+		return -1, ErrIsDir
 	}
 	n.data = n.data[:0]
 	return f.allocFD(n), nil
@@ -284,12 +323,17 @@ func (f *FS) Create(path string) (int, error) {
 
 // Open opens an existing regular file.
 func (f *FS) Open(path string) (int, error) {
+	fdno, err := f.open(path)
+	return fdno, named(err, path)
+}
+
+func (f *FS) open(path string) (int, error) {
 	n, err := walk(f, path)
 	if err != nil {
 		return -1, err
 	}
 	if n.kind == KindDir {
-		return -1, errPath(ErrIsDir, path)
+		return -1, ErrIsDir
 	}
 	return f.allocFD(n), nil
 }
@@ -393,18 +437,20 @@ func (f *FS) touchBlocks(n *inode, off, length int) {
 // when kind is a directory with no children). Descriptors open on a
 // removed file close with it, so no descriptor outlives its inode:
 // later calls on them get ErrBadFD.
-func (f *FS) Unlink(path string) error {
+func (f *FS) Unlink(path string) error { return named(f.unlink(path), path) }
+
+func (f *FS) unlink(path string) error {
 	dir, name, err := f.walkParent(path)
 	if err != nil {
 		return err
 	}
 	n, ok := dir.children[name]
 	if !ok {
-		return errPath(ErrNotExist, path)
+		return ErrNotExist
 	}
 	if n.kind == KindDir {
 		if len(n.children) > 0 {
-			return errPath(ErrNotEmpty, path)
+			return ErrNotEmpty
 		}
 		dir.nlink--
 	}
@@ -423,10 +469,14 @@ func (f *FS) Unlink(path string) error {
 }
 
 // Stat describes a path.
-func (f *FS) Stat(path string) (Stat, error) { return stat(f, path) }
+func (f *FS) Stat(path string) (Stat, error) {
+	st, err := stat(f, path)
+	return st, named(err, path)
+}
 
 // StatBytes is Stat for a path held in bytes, such as a view of the call
-// frame that carried it; the path is never copied into a string.
+// frame that carried it; the path is never copied into a string. A
+// Named failure comes back bare, for the caller to name the path.
 func (f *FS) StatBytes(path []byte) (Stat, error) { return stat(f, path) }
 
 func stat[P pathArg](f *FS, path P) (Stat, error) {
@@ -444,11 +494,15 @@ func stat[P pathArg](f *FS, path P) (Stat, error) {
 }
 
 // ReadDir lists a directory's entries, sorted.
-func (f *FS) ReadDir(path string) ([]string, error) { return readDir(f, nil, path) }
+func (f *FS) ReadDir(path string) ([]string, error) {
+	names, err := readDir(f, nil, path)
+	return names, named(err, path)
+}
 
 // AppendDir appends the sorted entries of the directory at path, held
 // in bytes, to dst and returns the extended slice: ReadDir into the
-// caller's buffer, which allocates nothing once the buffer has room.
+// caller's buffer, which allocates nothing once the buffer has room. A
+// Named failure comes back bare, as from StatBytes.
 func (f *FS) AppendDir(dst []string, path []byte) ([]string, error) { return readDir(f, dst, path) }
 
 func readDir[P pathArg](f *FS, dst []string, path P) ([]string, error) {
@@ -457,7 +511,7 @@ func readDir[P pathArg](f *FS, dst []string, path P) ([]string, error) {
 		return nil, err
 	}
 	if n.kind != KindDir {
-		return nil, errPath(ErrNotDir, path)
+		return nil, ErrNotDir
 	}
 	f.cache.access(n.ino, 0)
 	dst = slices.Grow(dst, len(n.children))
@@ -498,19 +552,12 @@ func (f *FS) WriteFile(path string, data []byte) error {
 // double-applied or lost write changes it.
 func (f *FS) Fingerprint() string {
 	h := sha256.New()
-	var walk func(prefix string, n *inode)
-	walk = func(prefix string, n *inode) {
-		for _, e := range n.entries() {
-			path := prefix + "/" + e.name
-			fmt.Fprintf(h, "%s|%v|%d\n", path, e.n.kind, len(e.n.data))
-			if e.n.kind == KindDir {
-				walk(path, e.n)
-			} else {
-				h.Write(e.n.data)
-			}
+	f.walkEntries(func(_, line []byte, n *inode) {
+		h.Write(line)
+		if n.kind != KindDir {
+			h.Write(n.data)
 		}
-	}
-	walk("", f.root)
+	})
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -526,28 +573,45 @@ func (f *FS) RangeFingerprints(n int) []uint64 {
 		n = 1
 	}
 	out := make([]uint64, n)
-	var walk func(prefix string, node *inode)
-	walk = func(prefix string, node *inode) {
-		for _, e := range node.entries() {
-			path := prefix + "/" + e.name
-			ri := int(crc32.ChecksumIEEE([]byte(path))) % n
-			if ri < 0 {
-				ri += n
-			}
-			h := sha256.New()
-			fmt.Fprintf(h, "%s|%v|%d\n", path, e.n.kind, len(e.n.data))
+	h := sha256.New()
+	var sum [sha256.Size]byte
+	f.walkEntries(func(path, line []byte, node *inode) {
+		ri := int(crc32.ChecksumIEEE(path)) % n
+		if ri < 0 {
+			ri += n
+		}
+		h.Reset()
+		h.Write(line)
+		if node.kind != KindDir {
+			h.Write(node.data)
+		}
+		out[ri] ^= binary.BigEndian.Uint64(h.Sum(sum[:0]))
+	})
+	return out
+}
+
+// walkEntries calls visit for every entry of the tree, each directory's
+// entries in name order and a directory before its own entries, with
+// the entry's path and its digest line "<path>|<kind>|<size>\n". Both
+// are built in buffers reused from entry to entry, so visit must not
+// keep them.
+func (f *FS) walkEntries(visit func(path, line []byte, n *inode)) {
+	var path, line []byte
+	var walk func(dir *inode)
+	walk = func(dir *inode) {
+		for _, e := range dir.entries() {
+			parent := len(path)
+			path = append(append(path, '/'), e.name...)
+			line = append(append(append(line[:0], path...), '|'), e.n.kind.String()...)
+			line = append(strconv.AppendInt(append(line, '|'), int64(len(e.n.data)), 10), '\n')
+			visit(path, line, e.n)
 			if e.n.kind == KindDir {
-				walk(path, e.n)
-			} else {
-				h.Write(e.n.data)
+				walk(e.n)
 			}
-			var word [8]byte
-			copy(word[:], h.Sum(nil))
-			out[ri] ^= binary.BigEndian.Uint64(word[:])
+			path = path[:parent]
 		}
 	}
-	walk("", f.root)
-	return out
+	walk(f.root)
 }
 
 // OpenFDs returns the number of live descriptors.

@@ -113,20 +113,42 @@ type ApplyResult struct {
 	Data []byte
 }
 
-// Apply executes a logged operation against the file system,
-// dispatching to the same public methods the live request path uses.
-// Determinism of the FS makes Apply a replay primitive: the same
-// record sequence from the same state yields the same results — the
-// same fds, the same errors — every time.
+// Apply executes a logged operation against the file system and
+// returns the error the public method for the op would. Determinism of
+// the FS makes Apply a replay primitive: the same record sequence from
+// the same state yields the same results — the same fds, the same
+// errors — every time.
 func (f *FS) Apply(r Record) (ApplyResult, error) {
+	res, err := f.apply(r)
+	return res, named(err, r.Path)
+}
+
+// ApplySession executes r as Apply does and returns the session record
+// of its outcome. A Named failure costs nothing: the record keeps the
+// sentinel's text in Err and r.Path, the path the log already holds,
+// in ErrPath.
+func (f *FS) ApplySession(r Record) SessionRecord {
+	res, err := f.apply(r)
+	s := SessionRecord{Client: r.Client, Call: r.Call, Op: r.Op, Result: res}
+	if err != nil {
+		s.Err = err.Error()
+		if Named(err) {
+			s.ErrPath = r.Path
+		}
+	}
+	return s
+}
+
+// apply executes r, leaving a Named failure bare.
+func (f *FS) apply(r Record) (ApplyResult, error) {
 	switch r.Op {
 	case OpMkdir:
-		return ApplyResult{}, f.Mkdir(r.Path)
+		return ApplyResult{}, f.mkdir(r.Path)
 	case OpCreate:
-		fdno, err := f.Create(r.Path)
+		fdno, err := f.create(r.Path)
 		return ApplyResult{FD: fdno}, err
 	case OpOpen:
-		fdno, err := f.Open(r.Path)
+		fdno, err := f.open(r.Path)
 		return ApplyResult{FD: fdno}, err
 	case OpClose:
 		return ApplyResult{}, f.Close(r.FD)
@@ -137,7 +159,7 @@ func (f *FS) Apply(r Record) (ApplyResult, error) {
 		n, err := f.Write(r.FD, r.Data)
 		return ApplyResult{N: n}, err
 	case OpUnlink:
-		return ApplyResult{}, f.Unlink(r.Path)
+		return ApplyResult{}, f.unlink(r.Path)
 	}
 	return ApplyResult{}, fmt.Errorf("fs: cannot apply %v", r.Op)
 }
@@ -153,6 +175,21 @@ type SessionRecord struct {
 	Op     OpCode
 	Result ApplyResult
 	Err    string // the operation's error text; "" on success
+
+	// ErrPath, when set, is the path a Named failure names: the whole
+	// error text is then Err + ErrSep() + ErrPath, and Err the
+	// sentinel's. The snapshot image stores the whole text, and a
+	// restored record holds it all in Err.
+	ErrPath string
+}
+
+// ErrSep is what joins Err to ErrPath in the whole error text: NamedSep
+// when ErrPath is set, else nothing.
+func (s *SessionRecord) ErrSep() string {
+	if s.ErrPath == "" {
+		return ""
+	}
+	return NamedSep
 }
 
 // WALStats counts log activity.
@@ -774,7 +811,7 @@ func encodeImage(dst []byte, cacheBlocks int, f *FS, sessions map[uint32]Session
 	for _, c := range clients {
 		s := sessions[c]
 		size += 2*4 + varintLen(int64(s.Op)) + varintLen(int64(s.Result.FD)) + varintLen(int64(s.Result.N)) +
-			uvarintLen(uint64(len(s.Result.Data))) + len(s.Result.Data) + uvarintLen(uint64(len(s.Err))) + len(s.Err)
+			uvarintLen(uint64(len(s.Result.Data))) + len(s.Result.Data) + uvarintLen(uint64(errLen(&s))) + errLen(&s)
 	}
 
 	b := dst[:0]
@@ -818,11 +855,14 @@ func encodeImage(dst []byte, cacheBlocks int, f *FS, sessions map[uint32]Session
 		b = binary.AppendVarint(b, int64(s.Result.N))
 		b = binary.AppendUvarint(b, uint64(len(s.Result.Data)))
 		b = append(b, s.Result.Data...)
-		b = binary.AppendUvarint(b, uint64(len(s.Err)))
-		b = append(b, s.Err...)
+		b = binary.AppendUvarint(b, uint64(errLen(&s)))
+		b = append(append(append(b, s.Err...), s.ErrSep()...), s.ErrPath...)
 	}
 	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
+
+// errLen is the length of a session's whole error text.
+func errLen(s *SessionRecord) int { return len(s.Err) + len(s.ErrSep()) + len(s.ErrPath) }
 
 // sortedKeys returns m's keys in ascending order.
 func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
@@ -978,7 +1018,7 @@ func validName(name string) bool {
 
 // Recover rebuilds the file system a crashed server lost: restore the
 // snapshot (or start empty), then replay the tail in sequence order
-// through Apply. Because the FS is deterministic, the rebuilt state is
+// through ApplySession. Because the FS is deterministic, the rebuilt state is
 // bit-identical to the pre-crash state — same fingerprint, same fd
 // table, same counters-to-come. The WAL's session table is reset to
 // the recovered view (snapshot sessions overlaid with replayed tail
@@ -1023,12 +1063,7 @@ func Recover(w *WAL) (*FS, []SessionRecord, int, error) {
 		f = New(w.cacheBlocks)
 	}
 	for _, r := range w.tail {
-		res, err := f.Apply(r)
-		s := SessionRecord{Client: r.Client, Call: r.Call, Op: r.Op, Result: res}
-		if err != nil {
-			s.Err = err.Error()
-		}
-		sessions[s.Client] = s
+		sessions[r.Client] = f.ApplySession(r)
 	}
 	w.sessions = sessions
 	out := make([]SessionRecord, 0, len(sessions))

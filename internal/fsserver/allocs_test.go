@@ -2,6 +2,7 @@ package fsserver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -87,13 +88,16 @@ func TestTracingAddsNoAllocationInRemote(t *testing.T) {
 	}
 }
 
-func TestServerQueryHitsAllocateNothing(t *testing.T) {
-	// A Stat or ReadDir that finds its path costs the server nothing on
-	// the heap: the path is resolved from the call frame's bytes, the
-	// listing goes through the server's reused buffer, and the frames
-	// come from the stack's free list. Calls are sealed by hand into one
-	// buffer and their replies drained header-only, as the load engine
-	// drives the server, so only the server side is counted.
+func TestServerAllocatesOnlyTheLoggedPath(t *testing.T) {
+	// A Stat or ReadDir costs the server nothing on the heap, whether it
+	// finds its path or not: the path is resolved from the call frame's
+	// bytes, the listing goes through the server's reused buffer, a miss
+	// is written into the reply as the sentinel's text and the path's
+	// bytes, and the frames come from the stack's free list. A Mkdir
+	// collision allocates one thing, the path its WAL record keeps; its
+	// session record and reply reuse that path. Calls are sealed by hand
+	// into one buffer and their replies drained header-only, as the load
+	// engine drives the server, so only the server side is counted.
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
@@ -123,22 +127,30 @@ func TestServerQueryHitsAllocateNothing(t *testing.T) {
 			t.Fatalf("%s: reply %+v, %v", path, h, err)
 		}
 	}
-	for _, q := range []struct {
+	ops := []struct {
 		name string
 		proc uint32
 		path string
-	}{{"Stat", ProcStat, "/d/b"}, {"ReadDir", ProcReadDir, "/d"}} {
+		want float64
+	}{
+		{"Stat hit", ProcStat, "/d/b", 0},
+		{"ReadDir hit", ProcReadDir, "/d", 0},
+		{"Stat miss", ProcStat, "/z00042", 0},
+		{"ReadDir miss", ProcReadDir, "/z00042", 0},
+		{"Mkdir collision", ProcMkdir, "/d/a", 1},
+	}
+	for _, op := range ops {
 		for i := 0; i < 16; i++ {
-			call(q.proc, q.path)
+			call(op.proc, op.path)
 		}
-		got := testing.AllocsPerRun(300, func() { call(q.proc, q.path) })
-		t.Logf("%s hit: %.1f server-side allocations", q.name, got)
-		if got != 0 {
-			t.Errorf("a %s hit allocates %.1f times on the server, want 0", q.name, got)
+		got := testing.AllocsPerRun(300, func() { call(op.proc, op.path) })
+		t.Logf("%s: %.1f server-side allocations", op.name, got)
+		if got != op.want {
+			t.Errorf("a %s allocates %.1f times on the server, want %.0f", op.name, got, op.want)
 		}
 	}
-	if served := srv.Wire.Stats().Served; served != 2*(16+301) {
-		t.Errorf("server answered %d calls, want %d", served, 2*(16+301))
+	if served := srv.Wire.Stats().Served; served != len(ops)*(16+301) {
+		t.Errorf("server answered %d calls, want %d", served, len(ops)*(16+301))
 	}
 }
 
@@ -271,6 +283,16 @@ func opAllocs(t *testing.T, r *Remote) map[string]float64 {
 				t.Fatalf("ReadDir = %v, %v", names, err)
 			}
 		}},
+		{"Stat miss", func() {
+			if _, err := r.Stat("/z00042"); !errors.Is(err, ErrRemote) {
+				t.Fatalf("Stat of a missing path = %v", err)
+			}
+		}},
+		{"Mkdir collision", func() {
+			if err := r.Mkdir("/l"); !errors.Is(err, ErrRemote) {
+				t.Fatalf("Mkdir of an existing name = %v", err)
+			}
+		}},
 	}
 	got := map[string]float64{}
 	for _, op := range ops {
@@ -288,9 +310,12 @@ func TestSteadyStateAllocsPerOp(t *testing.T) {
 	// that logs it), a read's result (the server's buffer, each
 	// backup's replay of it, and the caller's copy), an inode, a
 	// listing's names (one string and the slice of views into it,
-	// however long the listing). Frames, descriptor records, snapshot
-	// images and directory listings are reused. Stat and Close keep
-	// nothing and allocate nothing.
+	// however long the listing), a failure's error (its message, the
+	// wire's RemoteError and the service's error wrapping it). Frames,
+	// descriptor records, snapshot images and directory listings are
+	// reused, and the servers write a failure's text into the reply
+	// without building it. Stat and Close keep nothing and allocate
+	// nothing.
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
@@ -310,6 +335,8 @@ func TestSteadyStateAllocsPerOp(t *testing.T) {
 		{"Write 2 KiB", 1, 3},
 		{"Mkdir+Unlink", 4, 12},
 		{"ReadDir 16 entries", 2, 2},
+		{"Stat miss", 3, 3},
+		{"Mkdir collision", 4, 6},
 	} {
 		t.Logf("%-22s single %2.0f, 2 backups %2.0f", want.op, single[want.op], replicated[want.op])
 		if got := single[want.op]; got > want.single {

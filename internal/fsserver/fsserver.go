@@ -247,7 +247,9 @@ func (s *Server) WALStats() fs.WALStats {
 // and apply — an op that dies there is durable but unapplied, and
 // recovery replays it. Caller identity comes from the frame header, so
 // the WAL doubles as the at-most-once record that survives crashes.
-func (s *Server) logApply(h wire.Header, r fs.Record) (fs.ApplyResult, error) {
+// It returns the committed session record, the op's outcome, and an
+// error only when the server crashed.
+func (s *Server) logApply(h wire.Header, r fs.Record) (fs.SessionRecord, error) {
 	r.Client = h.ClientID
 	r.Call = h.CallID
 	r = s.wal.Append(r)
@@ -268,20 +270,16 @@ func (s *Server) logApply(h wire.Header, r fs.Record) (fs.ApplyResult, error) {
 		s.repl.ship(s.wal, s.Wire.Epoch(), r.Client, r.Call)
 	}
 	if s.crasher != nil && s.crasher.CrashNow(faultplane.CrashPreApply) {
-		return fs.ApplyResult{}, wire.ErrServerCrashed
+		return fs.SessionRecord{}, wire.ErrServerCrashed
 	}
-	res, err := s.FS.Apply(r)
-	sess := fs.SessionRecord{Client: r.Client, Call: r.Call, Op: r.Op, Result: res}
-	if err != nil {
-		sess.Err = err.Error()
-	}
+	sess := s.FS.ApplySession(r)
 	s.wal.Commit(sess)
 	if s.SnapshotEvery > 0 && s.wal.SinceSnapshot() >= s.SnapshotEvery {
 		if snapErr := s.wal.Snapshot(s.FS); snapErr != nil {
 			panic(snapErr)
 		}
 	}
-	return res, err
+	return sess, nil
 }
 
 // resultWriter receives a logged op's results: the live handler's
@@ -334,7 +332,7 @@ func (s *Server) replayFor(clientID uint32) (uint32, []byte, bool) {
 	}
 	w := frameWriter{frame: wire.BeginFrame(nil)}
 	if sess.Err != "" {
-		w.frame = wire.AppendString(wire.AppendBool(w.frame, false), sess.Err)
+		w.frame = wire.AppendText(wire.AppendBool(w.frame, false), sess.Err, sess.ErrSep(), sess.ErrPath)
 	} else {
 		w.frame = wire.AppendBool(w.frame, true)
 		writeResults(&w, sess.Op, sess.Result)
@@ -413,7 +411,7 @@ func (s *Server) register() {
 		}
 		st, err := s.FS.StatBytes(path)
 		if err != nil {
-			return err
+			return failQuery(rep, err, path)
 		}
 		rep.Uint64(st.Ino)
 		rep.Int64(int64(st.Kind))
@@ -429,7 +427,7 @@ func (s *Server) register() {
 		}
 		names, err := s.FS.AppendDir(s.names[:0], path)
 		if err != nil {
-			return err
+			return failQuery(rep, err, path)
 		}
 		for _, n := range names {
 			rep.String(n)
@@ -440,9 +438,22 @@ func (s *Server) register() {
 	})
 }
 
+// failQuery answers a query that failed on path: a Named failure is
+// written into the reply as the text the fs methods give it, the
+// sentinel's joined to the path, and any other error goes back to the
+// wire server whole.
+func failQuery(rep *wire.Reply, err error, path []byte) error {
+	if !fs.Named(err) {
+		return err
+	}
+	wire.FailReply(rep, err.Error(), fs.NamedSep, path)
+	return nil
+}
+
 // logged binds a mutating procedure: decode reads the call's arguments
 // into the op's log record, which goes through logApply; the reply is
-// the op's results (writeResults). The cursor is checked before
+// the op's results (writeResults), or its failure written from the
+// session record as replayFor writes it. The cursor is checked before
 // logApply — a mutation must never be logged off a malformed argument
 // stream.
 func (s *Server) logged(proc uint32, decode func(a *wire.Args) fs.Record) {
@@ -451,11 +462,15 @@ func (s *Server) logged(proc uint32, decode func(a *wire.Args) fs.Record) {
 		if err := a.Err(); err != nil {
 			return err
 		}
-		res, err := s.logApply(h, r)
+		sess, err := s.logApply(h, r)
 		if err != nil {
 			return err
 		}
-		writeResults(rep, r.Op, res)
+		if sess.Err != "" {
+			wire.FailReply(rep, sess.Err, sess.ErrSep(), sess.ErrPath)
+			return nil
+		}
+		writeResults(rep, sess.Op, sess.Result)
 		return nil
 	})
 }
@@ -570,6 +585,14 @@ func (r *Remote) Tune(maxRetries int, deadlineMicros float64) {
 // ErrRemote adapts remote failures.
 var ErrRemote = errors.New("fsserver: remote error")
 
+// remoteError is a failure the service answered with: it matches
+// ErrRemote, and its text is ErrRemote's, ": ", then the server's
+// message, built only when asked for.
+type remoteError struct{ msg string }
+
+func (e *remoteError) Error() string { return ErrRemote.Error() + ": " + e.msg }
+func (e *remoteError) Unwrap() error { return ErrRemote }
+
 // ErrUnavailable reports an operation abandoned because the transport
 // exhausted its retry or deadline budget — frames lost faster than the
 // budget could recover — or delivered a reply the stub could not
@@ -594,9 +617,14 @@ var ErrOverloaded = errors.New("fsserver: service overloaded")
 // op at all (ErrOverloaded, counted in OverloadedOps); anything else
 // is the transport failing (ErrUnavailable, counted in DegradedOps).
 func (r *Remote) mapCallError(err error) error {
+	// The call path returns a RemoteError unwrapped; the assertion finds
+	// it without errors.As, whose target would escape to the heap.
+	if remote, ok := err.(*wire.RemoteError); ok {
+		return &remoteError{msg: remote.Msg}
+	}
 	var remote *wire.RemoteError
 	if errors.As(err, &remote) {
-		return fmt.Errorf("%w: %s", ErrRemote, remote.Msg)
+		return &remoteError{msg: remote.Msg}
 	}
 	if errors.Is(err, wire.ErrOverloaded) {
 		r.stats.OverloadedOps++

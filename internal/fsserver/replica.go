@@ -549,15 +549,10 @@ func (b *Backup) registerRepl() {
 				b.seqViolations++
 				return err
 			}
-			res, aerr := b.srv.FS.Apply(r)
-			sess := fs.SessionRecord{Client: r.Client, Call: r.Call, Op: r.Op, Result: res}
-			if aerr != nil {
-				// An op that failed on the primary fails identically
-				// here — the error is part of the replicated outcome,
-				// not a replication failure.
-				sess.Err = aerr.Error()
-			}
-			b.wal.Commit(sess)
+			// An op that failed on the primary fails identically here —
+			// the error is part of the replicated outcome, not a
+			// replication failure.
+			b.wal.Commit(b.srv.FS.ApplySession(r))
 			b.appliedSeq = r.Seq
 			if rec.Enabled() {
 				rec.Emit(obs.Event{Layer: "repl", Name: "apply",

@@ -179,3 +179,12 @@ func (r *Reply) String(v string) { r.frame = AppendString(r.frame, v) }
 
 // Bytes appends a byte-buffer result.
 func (r *Reply) Bytes(v []byte) { r.frame = AppendBytes(r.frame, v) }
+
+// FailReply rewrites the reply under construction as the failure
+// [false, msg+sep+string(name)], discarding any results, with the text
+// written piece by piece (AppendText). The handler then returns nil:
+// the reply is the same one returning an error of that text would
+// give, and the text is never built.
+func FailReply[N ~string | ~[]byte](rep *Reply, msg, sep string, name N) {
+	rep.frame = AppendText(AppendBool(BeginFrame(rep.frame[:0]), false), msg, sep, name)
+}

@@ -118,6 +118,15 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// AppendText appends msg+sep+string(name) as one tagged, length-prefixed
+// string: exactly the bytes AppendString appends for the joined text,
+// written piece by piece, so the text is never built.
+func AppendText[N ~string | ~[]byte](dst []byte, msg, sep string, name N) []byte {
+	dst = append(dst, byte(tagString))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(msg)+len(sep)+len(name)))
+	return append(append(append(dst, msg...), sep...), name...)
+}
+
 // AppendBytes appends a tagged, length-prefixed byte buffer.
 func AppendBytes(dst []byte, b []byte) []byte {
 	dst = append(dst, byte(tagBytes))

@@ -290,4 +290,17 @@ func TestReplyBuilderAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("reply build/decode allocates %.1f times per op, want 0", allocs)
 	}
+	// Rewriting the reply as a failure whose text names a path held in
+	// bytes builds no text.
+	name := []byte("/z00042")
+	allocs = testing.AllocsPerRun(200, func() {
+		rep := Reply{frame: AppendBool(BeginFrame(buf[:0]), true)}
+		FailReply(&rep, "fs: file exists", ": ", name)
+		if _, err := FinishFrame(rep.frame, h); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a failure reply allocates %.1f times per op, want 0", allocs)
+	}
 }

@@ -107,6 +107,66 @@ func TestCallRawErrorReply(t *testing.T) {
 	}
 }
 
+func TestFailReplyMatchesErrorReply(t *testing.T) {
+	// A handler that writes its failure with FailReply sends the reply
+	// returning an error of the joined text would: the same payload,
+	// byte for byte, whatever results it had appended first.
+	for _, c := range []struct{ msg, sep, name string }{
+		{"fs: file exists", ": ", "/z00042"},
+		{"fs: no such file or directory", ": ", "/with space/ünïcode"},
+		{"fs: bad file descriptor", "", ""},
+		{"", "", ""},
+	} {
+		text := c.msg + c.sep + c.name
+		if got, want := AppendText([]byte{9}, c.msg, c.sep, c.name), AppendString([]byte{9}, text); !bytes.Equal(got, want) {
+			t.Errorf("AppendText(%q, %q, %q) = %x, AppendString of the text %x", c.msg, c.sep, c.name, got, want)
+		}
+		if got, want := AppendText(nil, c.msg, c.sep, []byte(c.name)), AppendString(nil, text); !bytes.Equal(got, want) {
+			t.Errorf("AppendText over bytes (%q, %q, %q) = %x, want %x", c.msg, c.sep, c.name, got, want)
+		}
+		link := NewLink(ipc.Ethernet10)
+		client := NewClient(link, A)
+		server := NewServer(link, B)
+		server.RegisterRaw(1, func(h Header, a *Args, rep *Reply) error {
+			rep.Int64(99)
+			return errors.New(text)
+		})
+		server.RegisterRaw(2, func(h Header, a *Args, rep *Reply) error {
+			rep.Int64(99)
+			FailReply(rep, c.msg, c.sep, []byte(c.name))
+			return nil
+		})
+		server.RegisterRaw(3, func(h Header, a *Args, rep *Reply) error {
+			FailReply(rep, c.msg, c.sep, c.name)
+			return nil
+		})
+		var payloads [][]byte
+		for proc := uint32(1); proc <= 3; proc++ {
+			frame, err := Encode(Header{Kind: KindCall, CallID: proc, ProcID: proc, ClientID: client.ClientID}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			link.Send(A, frame)
+			server.Poll()
+			reply, err := link.RecvClient(A, client.ClientID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, payload, err := Decode(reply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads = append(payloads, bytes.Clone(payload))
+		}
+		want := AppendString(AppendBool(nil, false), text)
+		for i, p := range payloads {
+			if !bytes.Equal(p, want) {
+				t.Errorf("%q: proc %d replied %x, want %x", text, i+1, p, want)
+			}
+		}
+	}
+}
+
 func TestCallRawServerCrashWindow(t *testing.T) {
 	// A raw handler aborting with ErrServerCrashed kills the server in
 	// the pre-apply window, identical to the boxed contract: no reply,
