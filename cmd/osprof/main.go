@@ -78,7 +78,7 @@ func main() {
 // decomposed file service with a recorder attached — under the
 // reference chaos policy at seed when chaos is set — and renders the
 // default report: the virtual-time breakdown by layer, the latency
-// table and the metrics registry. Everything runs on the virtual
+// table and the metrics snapshot. Everything runs on the virtual
 // clock, so the report is byte-reproducible per seed. With allocs set
 // it also carries the host heap allocation table, which is
 // machine-local. The recorder is returned for the trace exports.
@@ -117,18 +117,18 @@ func profileReport(chaos bool, seed int64, allocs bool) (string, *obs.Recorder, 
 	fmt.Fprintln(&b, breakdownTable(cm, remote.Stats(), plane))
 	fmt.Fprintln(&b, obs.LatencyTable(rec, "Latency distribution (virtual µs)"))
 
-	reg := obs.NewRegistry()
-	reg.Register("fsserver", obs.StructSource(func() interface{} { return remote.Stats() }))
-	reg.Register("rpc", obs.HistogramSource(rec, "call.roundtrip"))
+	snap := obs.Snapshot{}
+	remote.Stats().Metrics("fsserver.", snap)
+	rec.Histogram("call.roundtrip").Metrics("rpc.", snap)
 	if plane != nil {
-		reg.Register("fault", obs.StructSource(func() interface{} { return plane.Counts() }))
+		plane.Counts().Metrics("fault.", snap)
 	}
-	fmt.Fprintln(&b, reg.Snapshot().Table("Metrics registry snapshot"))
+	fmt.Fprintln(&b, snap.Table("Metrics registry snapshot"))
 
 	if meter != nil {
-		alloc := obs.NewRegistry()
-		alloc.Register("goheap", meter.PerOpSource(func() float64 { return float64(ops) }))
-		fmt.Fprintln(&b, alloc.Snapshot().Table("Host allocation (real heap, machine-local)"))
+		alloc := obs.Snapshot{}
+		meter.Metrics(ops, "goheap.", alloc)
+		fmt.Fprintln(&b, alloc.Table("Host allocation (real heap, machine-local)"))
 	}
 
 	fmt.Fprintf(&b, "virtual time %.0f µs, %d trace events\n", link.Clock(), rec.EventCount())

@@ -45,7 +45,7 @@ func TestCritpathReportGolden(t *testing.T) {
 
 // TestProfileReportGolden pins the default report — `osprof` and
 // `osprof -chaos -seed 3` — byte for byte: the virtual-time breakdown,
-// the latency table and every row of the metrics registry. A counter
+// the latency table and every row of the metrics snapshot. A counter
 // that appears, disappears or moves shows up here. Regenerate with
 // `go test ./cmd/osprof -update`.
 func TestProfileReportGolden(t *testing.T) {

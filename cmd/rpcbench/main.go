@@ -304,9 +304,7 @@ func printReplicas(backups int, seed int64, rejoin bool, traceOut, jsonlOut stri
 	st := remote.Stats()
 	cst := cluster.Stats()
 	fmt.Printf("service ops: %d\n", ops)
-	// Replication lag is instantaneous: it reads 0 once the backups
-	// have drained the ship backlog.
-	fmt.Println(replicaSummaryTable(crash.Counts(), st, cst, cluster.ReplicationLag(),
+	fmt.Println(replicaSummaryTable(crash.Counts(), st, cst,
 		rec.Histogram("server.promotion"), rec.Histogram("client.failover"),
 		rec.Histogram("repl.rejoin")))
 
@@ -350,8 +348,10 @@ func printReplicas(backups int, seed int64, rejoin bool, traceOut, jsonlOut stri
 // self-healing counters (rejoins, state transfers, quarantine, scrub
 // repairs — all zero when the healing plane is unarmed); split from
 // the driving loop so the formatting is testable against a golden file.
+// Replication lag is instantaneous: it reads 0 once the backups have
+// drained the ship backlog.
 func replicaSummaryTable(cc faultplane.CrashCounts, st fsserver.Stats, cst fsserver.ClusterStats,
-	lag float64, promotion, failover, rejoin *obs.Histogram) *trace.Table {
+	promotion, failover, rejoin *obs.Histogram) *trace.Table {
 	t := trace.NewTable("Replication and failover under chaos",
 		"Metric", "Count")
 	add := func(name string, v interface{}) { t.AddRow(name, fmt.Sprintf("%v", v)) }
@@ -366,7 +366,7 @@ func replicaSummaryTable(cc faultplane.CrashCounts, st fsserver.Stats, cst fsser
 	add("ship failures (re-shipped later)", cst.ShipFailures)
 	add("records re-shipped and skipped", cst.Reships)
 	add("sequence violations", cst.SeqViolations)
-	add("replication lag at end", fmt.Sprintf("%.0f", lag))
+	add("replication lag at end", cst.ReplicationLag)
 	add("ops acked while a backup lagged", cst.LagOps)
 	add("duplicates answered from WAL", st.Wire.LogDuplicates)
 	add("client endpoint switches", st.Wire.Failovers)

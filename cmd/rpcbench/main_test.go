@@ -98,27 +98,29 @@ func TestReplicaSummaryTableGolden(t *testing.T) {
 	st.Wire.Failovers = 1
 	st.Wire.FencedReplies = 1
 	cst := fsserver.ClusterStats{
-		Backups:           2,
-		Failovers:         1,
-		PromotedEpoch:     4,
-		PrimarySeq:        67,
-		BackupSeq:         67,
-		ShipCalls:         67,
-		ShipFailures:      2,
-		Reships:           2,
-		LagOps:            1,
-		Rejoins:           1,
-		FencedShips:       1,
-		CursorCorrections: 3,
-		StateTransfers:    1,
-		SnapChunks:        2,
-		Quarantined:       4,
-		Discarded:         2,
-		ScrubPasses:       5,
-		ScrubRepairs:      1,
-		RepairedRanges:    3,
+		Backups:       2,
+		Failovers:     1,
+		PromotedEpoch: 4,
+		PrimarySeq:    67,
+		BackupSeq:     67,
+		ReplStats: fsserver.ReplStats{
+			ShipCalls:         67,
+			ShipFailures:      2,
+			LagOps:            1,
+			CursorCorrections: 3,
+			StateTransfers:    1,
+			SnapChunks:        2,
+		},
+		Reships:        2,
+		Rejoins:        1,
+		FencedShips:    1,
+		Quarantined:    4,
+		Discarded:      2,
+		ScrubPasses:    5,
+		ScrubRepairs:   1,
+		RepairedRanges: 3,
 	}
-	got := replicaSummaryTable(cc, st, cst, 0, promotion, failover, rejoin).String()
+	got := replicaSummaryTable(cc, st, cst, promotion, failover, rejoin).String()
 
 	golden := filepath.Join("testdata", "replicas_table.golden")
 	if *update {

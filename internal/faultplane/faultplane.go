@@ -153,6 +153,19 @@ type Counts struct {
 	DelayMicros float64
 }
 
+// Metrics writes one row per counter into out, named prefix plus the
+// field's name.
+func (c Counts) Metrics(prefix string, out map[string]float64) {
+	out[prefix+"Frames"] = float64(c.Frames)
+	out[prefix+"Dropped"] = float64(c.Dropped)
+	out[prefix+"Corrupted"] = float64(c.Corrupted)
+	out[prefix+"Duplicated"] = float64(c.Duplicated)
+	out[prefix+"Reordered"] = float64(c.Reordered)
+	out[prefix+"Delayed"] = float64(c.Delayed)
+	out[prefix+"Bursts"] = float64(c.Bursts)
+	out[prefix+"DelayMicros"] = c.DelayMicros
+}
+
 // Injector is the interface wire.Link consumes; Plane and Script implement it.
 type Injector interface {
 	Decide(seq, frameBytes int) Decision

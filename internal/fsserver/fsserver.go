@@ -94,6 +94,24 @@ type Stats struct {
 	Wire wire.Stats
 }
 
+// Metrics writes one row per counter into out, named prefix plus the
+// field's name; the transport counters go under prefix+"Wire.".
+func (s Stats) Metrics(prefix string, out map[string]float64) {
+	out[prefix+"Ops"] = float64(s.Ops)
+	out[prefix+"Syscalls"] = float64(s.Syscalls)
+	out[prefix+"ASSwitches"] = float64(s.ASSwitches)
+	out[prefix+"VirtualMicros"] = s.VirtualMicros
+	out[prefix+"WireMicros"] = s.WireMicros
+	out[prefix+"PayloadBytes"] = float64(s.PayloadBytes)
+	out[prefix+"ServerRejected"] = float64(s.ServerRejected)
+	out[prefix+"DegradedOps"] = float64(s.DegradedOps)
+	out[prefix+"OverloadedOps"] = float64(s.OverloadedOps)
+	out[prefix+"CrashesInjected"] = float64(s.CrashesInjected)
+	out[prefix+"Recoveries"] = float64(s.Recoveries)
+	out[prefix+"RecoveryReplayedOps"] = float64(s.RecoveryReplayedOps)
+	s.Wire.Metrics(prefix+"Wire.", out)
+}
+
 // ---- Monolithic arrangement ----
 
 // Direct invokes the file system in the kernel: one system call per

@@ -167,6 +167,18 @@ type replicator struct {
 	gather                       []fs.Record
 }
 
+// addPeer appends a receiving peer: a ship client on link with the
+// configured ack budget, the peer's replication server, and the cursor
+// of what the peer is known to have applied.
+func (rp *replicator) addPeer(cfg ReplicaConfig, link *wire.Link, peer *wire.Server, acked uint64) {
+	ship := wire.NewClient(link, wire.A)
+	ship.MaxRetries = cfg.AckRetries
+	ship.DeadlineMicros = cfg.AckTimeoutMicros
+	rp.clients = append(rp.clients, ship)
+	rp.peers = append(rp.peers, peer)
+	rp.acked = append(rp.acked, acked)
+}
+
 // shipTo pushes records to backup i until its cursor reaches target or
 // the ack budget runs out, in bounded chunks. client/call identify the
 // op whose acknowledgement is waiting on this ship (0,0 for catch-up
@@ -710,15 +722,13 @@ func (b *Backup) promote() uint32 {
 	return s.Wire.Epoch()
 }
 
-// ClusterStats is the replica set's counter surface.
+// ClusterStats is the replica set's counter surface. The embedded
+// ReplStats sums every node's shipping counters.
 type ClusterStats struct {
-	Backups        int
-	Failovers      int
-	PromotedEpoch  uint32 // epoch of the promoted backup; 0 while the primary serves
-	ShipCalls      int
-	ShipFailures   int
-	ShipRecords    int
-	LagOps         int
+	Backups       int
+	Failovers     int
+	PromotedEpoch uint32 // epoch of the promoted backup; 0 while the primary serves
+	ReplStats
 	Reships        int
 	SeqViolations  int
 	PrimarySeq     uint64 // records appended at the active primary
@@ -726,16 +736,13 @@ type ClusterStats struct {
 	ReplicationLag uint64 // active-primary appends not yet applied by the slowest peer
 
 	// Self-healing counters.
-	Rejoins           int // nodes that re-entered the ack set (deposed primary)
-	FencedShips       int // deposed-primary ships rejected by a promoted peer
-	CursorCorrections int // ack cursors rewound to a revived node's true position
-	StateTransfers    int // whole snapshots installed on lagging peers
-	SnapChunks        int // state-transfer chunk RPCs sent
-	Quarantined       int // corrupt WAL records dropped and re-fetched
-	Discarded         int // speculative records discarded at demotion
-	ScrubPasses       int // anti-entropy passes completed
-	ScrubRepairs      int // peers repaired by a scrub-triggered state transfer
-	RepairedRanges    int // divergent fingerprint ranges repaired
+	Rejoins        int // nodes that re-entered the ack set (deposed primary)
+	FencedShips    int // deposed-primary ships rejected by a promoted peer
+	Quarantined    int // corrupt WAL records dropped and re-fetched
+	Discarded      int // speculative records discarded at demotion
+	ScrubPasses    int // anti-entropy passes completed
+	ScrubRepairs   int // peers repaired by a scrub-triggered state transfer
+	RepairedRanges int // divergent fingerprint ranges repaired
 }
 
 // Cluster wires a primary and N backups into one replicated file
@@ -790,19 +797,15 @@ func NewCluster(blocks int, cm *kernel.CostModel, cfg ReplicaConfig) *Cluster {
 		primaryLink: primaryLink,
 	}
 	c.primary.wal.EnableShipping()
-	rp := &replicator{acked: make([]uint64, cfg.Backups), link: primaryLink}
+	rp := &replicator{link: primaryLink}
 	for i := 0; i < cfg.Backups; i++ {
 		replLink := wire.NewLinkOnClock(replicaNet, clock)
 		backupLink := wire.NewLinkOnClock(replicaNet, clock)
 		b := newBackup(blocks, backupLink, replLink)
-		ship := wire.NewClient(replLink, wire.A)
-		ship.MaxRetries = cfg.AckRetries
-		ship.DeadlineMicros = cfg.AckTimeoutMicros
 		c.backups = append(c.backups, b)
 		c.backupLinks = append(c.backupLinks, backupLink)
 		c.replLinks = append(c.replLinks, replLink)
-		rp.clients = append(rp.clients, ship)
-		rp.peers = append(rp.peers, b.Repl)
+		rp.addPeer(cfg, replLink, b.Repl, 0)
 	}
 	c.primary.repl = rp
 	return c
@@ -883,12 +886,7 @@ func (c *Cluster) armShipping(pick int, epoch uint32) {
 		if j == pick {
 			continue
 		}
-		ship := wire.NewClient(c.replLinks[j], wire.A)
-		ship.MaxRetries = c.cfg.AckRetries
-		ship.DeadlineMicros = c.cfg.AckTimeoutMicros
-		rp.clients = append(rp.clients, ship)
-		rp.peers = append(rp.peers, ob.Repl)
-		rp.acked = append(rp.acked, 0)
+		rp.addPeer(c.cfg, c.replLinks[j], ob.Repl, 0)
 	}
 	np.repl = rp
 	if len(rp.clients) > 0 {
@@ -999,26 +997,18 @@ func (c *Cluster) Stats() ClusterStats {
 	if c.active > 0 {
 		st.PromotedEpoch = c.backups[c.active-1].srv.Wire.Epoch()
 	}
-	var rs ReplStats
 	nodes := []*Server{c.primary}
 	for _, b := range c.backups {
 		nodes = append(nodes, b.srv)
 	}
 	for _, s := range nodes {
 		if s.repl != nil {
-			rs = rs.add(s.repl.stats)
+			st.ReplStats = st.ReplStats.add(s.repl.stats)
 		}
 		ws := s.wal.Stats()
 		st.Quarantined += ws.Quarantined
 		st.Discarded += ws.Discarded
 	}
-	st.ShipCalls = rs.ShipCalls
-	st.ShipFailures = rs.ShipFailures
-	st.ShipRecords = rs.ShipRecords
-	st.LagOps = rs.LagOps
-	st.StateTransfers = rs.StateTransfers
-	st.SnapChunks = rs.SnapChunks
-	st.CursorCorrections = rs.CursorCorrections
 	act := c.activeServer()
 	st.PrimarySeq = act.wal.LastSeq()
 	if act.repl != nil {
@@ -1037,17 +1027,6 @@ func (c *Cluster) Stats() ClusterStats {
 		st.SeqViolations += b.seqViolations
 	}
 	return st
-}
-
-// ReplicationLag returns how many active-primary appends the slowest
-// receiving peer has yet to apply — the gauge the metrics registry
-// exposes.
-func (c *Cluster) ReplicationLag() float64 {
-	act := c.activeServer()
-	if act.repl == nil {
-		return 0
-	}
-	return float64(act.repl.lag(act.wal))
 }
 
 // Audit checks the replicated log discipline after a run: the shipped

@@ -191,12 +191,7 @@ func (c *Cluster) rejoinDeposedPrimary(now float64) {
 
 	npSrv := np.srv
 	if rp := npSrv.repl; rp != nil {
-		ship := wire.NewClient(link, wire.A)
-		ship.MaxRetries = c.cfg.AckRetries
-		ship.DeadlineMicros = c.cfg.AckTimeoutMicros
-		rp.clients = append(rp.clients, ship)
-		rp.peers = append(rp.peers, nb.Repl)
-		rp.acked = append(rp.acked, applied)
+		rp.addPeer(c.cfg, link, nb.Repl, applied)
 		rp.round++
 		rp.shipTo(len(rp.clients)-1, npSrv.wal, newEpoch, npSrv.wal.LastSeq(), 0, 0)
 	}

@@ -95,12 +95,12 @@ func TestCorruptFrameDamagesBareHeader(t *testing.T) {
 	// (it flips the checksum field), not silently deliver it intact.
 	link := NewLink(ipc.Ethernet10)
 	script(link).Corrupt(1)
-	frame, err := Encode(Header{Kind: KindAck, CallID: 9}, nil)
+	frame, err := Encode(Header{Kind: KindCall, CallID: 9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(frame) != headerBytes {
-		t.Fatalf("ack frame is %d bytes, want bare %d-byte header", len(frame), headerBytes)
+		t.Fatalf("empty call frame is %d bytes, want bare %d-byte header", len(frame), headerBytes)
 	}
 	link.Send(A, frame)
 	got, err := link.Recv(B)

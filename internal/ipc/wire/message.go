@@ -37,15 +37,16 @@ import (
 type MsgKind uint8
 
 const (
-	// KindCall carries a request; KindReply a response; KindAck a bare
-	// acknowledgement; KindBatch a container of coalesced frames (the
-	// link's batching seam — never seen by clients or servers, the link
-	// splits it back into its sub-frames on delivery); KindReject an
-	// overload rejection — the server declining a call without
-	// executing it (no handler run, no log append, nothing cached).
+	// KindCall carries a request; KindReply a response; KindBatch a
+	// container of coalesced frames (the link's batching seam — never
+	// seen by clients or servers, the link splits it back into its
+	// sub-frames on delivery); KindReject an overload rejection — the
+	// server declining a call without executing it (no handler run, no
+	// log append, nothing cached). Kind 3 is retired and stays
+	// unassigned, so that kind bytes keep their meaning on the wire.
 	KindCall MsgKind = iota + 1
 	KindReply
-	KindAck
+	_
 	KindBatch
 	KindReject
 )
@@ -239,8 +240,6 @@ func (k MsgKind) String() string {
 		return "call"
 	case KindReply:
 		return "reply"
-	case KindAck:
-		return "ack"
 	case KindBatch:
 		return "batch"
 	case KindReject:
@@ -258,8 +257,6 @@ func kindAttr(k MsgKind) string {
 		return "kind=call"
 	case KindReply:
 		return "kind=reply"
-	case KindAck:
-		return "kind=ack"
 	case KindBatch:
 		return "kind=batch"
 	case KindReject:

@@ -32,7 +32,8 @@ type DedupAuthority func(clientID uint32) (callID uint32, frame []byte, ok bool)
 // Stats is the structured counter set of one side of a connection.
 // Server-side fields count frames arriving at and leaving the server;
 // client-side fields count the retransmission machinery. Add merges the
-// two views into one transport picture.
+// two views into one transport picture, and Metrics writes it into a
+// report's snapshot.
 type Stats struct {
 	// Server side.
 	Served               int // replies transmitted for freshly executed calls
@@ -76,6 +77,28 @@ func (s Stats) Add(o Stats) Stats {
 	s.Failovers += o.Failovers
 	s.Rejects += o.Rejects
 	return s
+}
+
+// Metrics writes one row per counter into out, named prefix plus the
+// field's name.
+func (s Stats) Metrics(prefix string, out map[string]float64) {
+	out[prefix+"Served"] = float64(s.Served)
+	out[prefix+"BadFrames"] = float64(s.BadFrames)
+	out[prefix+"EncodeErrors"] = float64(s.EncodeErrors)
+	out[prefix+"DuplicatesSuppressed"] = float64(s.DuplicatesSuppressed)
+	out[prefix+"LogDuplicates"] = float64(s.LogDuplicates)
+	out[prefix+"StaleFrames"] = float64(s.StaleFrames)
+	out[prefix+"RepliesEvicted"] = float64(s.RepliesEvicted)
+	out[prefix+"Crashes"] = float64(s.Crashes)
+	out[prefix+"Restarts"] = float64(s.Restarts)
+	out[prefix+"ShedExpired"] = float64(s.ShedExpired)
+	out[prefix+"Retries"] = float64(s.Retries)
+	out[prefix+"BackoffMicros"] = s.BackoffMicros
+	out[prefix+"DeadlineExceeded"] = float64(s.DeadlineExceeded)
+	out[prefix+"SessionsReestablished"] = float64(s.SessionsReestablished)
+	out[prefix+"FencedReplies"] = float64(s.FencedReplies)
+	out[prefix+"Failovers"] = float64(s.Failovers)
+	out[prefix+"Rejects"] = float64(s.Rejects)
 }
 
 // Server dispatches calls arriving at one end of a link with

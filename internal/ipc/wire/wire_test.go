@@ -62,6 +62,23 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+func TestMsgKindWireBytes(t *testing.T) {
+	// The kind byte is wire format: a frame's kind must keep its value
+	// when a kind is retired (3 stays unassigned).
+	for k, want := range map[MsgKind]byte{KindCall: 1, KindReply: 2, KindBatch: 4, KindReject: 5} {
+		frame, err := Encode(Header{Kind: k}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frame[3] != want {
+			t.Errorf("%v frame carries kind byte %d, want %d", k, frame[3], want)
+		}
+	}
+	if got := MsgKind(3).String(); got != "kind(3)" {
+		t.Errorf("retired kind 3 = %q, want kind(3)", got)
+	}
+}
+
 func TestDecodeRejectsDamage(t *testing.T) {
 	frame, _ := Encode(Header{Kind: KindReply, CallID: 1}, []byte("payload"))
 

@@ -19,13 +19,10 @@
 package mach
 
 import (
-	"sync"
-
 	"archos/internal/arch"
 	"archos/internal/kernel"
 	"archos/internal/obs"
 	"archos/internal/tlb"
-	"archos/internal/trace"
 	"archos/internal/workload"
 )
 
@@ -146,13 +143,11 @@ type OS struct {
 	// layer.
 	rec *obs.Recorder
 
-	// counters accumulates the Table 7 event counts across every Run,
-	// and floatTotals the priced seconds, so the whole OS instance can
-	// be read through one metrics-registry snapshot instead of ad-hoc
-	// Result field reads.
-	counters    trace.CounterSet
-	floatMu     sync.Mutex
-	floatTotals map[string]float64
+	// totals accumulates the Table 7 event counts and the priced
+	// seconds across every Run, so the whole OS instance can be read
+	// through one metrics snapshot instead of ad-hoc Result field
+	// reads. Counts are summed as float64, which is exact below 2^53.
+	totals map[string]float64
 }
 
 // New builds an OS from cfg. Zero or negative sizing fields are
@@ -171,7 +166,7 @@ func New(cfg Config) *OS {
 	if cfg.UserPagesPerTask <= 0 {
 		cfg.UserPagesPerTask = stock.UserPagesPerTask
 	}
-	return &OS{cfg: cfg, cm: kernel.NewCostModel(cfg.Spec)}
+	return &OS{cfg: cfg, cm: kernel.NewCostModel(cfg.Spec), totals: map[string]float64{}}
 }
 
 // Config returns the OS configuration.
@@ -182,22 +177,16 @@ func (o *OS) Config() Config { return o.cfg }
 // histogram classes. Nil disables (the default).
 func (o *OS) SetRecorder(rec *obs.Recorder) { o.rec = rec }
 
-// Metrics is an obs.Source: one flat snapshot of everything this OS
-// instance has counted and priced so far — event counts (runs,
-// syscalls, as_switches, thread_switches, emul_instrs, ktlb_misses,
-// other_exceptions) plus float totals (elapsed_sec, prim_sec, and
-// prim_sec.<kind> per primitive).
-func (o *OS) Metrics() map[string]float64 {
-	out := map[string]float64{}
-	for k, v := range o.counters.Snapshot() {
-		out[k] = float64(v)
+// Metrics writes everything this OS instance has counted and priced
+// so far into out, each row named prefix plus the metric: event counts
+// (runs, syscalls, as_switches, thread_switches, emul_instrs,
+// ktlb_misses, other_exceptions) and priced totals (elapsed_sec,
+// prim_sec, and prim_sec.<kind> per primitive). An OS that has not
+// run writes nothing.
+func (o *OS) Metrics(prefix string, out map[string]float64) {
+	for k, v := range o.totals {
+		out[prefix+k] = v
 	}
-	o.floatMu.Lock()
-	for k, v := range o.floatTotals {
-		out[k] = v
-	}
-	o.floatMu.Unlock()
-	return out
 }
 
 // primSlug is the metrics/histogram name fragment for a primitive kind.
@@ -221,24 +210,18 @@ func primSlug(k PrimKind) string {
 
 // record folds one finished run into the OS's metrics surfaces.
 func (o *OS) record(r Result) {
-	o.counters.Inc("runs")
-	o.counters.Add("syscalls", r.Syscalls)
-	o.counters.Add("as_switches", r.ASSwitches)
-	o.counters.Add("thread_switches", r.ThreadSwitches)
-	o.counters.Add("emul_instrs", r.EmulInstrs)
-	o.counters.Add("ktlb_misses", r.KTLBMisses)
-	o.counters.Add("other_exceptions", r.OtherExcept)
-	o.floatMu.Lock()
-	if o.floatTotals == nil {
-		o.floatTotals = map[string]float64{}
-	}
-	o.floatTotals["elapsed_sec"] += r.ElapsedSec
-	o.floatTotals["prim_sec"] += r.PrimSeconds
+	t := o.totals
+	t["runs"]++
+	t["syscalls"] += float64(r.Syscalls)
+	t["as_switches"] += float64(r.ASSwitches)
+	t["thread_switches"] += float64(r.ThreadSwitches)
+	t["emul_instrs"] += float64(r.EmulInstrs)
+	t["ktlb_misses"] += float64(r.KTLBMisses)
+	t["other_exceptions"] += float64(r.OtherExcept)
+	t["elapsed_sec"] += r.ElapsedSec
+	t["prim_sec"] += r.PrimSeconds
 	for k := PrimKind(0); k < NumPrimKinds; k++ {
-		o.floatTotals["prim_sec."+primSlug(k)] += r.PrimSecondsByKind[k]
-	}
-	o.floatMu.Unlock()
-	for k := PrimKind(0); k < NumPrimKinds; k++ {
+		t["prim_sec."+primSlug(k)] += r.PrimSecondsByKind[k]
 		o.rec.Observe("mach.prim."+primSlug(k), r.PrimSecondsByKind[k]*1e6)
 	}
 }

@@ -4,11 +4,11 @@ import "runtime"
 
 // AllocMeter measures Go heap allocation across an interval of real
 // execution — the host-side cost of running the simulation, as opposed
-// to the virtual-time costs every other source reports. Reset marks
-// the start of the interval; Source reads cumulative mallocs and bytes
-// since the mark, and PerOpSource divides them by an operation count
-// so a workload replay reports allocs/op alongside its virtual-time
-// metrics.
+// to the virtual-time costs every other counter reports. Reset marks
+// the start of the interval; Metrics reads cumulative mallocs and
+// bytes since the mark and divides them by the interval's operation
+// count, so a workload replay reports allocs/op alongside its
+// virtual-time metrics.
 //
 // Allocation counts come from runtime.ReadMemStats, so they are
 // machine- and runtime-version-local and NOT deterministic across
@@ -30,32 +30,19 @@ func (m *AllocMeter) Reset() {
 	runtime.ReadMemStats(&m.base)
 }
 
-// read returns heap mallocs and allocated bytes since the mark.
-func (m *AllocMeter) read() (mallocs, bytes float64) {
+// Metrics writes the heap mallocs and allocated bytes since the mark
+// into out as prefix+"mallocs" and prefix+"bytes". When ops, the
+// operation count of the same interval, is positive it also writes
+// their per-op quotients as allocs_per_op and bytes_per_op.
+func (m *AllocMeter) Metrics(ops int64, prefix string, out map[string]float64) {
 	var now runtime.MemStats
 	runtime.ReadMemStats(&now)
-	return float64(now.Mallocs - m.base.Mallocs), float64(now.TotalAlloc - m.base.TotalAlloc)
-}
-
-// Source exposes the cumulative interval counters.
-func (m *AllocMeter) Source() Source {
-	return func() map[string]float64 {
-		mallocs, bytes := m.read()
-		return map[string]float64{"mallocs": mallocs, "bytes": bytes}
-	}
-}
-
-// PerOpSource exposes the interval counters divided by ops() — the
-// operation count for the same interval — as allocs_per_op and
-// bytes_per_op, alongside the raw totals.
-func (m *AllocMeter) PerOpSource(ops func() float64) Source {
-	return func() map[string]float64 {
-		mallocs, bytes := m.read()
-		out := map[string]float64{"mallocs": mallocs, "bytes": bytes}
-		if n := ops(); n > 0 {
-			out["allocs_per_op"] = mallocs / n
-			out["bytes_per_op"] = bytes / n
-		}
-		return out
+	mallocs := float64(now.Mallocs - m.base.Mallocs)
+	bytes := float64(now.TotalAlloc - m.base.TotalAlloc)
+	out[prefix+"mallocs"] = mallocs
+	out[prefix+"bytes"] = bytes
+	if ops > 0 {
+		out[prefix+"allocs_per_op"] = mallocs / float64(ops)
+		out[prefix+"bytes_per_op"] = bytes / float64(ops)
 	}
 }

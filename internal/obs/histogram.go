@@ -161,3 +161,14 @@ func (h *Histogram) Quantile(p float64) float64 {
 func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
 func (h *Histogram) P90() float64 { return h.Quantile(0.90) }
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
+
+// Metrics writes the histogram's summary rows into out, each named
+// prefix plus one of count, p50, p90, p99, max and mean.
+func (h *Histogram) Metrics(prefix string, out map[string]float64) {
+	out[prefix+"count"] = float64(h.Count())
+	out[prefix+"p50"] = h.P50()
+	out[prefix+"p90"] = h.P90()
+	out[prefix+"p99"] = h.P99()
+	out[prefix+"max"] = h.Max()
+	out[prefix+"mean"] = h.Mean()
+}

@@ -1,7 +1,7 @@
 // Package obs is the deterministic observability layer of the
 // decomposed OS stack: causally ordered spans/events in virtual time,
-// fixed-bucket latency histograms, a unified metrics registry, and
-// JSONL / Chrome trace_event exporters. The paper's method is to
+// fixed-bucket latency histograms, metrics snapshots, and JSONL /
+// Chrome trace_event exporters. The paper's method is to
 // *measure* primitive operations and count how often each OS structure
 // pays them; this package is the measuring instrument for our
 // reproduction — and, like the simulation it observes, it is

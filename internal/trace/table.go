@@ -1,3 +1,5 @@
+// Package trace renders the text tables every experiment prints: the
+// paper's tables, and the reports and ablations built around them.
 package trace
 
 import (
