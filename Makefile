@@ -48,8 +48,9 @@ bench-compare:
 # Short fuzz passes over the wire codec's four fuzz targets (the frame
 # decoder, the boxed codec both ways, and the typed argument cursor
 # every handler decodes calls through), the WAL ship batch decoder, the
-# frame checksum against its byte-pair reference and the WAL snapshot
-# image decoder; native Go fuzzing runs one target per invocation.
+# frame checksum against its byte-pair reference, the WAL snapshot
+# image decoder and the WAL's retained log against its retention model;
+# native Go fuzzing runs one target per invocation.
 fuzz-smoke:
 	$(GO) test ./internal/ipc/wire/ -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s
 	$(GO) test ./internal/ipc/wire/ -run='^$$' -fuzz='^FuzzUnmarshal$$' -fuzztime=10s
@@ -58,3 +59,4 @@ fuzz-smoke:
 	$(GO) test ./internal/fs/ -run='^$$' -fuzz='^FuzzDecodeRecords$$' -fuzztime=10s
 	$(GO) test ./internal/ipc/wire/ -run='^$$' -fuzz='^FuzzChecksum$$' -fuzztime=10s
 	$(GO) test ./internal/fs/ -run='^$$' -fuzz='^FuzzRestore$$' -fuzztime=10s
+	$(GO) test ./internal/fs/ -run='^$$' -fuzz='^FuzzWALLog$$' -fuzztime=10s

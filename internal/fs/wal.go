@@ -197,7 +197,7 @@ type WALStats struct {
 	Appends              int
 	Snapshots            int
 	SnapshotBytes        int // size of the latest snapshot
-	Truncated            int // records dropped from the tail by snapshots
+	Truncated            int // tail records folded by snapshots
 	TornTruncated        int // torn final records discarded by Recover
 	Quarantined          int // corrupt records dropped by QuarantineFrom, awaiting re-fetch
 	SnapshotsQuarantined int // undecodable snapshots discarded whole
@@ -230,34 +230,37 @@ func (e *ErrWALCorrupt) Error() string {
 // model (stable storage); a crash destroys the FS and the reply cache
 // but never the log.
 //
-// Snapshot folds the tail into a new snapshot and truncates it. The
-// per-client session table is part of the snapshot, so truncation
-// cannot reopen the at-most-once window: a client's last call stays
-// answerable from the log no matter how many snapshots intervene.
+// Snapshot folds the tail into a new snapshot. The per-client session
+// table is part of the snapshot, so folding cannot reopen the
+// at-most-once window: a client's last call stays answerable from the
+// log no matter how many snapshots intervene.
+//
+// Each record is stored once, in log. The tail is its suffix above
+// snapSeq: recovery replays it. On a shipping log (a primary), the
+// records at or below snapSeq that a backup has not yet acknowledged
+// stay below the tail, for RecordsSince to re-ship. A record leaves the
+// log once a snapshot has folded it and every backup has acknowledged
+// it (release).
 type WAL struct {
 	cacheBlocks int
 	nextSeq     uint64
-	snapshot    []byte // snapshot image (see encodeImage); nil until first Snapshot
-	snapSeq     uint64 // sequence number the snapshot covers through
-	tail        []Record
+	snapshot    []byte   // snapshot image (see encodeImage); nil until first Snapshot
+	snapSeq     uint64   // sequence number the snapshot covers through
+	log         []Record // retained records, ascending and contiguous in Seq
+	acked       uint64   // ship cursor: every backup holds the log through here; noShip when not shipping
 	sessions    map[uint32]SessionRecord
 	stats       WALStats
-
-	// Replication: when shipping is enabled, every appended record is
-	// retained in shipBuf until AckShipped trims it — the suffix of the
-	// log a backup has not yet acknowledged. The ship buffer is part of
-	// the log (stable storage), independent of snapshot truncation: a
-	// snapshot folds the tail for recovery replay but must not drop
-	// records a backup still needs.
-	shipping bool
-	shipBuf  []Record
-	sumBuf   []byte // checksum scratch, one path long at most
+	sumBuf      []byte // checksum scratch, one path long at most
 }
+
+// noShip is the ship cursor of a log that does not ship: only a
+// snapshot releases its records.
+const noShip = math.MaxUint64
 
 // NewWAL creates an empty log for a file system with the given block
 // cache size (recovery from an empty log starts from New(cacheBlocks)).
 func NewWAL(cacheBlocks int) *WAL {
-	return &WAL{cacheBlocks: cacheBlocks, sessions: map[uint32]SessionRecord{}}
+	return &WAL{cacheBlocks: cacheBlocks, acked: noShip, sessions: map[uint32]SessionRecord{}}
 }
 
 // Append assigns the next sequence number, seals the record with its
@@ -267,11 +270,8 @@ func (w *WAL) Append(r Record) Record {
 	w.nextSeq++
 	r.Seq = w.nextSeq
 	r.Sum = w.checksum(&r)
-	w.tail = append(w.tail, r)
+	w.log = append(w.log, r)
 	w.stats.Appends++
-	if w.shipping {
-		w.shipBuf = append(w.shipBuf, r)
-	}
 	return r
 }
 
@@ -281,11 +281,22 @@ func (w *WAL) checksum(r *Record) (sum uint32) {
 	return sum
 }
 
-// EnableShipping turns on ship-buffer retention: from now on every
-// appended record stays available to RecordsSince until acknowledged.
-// The primary of a replica set enables this before serving.
+// EnableShipping starts the ship cursor at the log's end: from now on
+// every appended record stays available to RecordsSince until
+// AckShipped passes it, snapshots or not. The primary of a replica set
+// enables this before serving; a log already shipping keeps its cursor.
 func (w *WAL) EnableShipping() {
-	w.shipping = true
+	if w.acked == noShip {
+		w.acked = w.nextSeq
+	}
+}
+
+// StopShipping ends the log's shipper role: from now on a snapshot
+// alone releases records. A deposed primary stops before it rejoins as
+// a receiver, whose shipped appends no backup will ever acknowledge.
+func (w *WAL) StopShipping() {
+	w.acked = noShip
+	w.release()
 }
 
 // AppendShipped appends a record shipped from a primary, preserving its
@@ -300,43 +311,25 @@ func (w *WAL) AppendShipped(r Record) error {
 		return fmt.Errorf("fs: shipped record seq %d fails checksum", r.Seq)
 	}
 	w.nextSeq = r.Seq
-	w.tail = append(w.tail, r)
+	w.log = append(w.log, r)
 	w.stats.Appends++
 	return nil
 }
 
-// RecordsSince returns a copy of the retained records with sequence
-// numbers above seq, in order — the batch to ship to a backup whose
-// acknowledged cursor stands at seq. Records come from two retention
-// regimes that together cover the log contiguously: the ship buffer
-// holds unacknowledged records the snapshot may have folded away
-// (those at or below snapSeq), and the tail holds everything since the
-// snapshot. The two are disjoint by construction — tail records are
-// strictly above snapSeq — so the merge never duplicates and never
-// gaps as long as seq is at or above ShipFloor.
-//
-// Both slices ascend in Seq, so each contributes one contiguous run,
-// found by binary search; the batch is copied into one allocation of
-// exactly its size, and an empty batch is nil.
+// RecordsSince returns the retained records with sequence numbers above
+// seq, in order — the batch to ship to a backup whose acknowledged
+// cursor stands at seq, contiguous as long as seq is at or above
+// ShipFloor. The result is a view of the log, found by binary search
+// and valid until the log next changes: a shipper encodes it before
+// anything appends, and copies nothing.
 func (w *WAL) RecordsSince(seq uint64) []Record {
-	return w.AppendRecordsSince(nil, seq, math.MaxInt)
+	return w.log[seqAbove(w.log, seq):]
 }
 
-// AppendRecordsSince appends the first limit records of
-// RecordsSince(seq) to dst, growing it once to exactly the length
-// needed if it lacks room. The limit keeps a catch-up linear: a
-// shipper that sends one bounded chunk at a time gathers one chunk,
-// not the whole backlog above the cursor. The records share Path and
-// Data with the log: scratch that outlives them is cleared.
-func (w *WAL) AppendRecordsSince(dst []Record, seq uint64, limit int) []Record {
-	ship := w.shipBuf[seqAbove(w.shipBuf, seq):seqAbove(w.shipBuf, max(seq, w.snapSeq))]
-	ship = ship[:min(len(ship), limit)]
-	tail := w.tail[seqAbove(w.tail, seq):]
-	tail = tail[:min(len(tail), limit-len(ship))]
-	if n := len(dst) + len(ship) + len(tail); n > cap(dst) {
-		dst = append(make([]Record, 0, n), dst...)
-	}
-	return append(append(dst, ship...), tail...)
+// tail returns the records above the snapshot: the suffix recovery
+// replays.
+func (w *WAL) tail() []Record {
+	return w.RecordsSince(w.snapSeq)
 }
 
 // seqAbove returns the index of the first record in recs, which ascend
@@ -351,32 +344,53 @@ func seqAbove(recs []Record, seq uint64) int {
 // dropped records it still needs — and must be caught up by state
 // transfer (InstallSnapshot) instead of record shipping.
 func (w *WAL) ShipFloor() uint64 {
-	floor := w.snapSeq
-	if len(w.shipBuf) > 0 && w.shipBuf[0].Seq-1 < floor {
-		floor = w.shipBuf[0].Seq - 1
+	if len(w.log) == 0 {
+		return w.snapSeq
 	}
-	return floor
+	return w.log[0].Seq - 1
 }
 
-// AckShipped trims the ship buffer through seq: every backup has
+// AckShipped advances the ship cursor to seq: every backup has
 // acknowledged the log that far, so the primary no longer needs to
-// retain it for re-shipping. Trimmed slots are cleared. A prefix of at
-// least half the buffer (every steady-state ack empties it) is trimmed
-// by moving the rest to the front, so appends reuse the array; a
-// shorter one, as in a long catch-up, is resliced past, so no ack
-// copies the whole backlog: amortised O(1) per record either way.
+// retain it for re-shipping once a snapshot has folded it. A cursor
+// never moves back here, nor past the log's end.
 func (w *WAL) AckShipped(seq uint64) {
-	if i := seqAbove(w.shipBuf, seq); 2*i >= len(w.shipBuf) {
-		w.shipBuf = slices.Delete(w.shipBuf, 0, i)
+	w.acked = max(w.acked, min(seq, w.nextSeq))
+	w.release()
+}
+
+// release drops every record both the snapshot and the ship cursor
+// have passed, clearing the slots it vacates. A prefix of at least half
+// the log (every snapshot on a fully acknowledged log releases it all)
+// is dropped by moving the rest to the front, so appends reuse the
+// array; a shorter one, as in a long catch-up, is resliced past, so no
+// release copies the whole backlog: amortised O(1) per record either
+// way.
+func (w *WAL) release() {
+	if i := seqAbove(w.log, min(w.acked, w.snapSeq)); 2*i >= len(w.log) {
+		w.log = slices.Delete(w.log, 0, i)
 	} else {
-		clear(w.shipBuf[:i])
-		w.shipBuf = w.shipBuf[i:]
+		clear(w.log[:i])
+		w.log = w.log[i:]
+	}
+}
+
+// rewind moves the log's end back to seq. A shipping log pulls its
+// cursor down with it, so a sequence number the log reuses is never
+// taken as acknowledged.
+func (w *WAL) rewind(seq uint64) {
+	w.nextSeq = seq
+	if w.acked != noShip {
+		w.acked = min(w.acked, seq)
 	}
 }
 
 // ShipBacklog returns how many appended records await acknowledgement.
 func (w *WAL) ShipBacklog() int {
-	return len(w.shipBuf)
+	if w.acked == noShip {
+		return 0
+	}
+	return len(w.RecordsSince(w.acked))
 }
 
 // LastSeq returns the highest sequence number appended so far.
@@ -390,10 +404,11 @@ func (w *WAL) LastSeq() uint64 {
 // updated. Recovery must detect and truncate exactly this. Reports
 // whether there was a tail record to tear.
 func (w *WAL) TearFinalRecord() bool {
-	if len(w.tail) == 0 {
+	tail := w.tail()
+	if len(tail) == 0 {
 		return false
 	}
-	r := &w.tail[len(w.tail)-1]
+	r := &tail[len(tail)-1]
 	if len(r.Data) > 0 {
 		r.Data = r.Data[:len(r.Data)/2]
 	} else {
@@ -403,23 +418,17 @@ func (w *WAL) TearFinalRecord() bool {
 }
 
 // dropFrom removes every retained record with sequence number at or
-// above seq from both the tail and the ship buffer and rewinds nextSeq,
-// returning how many tail records were dropped.
+// above seq and rewinds the log's end below it, returning how many tail
+// records were dropped.
 func (w *WAL) dropFrom(seq uint64) int {
-	n := 0
-	i := len(w.tail)
-	for i > 0 && w.tail[i-1].Seq >= seq {
+	i := len(w.log)
+	for i > 0 && w.log[i-1].Seq >= seq {
 		i--
-		n++
 	}
-	w.tail = w.tail[:i]
-	j := len(w.shipBuf)
-	for j > 0 && w.shipBuf[j-1].Seq >= seq {
-		j--
-	}
-	w.shipBuf = w.shipBuf[:j]
+	n := len(w.log) - max(i, seqAbove(w.log, w.snapSeq))
+	w.log = w.log[:i]
 	if seq-1 < w.nextSeq {
-		w.nextSeq = seq - 1
+		w.rewind(seq - 1)
 	}
 	return n
 }
@@ -448,18 +457,17 @@ func (w *WAL) DiscardFrom(seq uint64) int {
 	return n
 }
 
-// QuarantineSnapshot abandons the entire log — snapshot, tail, ship
-// buffer, sessions — resetting it to genesis. The repair action when
-// the snapshot itself is undecodable: nothing below it can be trusted,
-// so the node falls back to full state transfer from a peer.
+// QuarantineSnapshot abandons the entire log — snapshot, records,
+// sessions — resetting it to genesis. The repair action when the
+// snapshot itself is undecodable: nothing below it can be trusted, so
+// the node falls back to full state transfer from a peer.
 func (w *WAL) QuarantineSnapshot() {
-	w.stats.Quarantined += len(w.tail)
+	w.stats.Quarantined += w.SinceSnapshot()
 	w.stats.SnapshotsQuarantined++
 	w.snapshot = nil
 	w.snapSeq = 0
-	w.nextSeq = 0
-	w.tail = nil
-	w.shipBuf = nil
+	w.log = nil
+	w.rewind(0)
 	w.sessions = map[uint32]SessionRecord{}
 }
 
@@ -485,8 +493,8 @@ func (w *WAL) SnapSeq() uint64 {
 // from a peer: the state-transfer landing. The snapshot is
 // decode-validated before anything is discarded — a damaged transfer
 // leaves the log untouched. On success the log's history is exactly
-// the peer's through seq (empty tail, empty ship buffer, the
-// snapshot's session table) and the rebuilt file system is returned
+// the peer's through seq (no records, the snapshot's session table)
+// and the rebuilt file system is returned
 // for the caller to serve from.
 func (w *WAL) InstallSnapshot(data []byte, seq uint64) (*FS, []SessionRecord, error) {
 	f, snapSessions, err := restore(data)
@@ -496,9 +504,8 @@ func (w *WAL) InstallSnapshot(data []byte, seq uint64) (*FS, []SessionRecord, er
 	w.snapshot = make([]byte, len(data))
 	copy(w.snapshot, data)
 	w.snapSeq = seq
-	w.nextSeq = seq
-	w.tail = nil
-	w.shipBuf = nil
+	w.log = nil
+	w.rewind(seq)
 	w.sessions = make(map[uint32]SessionRecord, len(snapSessions))
 	for _, s := range snapSessions {
 		w.sessions[s.Client] = s
@@ -513,10 +520,11 @@ func (w *WAL) InstallSnapshot(data []byte, seq uint64) (*FS, []SessionRecord, er
 // a record with data, checksum rot otherwise. Reports the damaged
 // record's sequence number and whether the offset named a record.
 func (w *WAL) CorruptTailRecord(i int) (uint64, bool) {
-	if i < 0 || i >= len(w.tail) {
+	tail := w.tail()
+	if i < 0 || i >= len(tail) {
 		return 0, false
 	}
-	r := &w.tail[i]
+	r := &tail[i]
 	if len(r.Data) > 0 {
 		r.Data = r.Data[:len(r.Data)/2]
 	} else {
@@ -734,7 +742,7 @@ func (w *WAL) Session(client uint32) (SessionRecord, bool) {
 
 // SinceSnapshot returns the number of records in the tail.
 func (w *WAL) SinceSnapshot() int {
-	return len(w.tail)
+	return len(w.tail())
 }
 
 // Stats returns a snapshot of the log counters.
@@ -750,26 +758,26 @@ const snapFormat byte = 1
 const minInodeBytes, minEntryBytes, minFDBytes, minSessionBytes = 4, 2, 3, 2*4 + 5
 
 // Snapshot captures f — which must reflect every record in the log
-// through the tail — and truncates the tail. The session table rides
-// inside the snapshot. The new image is encoded into the previous
-// one's buffer when it fits: nothing else holds that buffer
-// (SnapshotBytes copies out, InstallSnapshot copies in and restore
-// copies out), and every byte of it is rewritten. The tail keeps its
-// array, zeroed to its capacity so it pins no logged Path or Data (a
-// quarantine or a torn-record truncation leaves records past the
-// tail's end), and the records after the snapshot refill it without
-// regrowing it: nothing holds a slice of the tail past a call
-// (AppendRecordsSince copies records out by value, and TearFinalRecord
+// through the tail — and folds the tail into it, releasing what the
+// ship cursor has passed. The session table rides inside the snapshot.
+// The new image is encoded into the previous one's buffer when it
+// fits: nothing else holds that buffer (SnapshotBytes copies out,
+// InstallSnapshot copies in and restore copies out), and every byte of
+// it is rewritten. The log keeps its array, zeroed past its end so it
+// pins no logged Path or Data (a quarantine or a torn-record truncation
+// leaves records there), and the records after the snapshot refill it
+// without regrowing it: nothing holds a slice of the log past a call
+// (a shipper encodes RecordsSince's view at once, and TearFinalRecord
 // and CorruptTailRecord hold a pointer only while they run). The error
 // is always nil.
 func (w *WAL) Snapshot(f *FS) error {
 	w.snapshot = encodeImage(w.snapshot, w.cacheBlocks, f, w.sessions)
-	w.snapSeq = w.nextSeq
 	w.stats.Snapshots++
 	w.stats.SnapshotBytes = len(w.snapshot)
-	w.stats.Truncated += len(w.tail)
-	w.tail = w.tail[:0]
-	clear(w.tail[:cap(w.tail)])
+	w.stats.Truncated += w.SinceSnapshot()
+	w.snapSeq = w.nextSeq
+	w.release()
+	clear(w.log[len(w.log):cap(w.log)])
 	return nil
 }
 
@@ -1034,18 +1042,17 @@ func Recover(w *WAL) (*FS, []SessionRecord, int, error) {
 	// relog it — so recovery truncates it and proceeds. A torn record
 	// anywhere else means the log itself is damaged: replaying past the
 	// hole would diverge, so recovery refuses.
-	for i, r := range w.tail {
+	tail := w.tail()
+	for i, r := range tail {
 		if r.Sum == w.checksum(&r) {
 			continue
 		}
-		if i != len(w.tail)-1 {
+		if i != len(tail)-1 {
 			return nil, nil, 0, &ErrWALCorrupt{Seq: r.Seq, Index: i}
 		}
-		w.tail = w.tail[:i]
-		w.nextSeq = r.Seq - 1
-		if n := len(w.shipBuf); n > 0 && w.shipBuf[n-1].Seq == r.Seq {
-			w.shipBuf = w.shipBuf[:n-1]
-		}
+		tail = tail[:i]
+		w.log = w.log[:len(w.log)-1]
+		w.rewind(r.Seq - 1)
 		w.stats.TornTruncated++
 	}
 	var f *FS
@@ -1062,7 +1069,7 @@ func Recover(w *WAL) (*FS, []SessionRecord, int, error) {
 	} else {
 		f = New(w.cacheBlocks)
 	}
-	for _, r := range w.tail {
+	for _, r := range tail {
 		sessions[r.Client] = f.ApplySession(r)
 	}
 	w.sessions = sessions
@@ -1070,7 +1077,7 @@ func Recover(w *WAL) (*FS, []SessionRecord, int, error) {
 	for _, c := range sortedKeys(sessions) {
 		out = append(out, sessions[c])
 	}
-	return f, out, len(w.tail), nil
+	return f, out, len(tail), nil
 }
 
 // CacheBlocks returns the block-cache capacity the file system was

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -342,7 +341,7 @@ func TestRecoverRefusesTornMidLogRecord(t *testing.T) {
 func TestShippingCursorRetainsUntilAcked(t *testing.T) {
 	// The replication cursor: with shipping enabled, appended records
 	// stay available to RecordsSince across snapshots until AckShipped
-	// trims them — snapshot truncation serves recovery, not shipping.
+	// passes them — a snapshot folds records for recovery, not shipping.
 	f := New(64)
 	w := NewWAL(64)
 	w.EnableShipping()
@@ -378,11 +377,11 @@ func TestShippingCursorRetainsUntilAcked(t *testing.T) {
 
 func TestWALSteadyStateAllocatesNothingPerRecord(t *testing.T) {
 	// The write path's per-record scratch belongs to the log: the
-	// checksum buffer is the WAL's, and the acknowledged ship buffer is
-	// compacted in place rather than resliced past. Once warm, Append
-	// followed by AckShipped on a primary and AppendShipped on a backup
-	// allocate nothing per record. (The tail grows by amortised
-	// doubling, which the per-run average rounds away.)
+	// checksum buffer is the WAL's, and released records are compacted
+	// in place rather than resliced past. Once warm, Append followed by
+	// AckShipped on a primary and AppendShipped on a backup allocate
+	// nothing per record. (The log grows by amortised doubling, which
+	// the per-run average rounds away.)
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
@@ -458,12 +457,12 @@ func TestWALSteadyStateAllocatesNothingPerRecord(t *testing.T) {
 		if got := testing.AllocsPerRun(4, cycle); got != alone {
 			t.Errorf("%s: %d records and a snapshot allocate %.1f times, the snapshot alone %.1f", tc.name, perCycle, got, alone)
 		}
-		if c := cap(tc.w.tail); c < perCycle {
-			t.Errorf("%s: tail capacity %d after a snapshot, want the kept array (≥ %d)", tc.name, c, perCycle)
+		if c := cap(tc.w.log); c < perCycle {
+			t.Errorf("%s: log capacity %d after a snapshot, want the kept array (≥ %d)", tc.name, c, perCycle)
 		}
-		for i, r := range tc.w.tail[:cap(tc.w.tail)] {
+		for i, r := range tc.w.log[:cap(tc.w.log)] {
 			if !reflect.DeepEqual(r, Record{}) {
-				t.Fatalf("%s: spare tail slot %d after a snapshot holds %+v, want a zero Record", tc.name, i, r)
+				t.Fatalf("%s: spare log slot %d after a snapshot holds %+v, want a zero Record", tc.name, i, r)
 			}
 		}
 	}
@@ -485,12 +484,12 @@ func TestSnapshotZeroesRecordsDroppedPastTheTail(t *testing.T) {
 	if err := w.Snapshot(f); err != nil {
 		t.Fatal(err)
 	}
-	if len(w.tail) != 0 || cap(w.tail) < 8 {
-		t.Fatalf("tail len %d cap %d after a snapshot, want the kept array, empty", len(w.tail), cap(w.tail))
+	if len(w.log) != 0 || cap(w.log) < 8 {
+		t.Fatalf("log len %d cap %d after a snapshot, want the kept array, empty", len(w.log), cap(w.log))
 	}
-	for i, r := range w.tail[:cap(w.tail)] {
+	for i, r := range w.log[:cap(w.log)] {
 		if !reflect.DeepEqual(r, Record{}) {
-			t.Errorf("kept tail slot %d holds %+v, want a zero Record", i, r)
+			t.Errorf("kept log slot %d holds %+v, want a zero Record", i, r)
 		}
 	}
 }
@@ -692,9 +691,9 @@ func TestShipFloorAndMergedRecordsSince(t *testing.T) {
 	for i := 4; i < 6; i++ {
 		logged(t, w, f, Record{Op: OpMkdir, Path: fmt.Sprintf("/d%d", i), Client: 1, Call: uint32(i + 1)})
 	}
-	// Records 1–4 live only in the ship buffer (the snapshot folded
-	// them out of the tail); 5–6 live in both tail and ship buffer. The
-	// merged view must hand each out exactly once.
+	// Records 1–4 are retained below the tail (the snapshot folded
+	// them, and no backup has acknowledged them); 5–6 are the tail. The
+	// log must hand each out exactly once.
 	wantSuffix := func(cursor uint64) {
 		t.Helper()
 		batch := w.RecordsSince(cursor)
@@ -714,7 +713,7 @@ func TestShipFloorAndMergedRecordsSince(t *testing.T) {
 	for cursor := uint64(0); cursor <= 6; cursor++ {
 		wantSuffix(cursor)
 	}
-	// Acking trims the ship buffer and raises the floor: cursors below
+	// Acking releases folded records and raises the floor: cursors below
 	// it are no longer servable record-by-record (state transfer's job).
 	w.AckShipped(2)
 	if got := w.ShipFloor(); got != 2 {
@@ -867,97 +866,52 @@ func TestQuarantineSnapshotResetsToGenesis(t *testing.T) {
 	}
 }
 
-// recordsSinceRef is the linear filter RecordsSince replaced, kept as
-// its reference: every ship-buffer record the snapshot folded away,
-// then every tail record, above the cursor, stopping at limit records.
-func recordsSinceRef(w *WAL, seq uint64, limit int) []Record {
-	var out []Record
-	for _, r := range w.shipBuf {
-		if r.Seq > seq && r.Seq <= w.snapSeq && len(out) < limit {
-			out = append(out, r)
-		}
-	}
-	for _, r := range w.tail {
-		if r.Seq > seq && len(out) < limit {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 func TestRecordsSinceMatchesLinearFilter(t *testing.T) {
-	f := New(64)
-	w := NewWAL(64)
-	w.EnableShipping()
+	// Fixed steps against the model's linear filter, every cursor from
+	// below the ship floor to past the last record after each: folded
+	// but unacknowledged records, drops above and then at or below the
+	// snapshot, a state transfer and a full acknowledgement.
+	p := newModelled(t)
+	p.enableShipping()
 	call := uint32(0)
 	appendN := func(n int) {
 		for i := 0; i < n; i++ {
 			call++
-			logged(t, w, f, Record{Op: OpMkdir, Path: fmt.Sprintf("/d%d", call), Client: 1, Call: call})
+			p.append(Record{Op: OpMkdir, Path: fmt.Sprintf("/d%d", call), Client: 1, Call: call})
 		}
 	}
-	// check compares every cursor from below the ship floor to past the
-	// last record, under limits that cut the batch inside the ship
-	// buffer, inside the tail and not at all; below the floor the batch
-	// has gaps, but it must still be the same batch. RecordsSince is
-	// the unlimited case.
-	check := func(step string) {
-		t.Helper()
-		for cursor := uint64(0); cursor <= w.LastSeq()+1; cursor++ {
-			for _, limit := range []int{0, 1, 2, 3, 5, 8, math.MaxInt} {
-				got, want := w.RecordsSince(cursor), recordsSinceRef(w, cursor, limit)
-				if limit < math.MaxInt {
-					got = w.AppendRecordsSince(nil, cursor, limit)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: AppendRecordsSince(nil, %d, %d) = %v, reference %v", step, cursor, limit, seqs(got), seqs(want))
-				}
-				if got != nil && (len(got) == 0 || len(got) != cap(got)) {
-					t.Fatalf("%s: AppendRecordsSince(nil, %d, %d) has len %d cap %d, want nil or len == cap", step, cursor, limit, len(got), cap(got))
-				}
-			}
-		}
-	}
-	check("empty log")
+	p.check("empty log")
 	appendN(6)
-	check("append")
-	if err := w.Snapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	check("snapshot with records unacknowledged")
+	p.check("append")
+	p.snapshot()
+	p.check("snapshot with records unacknowledged")
 	appendN(4)
-	check("append after snapshot")
-	w.AckShipped(3)
-	check("AckShipped mid ship buffer")
-	w.DiscardFrom(9)
-	check("DiscardFrom")
+	p.check("append after snapshot")
+	p.ackShipped(3)
+	p.check("AckShipped below the snapshot")
+	p.discardFrom(9)
+	p.check("DiscardFrom")
 	appendN(3)
-	check("append after discard")
-	w.QuarantineFrom(5) // below the snapshot: rewinds the log under snapSeq
-	check("QuarantineFrom below the snapshot")
+	p.check("append after discard")
+	p.quarantineFrom(5) // below the snapshot: rewinds the log under snapSeq
+	p.check("QuarantineFrom below the snapshot")
 	appendN(3)
-	check("append below the snapshot")
-	if err := w.Snapshot(f); err != nil {
-		t.Fatal(err)
+	p.check("append below the snapshot")
+	// One record per sequence number: the records the quarantine
+	// dropped are gone, and their successors replace them once.
+	if got := seqs(p.w.RecordsSince(0)); !reflect.DeepEqual(got, []uint64{4, 5, 6, 7}) {
+		t.Fatalf("RecordsSince(0) = %v after a drop below the snapshot, want [4 5 6 7]", got)
 	}
-	w.AckShipped(w.LastSeq() - 2)
+	p.snapshot()
+	p.ackShipped(p.w.LastSeq() - 2)
 	appendN(2)
-	check("second snapshot, partial ack")
-
-	src, sw := New(64), NewWAL(64)
-	workout(t, sw, src)
-	if err := sw.Snapshot(src); err != nil {
-		t.Fatal(err)
-	}
-	data, snapSeq := sw.SnapshotBytes()
-	if _, _, err := w.InstallSnapshot(data, snapSeq); err != nil {
-		t.Fatal(err)
-	}
-	check("InstallSnapshot")
+	p.check("second snapshot, partial ack")
+	p.installSnapshot(workoutImage(t), 12)
+	p.check("InstallSnapshot")
 	appendN(3)
-	check("append after InstallSnapshot")
-	w.AckShipped(w.LastSeq())
-	check("full ack")
+	p.check("append after InstallSnapshot")
+	p.ackShipped(p.w.LastSeq())
+	p.check("full ack")
 }
 
 // seqs lists a batch's sequence numbers, for failure messages.

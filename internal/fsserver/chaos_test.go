@@ -220,8 +220,8 @@ func TestDecomposedWriteSurvivesCorruptCall(t *testing.T) {
 		t.Errorf("file = %q", data)
 	}
 	st := remote.Stats()
-	if st.ServerRejected != 1 {
-		t.Errorf("server rejected %d frames, want 1", st.ServerRejected)
+	if n := remote.server.Wire.Stats().BadFrames; n != 1 {
+		t.Errorf("server rejected %d frames, want 1", n)
 	}
 	if st.Wire.Retries != 1 {
 		t.Errorf("retries = %d, want 1", st.Wire.Retries)

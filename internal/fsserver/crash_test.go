@@ -76,8 +76,8 @@ func TestCrashSoakConvergesToMonolithic(t *testing.T) {
 		if cc.Crashes == 0 {
 			t.Errorf("seed %d: crash schedule never fired: %+v", seed, cc)
 		}
-		if st.CrashesInjected != cc.Crashes {
-			t.Errorf("seed %d: CrashesInjected = %d, plane counted %d", seed, st.CrashesInjected, cc.Crashes)
+		if st.Wire.Crashes != cc.Crashes {
+			t.Errorf("seed %d: Wire.Crashes = %d, plane counted %d", seed, st.Wire.Crashes, cc.Crashes)
 		}
 		if st.Recoveries != cc.Crashes {
 			t.Errorf("seed %d: %d crashes but %d recoveries", seed, cc.Crashes, st.Recoveries)
@@ -146,8 +146,8 @@ func TestPreReplyCrashDoesNotDoubleApply(t *testing.T) {
 		t.Errorf("file = %q (err %v), want the payload exactly once", got, err)
 	}
 	st := remote.Stats()
-	if st.CrashesInjected != 1 || st.Recoveries != 1 {
-		t.Errorf("crashes=%d recoveries=%d, want 1 and 1", st.CrashesInjected, st.Recoveries)
+	if st.Wire.Crashes != 1 || st.Recoveries != 1 {
+		t.Errorf("crashes=%d recoveries=%d, want 1 and 1", st.Wire.Crashes, st.Recoveries)
 	}
 	if st.RecoveryReplayedOps != 3 {
 		t.Errorf("replayed = %d, want 3 (mkdir, create, write)", st.RecoveryReplayedOps)

@@ -218,7 +218,7 @@ func TestFailureRepliesMatchTheMonolithsErrorText(t *testing.T) {
 			t.Fatalf("%s: no backup promoted", op.name)
 		}
 		backup := cluster.Backup(0).srv.Wire
-		if replayed := c.resend(cluster.backupLinks[0], backup); !bytes.Equal(replayed, live) {
+		if replayed := c.resend(cluster.Backup(0).srv.link, backup); !bytes.Equal(replayed, live) {
 			t.Errorf("%s: after failover the backup answers %q, the live reply was %q", op.name, replayed, live)
 		}
 		if backup.Stats().LogDuplicates != 1 {

@@ -10,7 +10,7 @@
 // # Single ownership
 //
 // A stack instance is the links on one wire.VClock and everything
-// attached to them: every Remote, Server, Cluster and Backup, each
+// attached to them: every Remote, Server, Cluster and Node, each
 // server's fs.FS and fs.WAL, and the recorders, histograms and fault
 // planes armed on them. It belongs to one goroutine at a time, and
 // nothing in it takes a lock: that goroutine drives every op, and the
@@ -70,22 +70,21 @@ type Service interface {
 
 // Stats accumulates a client's costs.
 type Stats struct {
-	Ops            int64
-	Syscalls       int64
-	ASSwitches     int64
-	VirtualMicros  float64 // OS-primitive + transport time
-	WireMicros     float64 // portion on the (local) wire, remote case
-	PayloadBytes   int64   // marshalled bytes, remote case
-	ServerRejected int     // frames the server's checksum rejected
-	DegradedOps    int     // ops that returned ErrUnavailable (transport exhausted)
+	Ops           int64
+	Syscalls      int64
+	ASSwitches    int64
+	VirtualMicros float64 // OS-primitive + transport time
+	WireMicros    float64 // portion on the (local) wire, remote case
+	PayloadBytes  int64   // marshalled bytes, remote case
+	DegradedOps   int     // ops that returned ErrUnavailable (transport exhausted)
 
 	// Overload accounting, remote case: refusals are split from
 	// transport failures because they mean opposite things — an
 	// overloaded service is alive and protecting itself.
 	OverloadedOps int // ops the service shed as ErrOverloaded (provably not executed on a clean wire)
 
-	// Crash–recovery accounting, remote case.
-	CrashesInjected     int // server process deaths (scheduled or forced)
+	// Crash–recovery accounting, remote case; the crashes themselves
+	// are Wire.Crashes.
 	Recoveries          int // restarts that replayed the WAL into a new epoch
 	RecoveryReplayedOps int // WAL tail records re-applied across all recoveries
 
@@ -103,10 +102,8 @@ func (s Stats) Metrics(prefix string, out map[string]float64) {
 	out[prefix+"VirtualMicros"] = s.VirtualMicros
 	out[prefix+"WireMicros"] = s.WireMicros
 	out[prefix+"PayloadBytes"] = float64(s.PayloadBytes)
-	out[prefix+"ServerRejected"] = float64(s.ServerRejected)
 	out[prefix+"DegradedOps"] = float64(s.DegradedOps)
 	out[prefix+"OverloadedOps"] = float64(s.OverloadedOps)
-	out[prefix+"CrashesInjected"] = float64(s.CrashesInjected)
 	out[prefix+"Recoveries"] = float64(s.Recoveries)
 	out[prefix+"RecoveryReplayedOps"] = float64(s.RecoveryReplayedOps)
 	s.Wire.Metrics(prefix+"Wire.", out)
@@ -213,6 +210,15 @@ type Server struct {
 // with a genesis snapshot of fsys, so recovery can rebuild whatever
 // state the server started with even before the first mutation.
 func NewServer(fsys *fs.FS, link *wire.Link, side wire.Endpoint) *Server {
+	s := newSilentServer(fsys, link, side)
+	s.serve()
+	return s
+}
+
+// newSilentServer builds a server over fsys on side of link, its WAL
+// opened with a genesis snapshot, that serves nothing yet: a backup's
+// stays silent until promotion.
+func newSilentServer(fsys *fs.FS, link *wire.Link, side wire.Endpoint) *Server {
 	s := &Server{
 		FS:            fsys,
 		Wire:          wire.NewServer(link, side),
@@ -223,10 +229,16 @@ func NewServer(fsys *fs.FS, link *wire.Link, side wire.Endpoint) *Server {
 	if err := s.wal.Snapshot(fsys); err != nil {
 		panic(err) // encodes in-memory structures only: always nil
 	}
+	return s
+}
+
+// serve arms the file service: the restart hook that recovers from the
+// WAL, the WAL's session table as the dedup authority, and the
+// handlers.
+func (s *Server) serve() {
 	s.Wire.OnRestart(s.recoverNow)
 	s.Wire.SetDedupAuthority(s.replayFor)
 	s.register()
-	return s
 }
 
 // SetCrasher attaches a crash schedule to both crash surfaces: the
@@ -391,8 +403,8 @@ func (s *Server) recoverNow() {
 	micros := float64(recoverBaseMicros + recoverPerOpMicros*replayed)
 	s.link.AdvanceClock(micros)
 	rec := s.link.Recorder()
-	rec.Event("server", "recover", 0, 0,
-		fmt.Sprintf("epoch=%d replayed=%d micros=%g", s.Wire.Epoch(), replayed, micros))
+	rec.Emit(obs.Event{Layer: "server", Name: "recover",
+		Attrs: fmt.Sprintf("epoch=%d replayed=%d micros=%g", s.Wire.Epoch(), replayed, micros)})
 	rec.Observe("server.recovery", micros)
 }
 
@@ -827,8 +839,6 @@ func (r *Remote) Stats() Stats {
 		serverStats = r.cluster.serverWireStats()
 	}
 	s.Wire = r.fo.Stats().Add(serverStats)
-	s.ServerRejected = serverStats.BadFrames
-	s.CrashesInjected = serverStats.Crashes
 	s.Recoveries, s.RecoveryReplayedOps = r.server.Recoveries()
 	return s
 }

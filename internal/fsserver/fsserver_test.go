@@ -196,8 +196,8 @@ func TestDecompositionCostsMoreMechanically(t *testing.T) {
 	if r.PayloadBytes == 0 {
 		t.Error("remote arrangement marshalled no payload")
 	}
-	if r.ServerRejected != 0 {
-		t.Errorf("clean link rejected %d frames", r.ServerRejected)
+	if n := remote.server.Wire.Stats().BadFrames; n != 0 {
+		t.Errorf("clean link rejected %d frames", n)
 	}
 }
 
@@ -378,8 +378,7 @@ func TestScriptSurvivesWireFaults(t *testing.T) {
 	if _, err := DefaultAndrewMini().Run(remote); err != nil {
 		t.Fatalf("script failed over a flaky link: %v", err)
 	}
-	st := remote.Stats()
-	if st.ServerRejected == 0 {
+	if remote.server.Wire.Stats().BadFrames == 0 {
 		t.Error("no frames were rejected — fault injection did not engage")
 	}
 	// Final state matches a clean run.

@@ -161,10 +161,9 @@ type replicator struct {
 	link    *wire.Link // primary link: shared clock + recorder for ship spans
 
 	// The round's shared batch, keyed on the round and cursor it was
-	// built for, and the scratch its records are gathered in (chunk).
+	// built for (chunk).
 	round, batchRound, batchFrom uint64
 	batch                        []byte
-	gather                       []fs.Record
 }
 
 // addPeer appends a receiving peer: a ship client on link with the
@@ -251,28 +250,28 @@ func (rp *replicator) shipTo(i int, w *fs.WAL, epoch uint32, target uint64, clie
 // chunk returns the encoded batch for a backup at cursor from (nil if
 // nothing is retained above it): at most maxShipRecords records, cut
 // before the one whose Path and Data carry the total past maxShipBytes.
-// It is encoded once per round and cursor, so every backup at the same
-// cursor (all of them, in the steady state) is sent the same bytes.
+// It is encoded straight from the log's view, before anything appends,
+// once per round and cursor, so every backup at the same cursor (all of
+// them, in the steady state) is sent the same bytes.
 func (rp *replicator) chunk(w *fs.WAL, from uint64) []byte {
 	if rp.batch != nil && rp.batchRound == rp.round && rp.batchFrom == from {
 		return rp.batch
 	}
-	recs := w.AppendRecordsSince(rp.gather[:0], from, maxShipRecords)
+	recs := w.RecordsSince(from)
 	if len(recs) == 0 {
 		return nil
 	}
-	n, bytes := len(recs), 0
-	for j, r := range recs {
-		bytes += len(r.Data) + len(r.Path)
+	recs = recs[:min(len(recs), maxShipRecords)]
+	bytes := 0
+	for j := range recs {
+		bytes += len(recs[j].Data) + len(recs[j].Path)
 		if bytes > maxShipBytes && j > 0 {
-			n = j
+			recs = recs[:j]
 			break
 		}
 	}
-	rp.batch = fs.AppendRecords(rp.batch[:0], recs[:n])
+	rp.batch = fs.AppendRecords(rp.batch[:0], recs)
 	rp.batchRound, rp.batchFrom = rp.round, from
-	clear(recs) // pins no acknowledged record's Path or Data
-	rp.gather = recs[:0]
 	return rp.batch
 }
 
@@ -328,8 +327,8 @@ func (rp *replicator) sendSnapshot(i int, w *fs.WAL, epoch uint32) bool {
 	return true
 }
 
-// ship pushes every unacknowledged record to every backup and trims the
-// ship buffer through the slowest cursor. A backup that cannot be
+// ship pushes every unacknowledged record to every backup and advances
+// the log's ship cursor to the slowest backup's. A backup that cannot be
 // reached within the ack budget leaves its cursor behind — the op is
 // still acknowledged to the client (semi-synchronous replication), the
 // lag is counted, and the next ship's catch-up closes it. The residual
@@ -391,17 +390,19 @@ func (rp *replicator) lag(w *fs.WAL) uint64 {
 	return w.LastSeq() - min
 }
 
-// Backup is one replica: it applies the primary's shipped WAL records
-// eagerly into its own WAL and file system, and can promote itself —
-// catch-up replay, epoch adoption, handler registration — when the
-// control plane declares the primary permanently dead. Its
-// client-facing wire server stays silent (no handlers) until
-// promotion.
-type Backup struct {
-	Repl *wire.Server // backup end of the replication link
+// Node is one replica: a client-facing Server over its own WAL and
+// file system and, while it receives, the backup end of a replication
+// link. A receiving node applies the primary's shipped WAL records
+// eagerly and can promote itself — catch-up replay, epoch adoption,
+// handler registration — when the control plane declares the primary
+// permanently dead; its client-facing server stays silent (no
+// handlers) until then. The original primary is a node too: it serves
+// from the start and receives only after it is deposed and rejoins.
+type Node struct {
+	Repl *wire.Server // backup end of the replication link; nil until the node receives
 
-	srv          *Server // client-facing server; registered at promotion
-	wal          *fs.WAL
+	srv          *Server    // client-facing server; silent until promotion on a backup
+	replLink     *wire.Link // the replication link; nil until the node receives
 	appliedSeq   uint64
 	primaryEpoch uint32 // highest primary epoch witnessed in ship calls
 	promoted     bool
@@ -414,13 +415,9 @@ type Backup struct {
 
 	// Sequence audit: violations count checksum failures in the shipped
 	// stream (must be zero in a correct run); reships count records
-	// received twice and skipped (retransmitted ships — benign);
-	// cursorCorrections count ships rejected because the primary's
-	// cursor ran ahead of this backup's recovered position (benign —
-	// the reply rewinds the primary).
-	seqViolations     int
-	reships           int
-	cursorCorrections int
+	// received twice and skipped (retransmitted ships — benign).
+	seqViolations int
+	reships       int
 
 	// State-transfer staging: snapshot chunks accumulate here until the
 	// final chunk's checksum verifies and the whole installs.
@@ -433,41 +430,25 @@ type Backup struct {
 	disk *faultplane.DiskPlane
 }
 
-// newBackup builds an idle backup: genesis-snapshotted WAL mirroring
-// the primary's, replication handlers registered, client-facing server
-// silent.
-func newBackup(blocks int, clientLink, replLink *wire.Link) *Backup {
-	fsys := fs.New(blocks)
-	wal := fs.NewWAL(blocks)
-	if err := wal.Snapshot(fsys); err != nil {
-		panic(err) // encodes in-memory structures only: always nil
-	}
-	b := &Backup{
-		Repl: wire.NewServer(replLink, wire.B),
-		wal:  wal,
-		srv: &Server{
-			FS:            fsys,
-			Wire:          wire.NewServer(clientLink, wire.B),
-			wal:           wal,
-			link:          clientLink,
-			SnapshotEvery: defaultSnapshotEvery,
-		},
-	}
+// receiveOn makes the node a receiver on the replication link: its
+// backup end serves the replication procedures, and, since a killed
+// receiver is not gone — its WAL is stable storage — its restart hook
+// recovers locally and the ship path re-delivers the rest. Without a
+// kill plane the hook never fires.
+func (b *Node) receiveOn(link *wire.Link) {
+	b.replLink = link
+	b.Repl = wire.NewServer(link, wire.B)
 	b.registerRepl()
-	// A killed backup is not gone: its WAL is stable storage, so the
-	// restart hook recovers locally and the ship path re-delivers the
-	// rest. Without a kill plane the hook never fires.
 	b.Repl.OnRestart(b.rejoinNow)
-	return b
 }
 
-// rejoinNow is the backup's restart hook: the node comes back from a
+// rejoinNow is a receiving node's restart hook: it comes back from a
 // transient kill, recovers what its own (possibly damaged) log can
 // prove, and re-enters the ack set at its true position — the primary's
 // next ship discovers that position via cursor correction and
 // re-delivers the rest. Runs on the reviving server's pump; purely
 // local, no peer calls (the primary pushes, the rejoiner never pulls).
-func (b *Backup) rejoinNow() {
+func (b *Node) rejoinNow() {
 	b.Repl.Restart()
 	b.registerRepl()
 	b.recoverLocal()
@@ -481,36 +462,36 @@ func (b *Backup) rejoinNow() {
 // from the damage onward (the suffix re-ships from a healthy peer), an
 // undecodable snapshot abandons the log wholesale (state transfer
 // rebuilds it).
-func (b *Backup) recoverLocal() {
+func (b *Node) recoverLocal() {
 	if b.disk != nil {
-		fault := b.disk.Decide(b.wal.SinceSnapshot())
+		fault := b.disk.Decide(b.srv.wal.SinceSnapshot())
 		if fault.TearTailIndex >= 0 {
-			b.wal.CorruptTailRecord(fault.TearTailIndex)
+			b.srv.wal.CorruptTailRecord(fault.TearTailIndex)
 		}
 		if fault.FlipSnapshot {
-			b.wal.CorruptSnapshotByte(fault.FlipOffset)
+			b.srv.wal.CorruptSnapshotByte(fault.FlipOffset)
 		}
 	}
-	fsys, _, _, err := fs.Recover(b.wal)
+	fsys, _, _, err := fs.Recover(b.srv.wal)
 	if err != nil {
 		var corrupt *fs.ErrWALCorrupt
 		if errors.As(err, &corrupt) {
-			b.wal.QuarantineFrom(corrupt.Seq)
-			fsys, _, _, err = fs.Recover(b.wal)
+			b.srv.wal.QuarantineFrom(corrupt.Seq)
+			fsys, _, _, err = fs.Recover(b.srv.wal)
 		}
 	}
 	if err != nil {
 		// The snapshot itself is rotten (or quarantine exposed more
 		// damage): nothing below is trustworthy. Reset to genesis and
 		// let state transfer rebuild the node from a healthy peer.
-		b.wal.QuarantineSnapshot()
-		fsys, _, _, err = fs.Recover(b.wal)
+		b.srv.wal.QuarantineSnapshot()
+		fsys, _, _, err = fs.Recover(b.srv.wal)
 		if err != nil {
 			panic(err) // recovery of an empty log cannot fail
 		}
 	}
 	b.srv.FS = fsys
-	b.appliedSeq = b.wal.LastSeq()
+	b.appliedSeq = b.srv.wal.LastSeq()
 }
 
 // registerRepl binds the replication procedures on the backup's end of
@@ -519,7 +500,7 @@ func (b *Backup) recoverLocal() {
 // error reply and changes nothing. Argument views die with the call
 // frame: the stage buffer copies chunks by append, and the ship decode
 // copies every Path and Data into the backup's reused record slice.
-func (b *Backup) registerRepl() {
+func (b *Node) registerRepl() {
 	b.Repl.RegisterRaw(ProcShip, func(h wire.Header, a *wire.Args, rep *wire.Reply) error {
 		epoch, batch := a.Uint32(), a.Bytes()
 		if err := a.Err(); err != nil {
@@ -553,26 +534,25 @@ func (b *Backup) registerRepl() {
 				// quarantined) records the primary believed applied.
 				// Reply the true position; the primary rewinds and
 				// re-ships from there.
-				b.cursorCorrections++
 				rep.Uint64(b.appliedSeq)
 				return nil
 			}
-			if err := b.wal.AppendShipped(r); err != nil {
+			if err := b.srv.wal.AppendShipped(r); err != nil {
 				b.seqViolations++
 				return err
 			}
 			// An op that failed on the primary fails identically here —
 			// the error is part of the replicated outcome, not a
 			// replication failure.
-			b.wal.Commit(b.srv.FS.ApplySession(r))
+			b.srv.wal.Commit(b.srv.FS.ApplySession(r))
 			b.appliedSeq = r.Seq
 			if rec.Enabled() {
 				rec.Emit(obs.Event{Layer: "repl", Name: "apply",
 					Client: r.Client, Call: r.Call, Val: float64(r.Seq)})
 			}
 		}
-		if b.srv.SnapshotEvery > 0 && b.wal.SinceSnapshot() >= b.srv.SnapshotEvery {
-			if err := b.wal.Snapshot(b.srv.FS); err != nil {
+		if b.srv.SnapshotEvery > 0 && b.srv.wal.SinceSnapshot() >= b.srv.SnapshotEvery {
+			if err := b.srv.wal.Snapshot(b.srv.FS); err != nil {
 				panic(err)
 			}
 		}
@@ -627,7 +607,7 @@ func (b *Backup) registerRepl() {
 			b.stage = b.stage[:0]
 			return fmt.Errorf("fsserver: snapshot transfer fails checksum")
 		}
-		fsys, _, err := b.wal.InstallSnapshot(b.stage, snapSeq)
+		fsys, _, err := b.srv.wal.InstallSnapshot(b.stage, snapSeq)
 		b.stage = b.stage[:0]
 		if err != nil {
 			return err
@@ -667,7 +647,7 @@ func (b *Backup) registerRepl() {
 // back (the replication-plane face of epoch fencing), and a caller
 // below the highest primacy this backup has witnessed is deposed and
 // does not know it yet. An admitted epoch becomes the witnessed one.
-func (b *Backup) fence(epoch uint32, what string) error {
+func (b *Node) fence(epoch uint32, what string) error {
 	if b.promoted {
 		return fmt.Errorf("fsserver: backup promoted (epoch %d); %s rejected", b.srv.Wire.Epoch(), what)
 	}
@@ -678,13 +658,13 @@ func (b *Backup) fence(epoch uint32, what string) error {
 	return nil
 }
 
-// AppliedSeq returns how far this backup has applied the shipped log.
-func (b *Backup) AppliedSeq() uint64 {
+// AppliedSeq returns how far this node has applied the shipped log.
+func (b *Node) AppliedSeq() uint64 {
 	return b.appliedSeq
 }
 
 // Promoted reports whether this backup has taken over as primary.
-func (b *Backup) Promoted() bool {
+func (b *Node) Promoted() bool {
 	return b.promoted
 }
 
@@ -693,11 +673,11 @@ func (b *Backup) Promoted() bool {
 // restart would), adopt an epoch past every primary epoch it witnessed
 // so stale replies are fenced, install the dedup authority over the
 // shipped session table, and register the file service. Idempotent.
-func (b *Backup) promote() uint32 {
+func (b *Node) promote() uint32 {
 	if b.promoted {
 		return b.srv.Wire.Epoch()
 	}
-	fsys, _, replayed, err := fs.Recover(b.wal)
+	fsys, _, replayed, err := fs.Recover(b.srv.wal)
 	if err != nil {
 		panic(err) // shipped log failed integrity mid-stream: unrecoverable
 	}
@@ -708,16 +688,14 @@ func (b *Backup) promote() uint32 {
 		next = e
 	}
 	s.Wire.AdoptEpoch(next + 1)
-	s.Wire.OnRestart(s.recoverNow)
-	s.Wire.SetDedupAuthority(s.replayFor)
-	s.register()
+	s.serve()
 	b.promoted = true
 	b.promotedAtSeq = b.appliedSeq
 	micros := float64(promoteBaseMicros + promotePerOpMicros*replayed)
 	s.link.AdvanceClock(micros)
 	rec := s.link.Recorder()
-	rec.Event("server", "promote", 0, 0,
-		fmt.Sprintf("epoch=%d applied=%d replayed=%d micros=%g", s.Wire.Epoch(), b.appliedSeq, replayed, micros))
+	rec.Emit(obs.Event{Layer: "server", Name: "promote",
+		Attrs: fmt.Sprintf("epoch=%d applied=%d replayed=%d micros=%g", s.Wire.Epoch(), b.appliedSeq, replayed, micros)})
 	rec.Observe("server.promotion", micros)
 	return s.Wire.Epoch()
 }
@@ -755,29 +733,18 @@ type Cluster struct {
 	cfg ReplicaConfig
 	cm  *kernel.CostModel
 
-	clock       *wire.VClock
-	primary     *Server
-	primaryLink *wire.Link
-	backups     []*Backup
-	backupLinks []*wire.Link // client↔backup, one per backup
-	replLinks   []*wire.Link // primary↔backup, one per backup
-
-	active    int // 0 = primary, i+1 = backups[i]
-	failovers int
+	clock  *wire.VClock
+	nodes  []*Node // nodes[0] is the original primary, nodes[i+1] backup i
+	active int     // index in nodes of the node holding primacy
 
 	// Self-healing plane (nil heal = disabled; see selfheal.go).
 	heal        *SelfHealPolicy
-	disk        *faultplane.DiskPlane
-	demoted     *Backup    // the deposed primary after it rejoined as a receiver
-	demotedLink *wire.Link // its fresh replication link
-	failoverAt  float64    // virtual time of the failover (rejoin pacing)
-	nextScrubAt float64    // virtual time of the next anti-entropy pass
+	failoverAt  float64 // virtual time of the failover (rejoin pacing)
+	nextScrubAt float64 // virtual time of the next anti-entropy pass
 
-	rejoins        int
-	fencedShips    int
-	scrubPasses    int
-	scrubRepairs   int
-	repairedRanges int
+	// counts holds the control plane's own counters — failovers,
+	// rejoins, fenced ships and the scrub's — which Stats starts from.
+	counts ClusterStats
 }
 
 // NewCluster builds a replica set over fresh links sharing one virtual
@@ -788,48 +755,38 @@ func NewCluster(blocks int, cm *kernel.CostModel, cfg ReplicaConfig) *Cluster {
 		panic(err)
 	}
 	clock := wire.NewVClock()
-	primaryLink := wire.NewLinkOnClock(replicaNet, clock)
-	c := &Cluster{
-		cfg:         cfg,
-		cm:          cm,
-		clock:       clock,
-		primary:     NewServer(fs.New(blocks), primaryLink, wire.B),
-		primaryLink: primaryLink,
-	}
-	c.primary.wal.EnableShipping()
-	rp := &replicator{link: primaryLink}
+	primary := NewServer(fs.New(blocks), wire.NewLinkOnClock(replicaNet, clock), wire.B)
+	primary.wal.EnableShipping()
+	c := &Cluster{cfg: cfg, cm: cm, clock: clock, nodes: []*Node{{srv: primary}}}
+	rp := &replicator{link: primary.link}
 	for i := 0; i < cfg.Backups; i++ {
 		replLink := wire.NewLinkOnClock(replicaNet, clock)
-		backupLink := wire.NewLinkOnClock(replicaNet, clock)
-		b := newBackup(blocks, backupLink, replLink)
-		c.backups = append(c.backups, b)
-		c.backupLinks = append(c.backupLinks, backupLink)
-		c.replLinks = append(c.replLinks, replLink)
+		b := &Node{srv: newSilentServer(fs.New(blocks), wire.NewLinkOnClock(replicaNet, clock), wire.B)}
+		b.receiveOn(replLink)
+		c.nodes = append(c.nodes, b)
 		rp.addPeer(cfg, replLink, b.Repl, 0)
 	}
-	c.primary.repl = rp
+	primary.repl = rp
 	return c
 }
 
 // NewClient builds a Remote spanning the whole replica set: one wire
-// client per replica link sharing a single identity, call sequence, and
-// epoch fence, failing over to a promoted backup when the primary is
-// permanently gone. Each call to NewClient is another simulated caller
-// (the replicated analogue of NewPeer), interleaved with the others by
-// the goroutine that drives the cluster.
+// client per replica link, primary first, sharing a single identity,
+// call sequence, and epoch fence, failing over to a promoted backup
+// when the primary is permanently gone. Each call to NewClient is
+// another simulated caller (the replicated analogue of NewPeer),
+// interleaved with the others by the goroutine that drives the cluster.
 func (c *Cluster) NewClient() *Remote {
-	clients := []*wire.Client{wire.NewClient(c.primaryLink, wire.A)}
-	servers := []*wire.Server{c.primary.Wire}
-	for i, b := range c.backups {
-		clients = append(clients, wire.NewClient(c.backupLinks[i], wire.A))
-		servers = append(servers, b.srv.Wire)
-	}
-	for _, cl := range clients {
-		cl.MaxRetries = 32
+	clients := make([]*wire.Client, len(c.nodes))
+	servers := make([]*wire.Server, len(c.nodes))
+	for i, n := range c.nodes {
+		clients[i] = wire.NewClient(n.srv.link, wire.A)
+		clients[i].MaxRetries = 32
+		servers[i] = n.srv.Wire
 	}
 	fo := wire.NewFailoverClient(clients, servers)
 	fo.OnFailover(c.Failover)
-	return newRemote(fo, c.primary, c.primaryLink, c.cm, c)
+	return newRemote(fo, c.Primary(), c.PrimaryLink(), c.cm, c)
 }
 
 // Failover is the promotion decision: if a failover has already
@@ -843,15 +800,12 @@ func (c *Cluster) Failover() int {
 	if c.active != 0 {
 		return c.active
 	}
-	if !c.cfg.Failover {
-		return -1
-	}
-	if !c.primary.Wire.PermanentlyDown() {
+	if !c.cfg.Failover || !c.Primary().Wire.PermanentlyDown() {
 		return -1
 	}
 	pick := -1
 	var best uint64
-	for i, b := range c.backups {
+	for i, b := range c.nodes[1:] {
 		if applied := b.AppliedSeq(); pick < 0 || applied > best {
 			pick, best = i, applied
 		}
@@ -859,34 +813,31 @@ func (c *Cluster) Failover() int {
 	if pick < 0 {
 		return -1
 	}
-	epoch := c.backups[pick].promote()
+	epoch := c.nodes[pick+1].promote()
 	c.active = pick + 1
-	c.failovers++
+	c.counts.Failovers++
 	c.failoverAt = c.clock.Clock()
-	c.armShipping(pick, epoch)
-	c.primaryLink.Recorder().Event("cluster", "failover", 0, 0,
-		"to=backup"+strconv.Itoa(pick)+" epoch="+strconv.Itoa(int(epoch)))
+	c.armShipping(epoch)
+	c.PrimaryLink().Recorder().Emit(obs.Event{Layer: "cluster", Name: "failover",
+		Attrs: "to=backup" + strconv.Itoa(pick) + " epoch=" + strconv.Itoa(int(epoch))})
 	return c.active
 }
 
 // armShipping turns the freshly promoted backup into a shipper: a
-// replicator with one wire client per remaining peer, riding the
+// replicator with one wire client per remaining receiver, riding the
 // existing replication links (a second client identity per link), its
 // WAL retaining from here on. The resync stamps the new epoch on every
 // peer — from this instant the deposed primary's ships are stale — and
 // closes whatever gap the peers have to the promotion point.
-func (c *Cluster) armShipping(pick int, epoch uint32) {
-	np := c.backups[pick].srv
+func (c *Cluster) armShipping(epoch uint32) {
+	np := c.activeServer()
 	if np.repl != nil {
 		return
 	}
 	np.wal.EnableShipping()
-	rp := &replicator{link: c.backupLinks[pick]}
-	for j, ob := range c.backups {
-		if j == pick {
-			continue
-		}
-		rp.addPeer(c.cfg, c.replLinks[j], ob.Repl, 0)
+	rp := &replicator{link: np.link}
+	for _, b := range c.receivers() {
+		rp.addPeer(c.cfg, b.replLink, b.Repl, 0)
 	}
 	np.repl = rp
 	if len(rp.clients) > 0 {
@@ -895,16 +846,16 @@ func (c *Cluster) armShipping(pick int, epoch uint32) {
 }
 
 // Primary returns the original primary server.
-func (c *Cluster) Primary() *Server { return c.primary }
+func (c *Cluster) Primary() *Server { return c.nodes[0].srv }
 
 // Backup returns the i-th backup.
-func (c *Cluster) Backup(i int) *Backup { return c.backups[i] }
+func (c *Cluster) Backup(i int) *Node { return c.nodes[i+1] }
 
 // PrimaryLink returns the client↔primary link (for fault planes).
-func (c *Cluster) PrimaryLink() *wire.Link { return c.primaryLink }
+func (c *Cluster) PrimaryLink() *wire.Link { return c.Primary().link }
 
 // ReplLink returns the primary↔backup replication link of backup i.
-func (c *Cluster) ReplLink(i int) *wire.Link { return c.replLinks[i] }
+func (c *Cluster) ReplLink(i int) *wire.Link { return c.nodes[i+1].replLink }
 
 // ActiveFS returns the file system of the replica currently serving:
 // the primary's, or the promoted backup's after a failover.
@@ -918,9 +869,8 @@ func (c *Cluster) ActiveFS() *fs.FS { return c.activeServer().FS }
 // is traced instead by the explicit repl ship/ack/apply events, keyed
 // on the trace context the WAL records carry across nodes.
 func (c *Cluster) SetRecorder(rec *obs.Recorder) {
-	c.primaryLink.SetRecorder(rec)
-	for i := range c.backups {
-		c.backupLinks[i].SetRecorder(rec)
+	for _, n := range c.nodes {
+		n.srv.link.SetRecorder(rec)
 	}
 }
 
@@ -928,9 +878,8 @@ func (c *Cluster) SetRecorder(rec *obs.Recorder) {
 // every replica's client-facing server, so a promoted backup serves at
 // the same rate the deposed primary did.
 func (c *Cluster) SetServiceCharge(micros float64) {
-	c.primary.Wire.SetServiceCharge(micros)
-	for _, b := range c.backups {
-		b.srv.Wire.SetServiceCharge(micros)
+	for _, n := range c.nodes {
+		n.srv.Wire.SetServiceCharge(micros)
 	}
 }
 
@@ -939,7 +888,7 @@ func (c *Cluster) Clock() *wire.VClock { return c.clock }
 
 // SetCrashPlane arms the primary with a crash schedule. Schedules whose
 // Fatalist face reports a permanent crash are what make failover fire.
-func (c *Cluster) SetCrashPlane(cr faultplane.Crasher) { c.primary.SetCrasher(cr) }
+func (c *Cluster) SetCrashPlane(cr faultplane.Crasher) { c.Primary().SetCrasher(cr) }
 
 // permanentCrash is the crasher KillPrimaryForever installs: it never
 // fires on its own but declares any crash fatal.
@@ -951,31 +900,25 @@ func (permanentCrash) Fatal() bool                         { return true }
 // KillPrimaryForever kills the primary deterministically and marks the
 // death permanent — the manual counterpart of a FatalFrom schedule.
 func (c *Cluster) KillPrimaryForever() {
-	c.primary.SetCrasher(permanentCrash{})
-	c.primary.Crash()
+	c.Primary().SetCrasher(permanentCrash{})
+	c.Primary().Crash()
 }
 
 // activeServer returns the server currently holding primacy.
-func (c *Cluster) activeServer() *Server {
-	if c.active == 0 {
-		return c.primary
-	}
-	return c.backups[c.active-1].srv
-}
+func (c *Cluster) activeServer() *Server { return c.nodes[c.active].srv }
 
 // receivers returns every node currently in the receiving role: the
-// backups (minus the promoted one) plus the demoted old primary once
-// it has rejoined.
-func (c *Cluster) receivers() []*Backup {
-	out := make([]*Backup, 0, len(c.backups)+1)
-	for i, b := range c.backups {
-		if i+1 == c.active {
-			continue
+// backups in index order minus the promoted one, then the deposed
+// primary once it has rejoined.
+func (c *Cluster) receivers() []*Node {
+	out := make([]*Node, 0, len(c.nodes))
+	for i, b := range c.nodes[1:] {
+		if i+1 != c.active {
+			out = append(out, b)
 		}
-		out = append(out, b)
 	}
-	if c.demoted != nil {
-		out = append(out, c.demoted)
+	if c.Demoted() != nil {
+		out = append(out, c.nodes[0])
 	}
 	return out
 }
@@ -985,46 +928,26 @@ func (c *Cluster) receivers() []*Backup {
 // ships during its own reign); sequence and lag read the node that
 // currently holds primacy.
 func (c *Cluster) Stats() ClusterStats {
-	st := ClusterStats{
-		Backups:        len(c.backups),
-		Failovers:      c.failovers,
-		Rejoins:        c.rejoins,
-		FencedShips:    c.fencedShips,
-		ScrubPasses:    c.scrubPasses,
-		ScrubRepairs:   c.scrubRepairs,
-		RepairedRanges: c.repairedRanges,
-	}
+	st := c.counts
+	st.Backups = len(c.nodes) - 1
 	if c.active > 0 {
-		st.PromotedEpoch = c.backups[c.active-1].srv.Wire.Epoch()
+		st.PromotedEpoch = c.activeServer().Wire.Epoch()
 	}
-	nodes := []*Server{c.primary}
-	for _, b := range c.backups {
-		nodes = append(nodes, b.srv)
-	}
-	for _, s := range nodes {
-		if s.repl != nil {
-			st.ReplStats = st.ReplStats.add(s.repl.stats)
+	for _, b := range c.nodes {
+		if b.srv.repl != nil {
+			st.ReplStats = st.ReplStats.add(b.srv.repl.stats)
 		}
-		ws := s.wal.Stats()
+		ws := b.srv.wal.Stats()
 		st.Quarantined += ws.Quarantined
 		st.Discarded += ws.Discarded
+		st.BackupSeq = max(st.BackupSeq, b.appliedSeq)
+		st.Reships += b.reships
+		st.SeqViolations += b.seqViolations
 	}
 	act := c.activeServer()
 	st.PrimarySeq = act.wal.LastSeq()
 	if act.repl != nil {
 		st.ReplicationLag = act.repl.lag(act.wal)
-	}
-	peers := make([]*Backup, 0, len(c.backups)+1)
-	peers = append(peers, c.backups...)
-	if c.demoted != nil {
-		peers = append(peers, c.demoted)
-	}
-	for _, b := range peers {
-		if b.appliedSeq > st.BackupSeq {
-			st.BackupSeq = b.appliedSeq
-		}
-		st.Reships += b.reships
-		st.SeqViolations += b.seqViolations
 	}
 	return st
 }
@@ -1033,15 +956,12 @@ func (c *Cluster) Stats() ClusterStats {
 // stream must have applied with no checksum failures on every node (no
 // record applied twice — retransmitted ships are skipped and counted,
 // not re-applied), and no receiving node may stand ahead of the log
-// that currently holds primacy.
+// that currently holds primacy. Replicas are numbered backups first,
+// then the original primary.
 func (c *Cluster) Audit() error {
 	last := c.activeServer().wal.LastSeq()
-	nodes := make([]*Backup, 0, len(c.backups)+1)
-	nodes = append(nodes, c.backups...)
-	if c.demoted != nil {
-		nodes = append(nodes, c.demoted)
-	}
-	for i, b := range nodes {
+	for i := range c.nodes {
+		b := c.nodes[(i+1)%len(c.nodes)]
 		if b.seqViolations > 0 {
 			return fmt.Errorf("fsserver: replica %d: %d sequence violations", i, b.seqViolations)
 		}
@@ -1055,8 +975,8 @@ func (c *Cluster) Audit() error {
 // serverWireStats merges the client-facing wire counters of every
 // replica — the server half of the replicated transport picture.
 func (c *Cluster) serverWireStats() wire.Stats {
-	st := c.primary.Wire.Stats()
-	for _, b := range c.backups {
+	st := c.Primary().Wire.Stats()
+	for _, b := range c.nodes[1:] {
 		st = st.Add(b.srv.Wire.Stats())
 	}
 	return st

@@ -53,7 +53,7 @@ func TestReplicaConfigValidate(t *testing.T) {
 func TestReplicationShipsEveryMutation(t *testing.T) {
 	// Fault-free baseline: every logged op reaches the backup before its
 	// reply reaches the client, so the backup's applied cursor tracks the
-	// primary's log exactly and the ship buffer drains to nothing.
+	// primary's log exactly and nothing awaits acknowledgement.
 	cm := kernel.NewCostModel(arch.R3000)
 	cluster := NewCluster(256, cm, DefaultReplicaConfig())
 	remote := cluster.NewClient()

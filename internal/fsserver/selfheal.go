@@ -92,7 +92,7 @@ func (c *Cluster) EnableSelfHeal(p SelfHealPolicy) {
 // counter inspection.
 func (c *Cluster) SetBackupKillPlane(i int, p faultplane.CrashPolicy) *faultplane.CrashPlane {
 	k := faultplane.NewCrash(p, c.clock.Clock)
-	c.backups[i].Repl.SetCrasher(k)
+	c.Backup(i).Repl.SetCrasher(k)
 	return k
 }
 
@@ -102,16 +102,20 @@ func (c *Cluster) SetBackupKillPlane(i int, p faultplane.CrashPolicy) *faultplan
 // which a single-pump drive makes deterministic.
 func (c *Cluster) SetDiskPlane(p faultplane.DiskFaultPolicy) *faultplane.DiskPlane {
 	d := faultplane.NewDisk(p)
-	c.disk = d
-	for _, b := range c.backups {
+	for _, b := range c.nodes {
 		b.disk = d
 	}
 	return d
 }
 
-// Demoted returns the deposed primary's receiver role after it has
-// rejoined, nil before.
-func (c *Cluster) Demoted() *Backup { return c.demoted }
+// Demoted returns the deposed primary's node once it has rejoined as a
+// receiver, nil before.
+func (c *Cluster) Demoted() *Node {
+	if c.nodes[0].Repl == nil {
+		return nil
+	}
+	return c.nodes[0]
+}
 
 // Tick drives the healing plane from the call path: demote-and-rejoin
 // the deposed primary once its fencing delay has elapsed, and run the
@@ -122,7 +126,7 @@ func (c *Cluster) Tick() {
 		return
 	}
 	now := c.clock.Clock()
-	if c.active != 0 && c.demoted == nil && now >= c.failoverAt+c.heal.RejoinDelayMicros {
+	if c.active != 0 && c.Demoted() == nil && now >= c.failoverAt+c.heal.RejoinDelayMicros {
 		c.rejoinDeposedPrimary(now)
 	}
 	if now >= c.nextScrubAt {
@@ -139,19 +143,19 @@ func (c *Cluster) Tick() {
 // link and catch up.
 func (c *Cluster) rejoinDeposedPrimary(now float64) {
 	pick := c.active - 1
-	np := c.backups[pick]
-	p := c.primary
-	rec := c.primaryLink.Recorder()
+	np, old := c.nodes[c.active], c.nodes[0]
+	p := old.srv
+	rec := c.PrimaryLink().Recorder()
 
 	// The fencing signal: one ship at the old epoch, rejected by the
 	// promoted peer. The deposed primary now knows its reign is over.
-	if old := p.repl; old != nil && pick < len(old.clients) {
+	if rp := p.repl; rp != nil && pick < len(rp.clients) {
 		probe, _ := fs.EncodeRecords(nil)
-		args := old.clients[pick].NewCallArgs()
+		args := rp.clients[pick].NewCallArgs()
 		args.Uint32(p.Wire.Epoch())
 		args.Bytes(probe)
-		if _, err := old.clients[pick].CallRaw(old.peers[pick], ProcShip, args); err != nil {
-			c.fencedShips++
+		if _, err := rp.clients[pick].CallRaw(rp.peers[pick], ProcShip, args); err != nil {
+			c.counts.FencedShips++
 		}
 	}
 
@@ -167,38 +171,26 @@ func (c *Cluster) rejoinDeposedPrimary(now float64) {
 	} else {
 		discarded = p.wal.DiscardFrom(promotedAt + 1)
 	}
-	p.wal.AckShipped(p.wal.LastSeq()) // shipper role is over; drain the buffer
+	p.wal.StopShipping() // shipper role is over
 
-	// Readmission: wrap the old primary's server and log in a receiver
-	// role on a fresh replication link, recover what the (possibly
-	// damaged) log proves, and hand the node to the active primary's
-	// replicator.
-	link := wire.NewLinkOnClock(replicaNet, c.clock)
-	nb := &Backup{
-		Repl: wire.NewServer(link, wire.B),
-		wal:  p.wal,
-		srv:  p,
-		disk: c.disk,
-	}
-	nb.primaryEpoch = newEpoch
-	nb.registerRepl()
-	nb.Repl.OnRestart(nb.rejoinNow)
-	nb.recoverLocal()
-	applied := nb.appliedSeq // the catch-up below moves it on
-	c.demoted = nb
-	c.demotedLink = link
-	c.rejoins++
+	// Readmission: the old primary's node becomes a receiver on a fresh
+	// replication link, recovers what its (possibly damaged) log
+	// proves, and joins the active primary's replicator.
+	old.primaryEpoch = newEpoch
+	old.receiveOn(wire.NewLinkOnClock(replicaNet, c.clock))
+	old.recoverLocal()
+	applied := old.appliedSeq // the catch-up below moves it on
+	c.counts.Rejoins++
 
-	npSrv := np.srv
-	if rp := npSrv.repl; rp != nil {
-		rp.addPeer(c.cfg, link, nb.Repl, applied)
+	if rp := np.srv.repl; rp != nil {
+		rp.addPeer(c.cfg, old.replLink, old.Repl, applied)
 		rp.round++
-		rp.shipTo(len(rp.clients)-1, npSrv.wal, newEpoch, npSrv.wal.LastSeq(), 0, 0)
+		rp.shipTo(len(rp.clients)-1, np.srv.wal, newEpoch, np.srv.wal.LastSeq(), 0, 0)
 	}
 
 	if rec.Enabled() {
-		rec.Event("cluster", "demote", 0, 0,
-			fmt.Sprintf("discarded=%d applied=%d epoch=%d", discarded, applied, newEpoch))
+		rec.Emit(obs.Event{Layer: "cluster", Name: "demote",
+			Attrs: fmt.Sprintf("discarded=%d applied=%d epoch=%d", discarded, applied, newEpoch)})
 		rec.Observe("repl.rejoin", now-c.failoverAt)
 		rec.Emit(obs.Event{Layer: "cluster", Name: "rejoin", Dur: now - c.failoverAt, Val: float64(applied)})
 	}
@@ -211,7 +203,7 @@ func (c *Cluster) rejoinDeposedPrimary(now float64) {
 // pushing it whole.
 func (c *Cluster) scrub() {
 	act := c.activeServer()
-	rec := c.primaryLink.Recorder()
+	rec := c.PrimaryLink().Recorder()
 	t0 := c.clock.Clock()
 	divergent := 0
 	if rp := act.repl; rp != nil && len(rp.clients) > 0 {
@@ -248,13 +240,13 @@ func (c *Cluster) scrub() {
 				continue
 			}
 			if rp.sendSnapshot(i, act.wal, epoch) {
-				c.scrubRepairs++
-				c.repairedRanges += mismatch
+				c.counts.ScrubRepairs++
+				c.counts.RepairedRanges += mismatch
 				rec.Observe("repl.repair", float64(mismatch))
 			}
 		}
 	}
-	c.scrubPasses++
+	c.counts.ScrubPasses++
 	if rec.Enabled() {
 		now := c.clock.Clock()
 		rec.EmitAt(obs.Event{T: now, Layer: "cluster", Name: "scrub",
@@ -282,7 +274,7 @@ func (c *Cluster) NodeFingerprints() []string {
 // then run a final scrub so silent divergence is repaired before the
 // caller asserts fingerprints.
 func (c *Cluster) Quiesce() {
-	if c.heal != nil && c.active != 0 && c.demoted == nil {
+	if c.heal != nil && c.active != 0 && c.Demoted() == nil {
 		c.rejoinDeposedPrimary(c.clock.Clock())
 	}
 	act := c.activeServer()

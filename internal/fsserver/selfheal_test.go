@@ -171,7 +171,7 @@ func TestStateTransferHealsCursorBelowFloor(t *testing.T) {
 	// The backup's storage rots wholesale: snapshot undecodable, log
 	// abandoned, node back at genesis.
 	b := cluster.Backup(0)
-	b.wal.QuarantineSnapshot()
+	b.srv.wal.QuarantineSnapshot()
 	b.recoverLocal()
 	applied := b.appliedSeq
 	if applied != 0 {
@@ -184,7 +184,7 @@ func TestStateTransferHealsCursorBelowFloor(t *testing.T) {
 	if st.StateTransfers == 0 || st.SnapChunks == 0 {
 		t.Fatalf("no state transfer fired: %+v", st)
 	}
-	if ws := b.wal.Stats(); ws.Installed == 0 {
+	if ws := b.srv.wal.Stats(); ws.Installed == 0 {
 		t.Error("backup never installed the transferred snapshot")
 	}
 	if st.ReplicationLag != 0 || st.BackupSeq != st.PrimarySeq {

@@ -3,6 +3,8 @@ package wire
 import (
 	"errors"
 	"strconv"
+
+	"archos/internal/obs"
 )
 
 // EpochFence is the highest server epoch a logical caller has observed
@@ -207,8 +209,8 @@ func (f *FailoverClient) callHops(proc uint32, w *CallArgs) (Args, error) {
 			if failedAt >= 0 {
 				d := c.link.Clock() - failedAt
 				rec.Observe("client.failover", d)
-				rec.Event("client", "failover_done", c.ClientID, id,
-					"endpoint="+strconv.Itoa(active)+" micros="+strconv.FormatFloat(d, 'g', -1, 64))
+				rec.Emit(obs.Event{Layer: "client", Name: "failover_done", Client: c.ClientID, Call: id,
+					Attrs: "endpoint=" + strconv.Itoa(active) + " micros=" + strconv.FormatFloat(d, 'g', -1, 64)})
 			}
 			return res, nil
 		}
@@ -225,8 +227,8 @@ func (f *FailoverClient) callHops(proc uint32, w *CallArgs) (Args, error) {
 		if next < 0 || next == active {
 			return Args{}, err
 		}
-		rec.Event("client", "failover", c.ClientID, id,
-			"from="+strconv.Itoa(active)+" to="+strconv.Itoa(next))
+		rec.Emit(obs.Event{Layer: "client", Name: "failover", Client: c.ClientID, Call: id,
+			Attrs: "from=" + strconv.Itoa(active) + " to=" + strconv.Itoa(next)})
 		f.active = next
 		f.failovers++
 		active = next

@@ -447,7 +447,7 @@ func (l *Link) transmit(from Endpoint, frame []byte, owned bool) {
 	}
 	if d.Drop {
 		if l.obs != nil {
-			l.obs.EventAt(now, "fault", "drop", clientID, callID, "")
+			l.obs.EmitAt(obs.Event{T: now, Layer: "fault", Name: "drop", Client: clientID, Call: callID})
 		}
 		if owned {
 			l.clock.putBuf(frame)
@@ -469,14 +469,14 @@ func (l *Link) transmit(from Endpoint, frame []byte, owned bool) {
 	if d.Corrupt {
 		flipBit(out, d.CorruptOffset)
 		if l.obs != nil {
-			l.obs.EventAt(now, "fault", "corrupt", clientID, callID, "")
+			l.obs.EmitAt(obs.Event{T: now, Layer: "fault", Name: "corrupt", Client: clientID, Call: callID})
 		}
 	}
 	_, held := l.queues(from)
 	delivered := 0
 	if d.Reorder {
 		if l.obs != nil {
-			l.obs.EventAt(now, "fault", "reorder", clientID, callID, "")
+			l.obs.EmitAt(obs.Event{T: now, Layer: "fault", Name: "reorder", Client: clientID, Call: callID})
 		}
 		*held = append(*held, out)
 	} else {
@@ -487,7 +487,7 @@ func (l *Link) transmit(from Endpoint, frame []byte, owned bool) {
 		dup := append(l.clock.getBuf(), out...)
 		now = l.clock.add(l.Net.PacketMicros(len(out))) // the copy occupies the wire too
 		if l.obs != nil {
-			l.obs.EventAt(now, "fault", "duplicate", clientID, callID, "")
+			l.obs.EmitAt(obs.Event{T: now, Layer: "fault", Name: "duplicate", Client: clientID, Call: callID})
 		}
 		l.deliver(from, dup)
 		delivered++

@@ -252,8 +252,8 @@ func (s *Server) enterCrashed(p faultplane.CrashPoint) {
 	s.crashed = true
 	purged := s.link.PurgeToward(s.side)
 	s.stats.Crashes++
-	s.link.Recorder().Event("server", "crash", 0, 0,
-		"point="+p.String()+" purged="+strconv.Itoa(purged))
+	s.link.Recorder().Emit(obs.Event{Layer: "server", Name: "crash",
+		Attrs: "point=" + p.String() + " purged=" + strconv.Itoa(purged)})
 }
 
 // crashPoint draws the attached crash schedule at window p and, when it
@@ -275,7 +275,7 @@ func (s *Server) Restart() {
 	s.procs = map[uint32]RawHandler{}
 	s.cache = newReplyCache(s.cache.cap, s.link.clock)
 	s.stats.Restarts++
-	s.link.Recorder().Event("server", "restart", 0, 0, "epoch="+strconv.Itoa(int(s.epoch)))
+	s.link.Recorder().Emit(obs.Event{Layer: "server", Name: "restart", Attrs: "epoch=" + strconv.Itoa(int(s.epoch))})
 }
 
 // ensureAlive restarts a crashed server through the restart hook, if
@@ -585,11 +585,6 @@ type Client struct {
 
 	// MaxRetries bounds retransmissions per call.
 	MaxRetries int
-	// InitialBackoffMicros and MaxBackoffMicros shape the capped
-	// exponential backoff charged to the link's virtual clock between
-	// retransmissions.
-	InitialBackoffMicros float64
-	MaxBackoffMicros     float64
 	// DeadlineMicros bounds one call's total virtual time (wire +
 	// delay + backoff); 0 means no budget. On a shared link the clock
 	// is the shared medium's, so other callers' traffic counts against
@@ -600,7 +595,7 @@ type Client struct {
 	DeadlineMicros float64
 
 	// jitter derives this client's deterministic backoff jitter from
-	// its ClientID (seeded lazily, so zero-value Clients work too).
+	// its ClientID.
 	jitter jitterRand
 
 	// reply is the frame of the last reply this client accepted. The
@@ -615,15 +610,21 @@ type Client struct {
 func NewClient(link *Link, side Endpoint) *Client {
 	id := link.allocClientID()
 	return &Client{
-		link:                 link,
-		side:                 side,
-		ClientID:             id,
-		MaxRetries:           3,
-		InitialBackoffMicros: 50,
-		MaxBackoffMicros:     1600,
-		jitter:               newJitterRand(id),
+		link:       link,
+		side:       side,
+		ClientID:   id,
+		MaxRetries: 3,
+		jitter:     newJitterRand(id),
 	}
 }
+
+// The capped exponential backoff charged to the link's virtual clock
+// between retransmissions: the first pause, doubling up to the cap,
+// each scaled by the client's jitter.
+const (
+	initialBackoffMicros = 50
+	maxBackoffMicros     = 1600
+)
 
 // Stats returns a snapshot of the client's transport counters.
 func (c *Client) Stats() Stats {
@@ -726,14 +727,11 @@ func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]
 	if rec.Enabled() {
 		rec.EmitAt(obs.Event{T: start, Layer: "client", Name: "call_start", Client: c.ClientID, Call: id, Proc: proc})
 	}
-	if c.jitter.state == 0 {
-		c.jitter = newJitterRand(c.ClientID)
-	}
-	backoff := c.InitialBackoffMicros
+	backoff := float64(initialBackoffMicros)
 	rejected := 0
 	for attempt := 0; attempt <= c.MaxRetries; attempt++ {
 		if c.overDeadline(start) {
-			rec.Event("client", "call_end", c.ClientID, id, "status=deadline")
+			rec.Emit(obs.Event{Layer: "client", Name: "call_end", Client: c.ClientID, Call: id, Attrs: "status=deadline"})
 			if rejected > 0 {
 				// The server shed an attempt: it is alive and declining,
 				// so this is overload, not a lost frame, and a failover
@@ -755,10 +753,7 @@ func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]
 				Dur: pause, Val: float64(attempt)})
 			rec.Observe("call.backoff", pause)
 			c.link.AdvanceClock(pause)
-			backoff *= 2
-			if backoff > c.MaxBackoffMicros {
-				backoff = c.MaxBackoffMicros
-			}
+			backoff = min(2*backoff, maxBackoffMicros)
 		}
 		c.link.Send(c.side, frame)
 		server.Poll()
@@ -767,7 +762,7 @@ func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]
 			continue // lost or corrupted somewhere: resend
 		}
 		if err != nil {
-			rec.Event("client", "call_end", c.ClientID, id, "status=error")
+			rec.Emit(obs.Event{Layer: "client", Name: "call_end", Client: c.ClientID, Call: id, Attrs: "status=error"})
 			return nil, err
 		}
 		if reason != 0 {
@@ -783,21 +778,21 @@ func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]
 		a := NewArgs(payload)
 		if ok := a.Bool(); !ok {
 			if a.Err() != nil {
-				rec.Event("client", "call_end", c.ClientID, id, "status=error")
+				rec.Emit(obs.Event{Layer: "client", Name: "call_end", Client: c.ClientID, Call: id, Attrs: "status=error"})
 				return nil, ErrBadEncoding
 			}
 			msg := "unknown"
 			if s := a.String(); a.Err() == nil {
 				msg = s
 			}
-			rec.Event("client", "call_end", c.ClientID, id, "status=error")
+			rec.Emit(obs.Event{Layer: "client", Name: "call_end", Client: c.ClientID, Call: id, Attrs: "status=error"})
 			return nil, &RemoteError{Msg: msg}
 		}
 		if c.overDeadline(start) {
 			// The reply arrived, but the budget is spent — the caller
 			// asked for an answer within the deadline, not eventually.
 			// At-most-once still holds: the call executed exactly once.
-			rec.Event("client", "call_end", c.ClientID, id, "status=deadline")
+			rec.Emit(obs.Event{Layer: "client", Name: "call_end", Client: c.ClientID, Call: id, Attrs: "status=deadline"})
 			return nil, c.deadlineErr(proc, start)
 		}
 		if rec.Enabled() {
@@ -808,7 +803,7 @@ func (c *Client) drive(server *Server, id uint32, proc uint32, frame []byte) ([]
 		}
 		return payload[okFlagBytes:], nil
 	}
-	rec.Event("client", "call_end", c.ClientID, id, "status=exhausted")
+	rec.Emit(obs.Event{Layer: "client", Name: "call_end", Client: c.ClientID, Call: id, Attrs: "status=exhausted"})
 	if rejected > 0 {
 		return nil, overloadedErr(proc, rejected)
 	}
@@ -883,7 +878,7 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 			}
 			c.epoch = h.Epoch
 		}
-		rec.Event("client", "recv_reply", c.ClientID, id, "")
+		rec.Emit(obs.Event{Layer: "client", Name: "recv_reply", Client: c.ClientID, Call: id})
 		c.reply = frame
 		return payload, 0, nil
 	}

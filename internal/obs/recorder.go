@@ -152,20 +152,6 @@ func (r *Recorder) EmitAt(e Event) {
 	s.Seq = r.seq
 }
 
-// Event appends an event stamped with the recorder's clock. Safe on a
-// nil recorder.
-func (r *Recorder) Event(layer, name string, client, call uint32, attrs string) {
-	if r == nil {
-		return
-	}
-	r.EmitAt(Event{T: r.now(), Layer: layer, Name: name, Client: client, Call: call, Attrs: attrs})
-}
-
-// EventAt appends an event with an explicit timestamp.
-func (r *Recorder) EventAt(t float64, layer, name string, client, call uint32, attrs string) {
-	r.EmitAt(Event{T: t, Layer: layer, Name: name, Client: client, Call: call, Attrs: attrs})
-}
-
 // slot is next kept out of line, so that EmitAt, its one caller on the
 // hot path, is small enough to inline into each emitting site.
 //

@@ -11,8 +11,8 @@ func TestNilRecorderIsFreeAndSafe(t *testing.T) {
 	if r.Enabled() {
 		t.Error("nil recorder claims to be enabled")
 	}
-	r.Event("layer", "name", 1, 2, "k=v") // must not panic
-	r.EventAt(10, "layer", "name", 1, 2, "")
+	r.Emit(Event{Layer: "layer", Name: "name", Client: 1, Call: 2, Attrs: "k=v"}) // must not panic
+	r.EmitAt(Event{T: 10, Layer: "layer", Name: "name", Client: 1, Call: 2})
 	r.Observe("class", 42)
 	if r.Events() != nil || r.Classes() != nil || r.EventCount() != 0 {
 		t.Error("nil recorder returned data")
@@ -25,11 +25,11 @@ func TestNilRecorderIsFreeAndSafe(t *testing.T) {
 func TestRecorderEventsStampedFromClock(t *testing.T) {
 	clk := &ManualClock{}
 	r := NewRecorder(clk)
-	r.Event("client", "call_start", 1, 1, "")
+	r.Emit(Event{Layer: "client", Name: "call_start", Client: 1, Call: 1})
 	clk.Advance(25)
-	r.Event("server", "execute", 1, 1, "proc=3")
+	r.Emit(Event{Layer: "server", Name: "execute", Client: 1, Call: 1, Attrs: "proc=3"})
 	clk.Advance(5)
-	r.EventAt(27.5, "link", "send", 1, 1, "")
+	r.EmitAt(Event{T: 27.5, Layer: "link", Name: "send", Client: 1, Call: 1})
 
 	ev := r.Events()
 	if len(ev) != 3 {
@@ -48,7 +48,7 @@ func TestRecorderEventsStampedFromClock(t *testing.T) {
 
 func TestRecorderNilClockStampsZero(t *testing.T) {
 	r := NewRecorder(nil)
-	r.Event("mach", "run", 0, 0, "")
+	r.Emit(Event{Layer: "mach", Name: "run"})
 	if ev := r.Events(); len(ev) != 1 || ev[0].T != 0 {
 		t.Errorf("events = %+v", ev)
 	}
@@ -56,11 +56,11 @@ func TestRecorderNilClockStampsZero(t *testing.T) {
 
 func TestSpanEventsFiltersByIdentity(t *testing.T) {
 	r := NewRecorder(nil)
-	r.Event("client", "call_start", 1, 1, "")
-	r.Event("client", "call_start", 2, 1, "") // another client, same call ID
-	r.Event("server", "execute", 1, 1, "")
-	r.Event("client", "call_start", 1, 2, "") // same client, next call
-	r.Event("client", "call_end", 1, 1, "")
+	r.Emit(Event{Layer: "client", Name: "call_start", Client: 1, Call: 1})
+	r.Emit(Event{Layer: "client", Name: "call_start", Client: 2, Call: 1}) // another client, same call ID
+	r.Emit(Event{Layer: "server", Name: "execute", Client: 1, Call: 1})
+	r.Emit(Event{Layer: "client", Name: "call_start", Client: 1, Call: 2}) // same client, next call
+	r.Emit(Event{Layer: "client", Name: "call_end", Client: 1, Call: 1})
 
 	span := SpanEvents(r.Events(), 1, 1)
 	if len(span) != 3 {
@@ -78,9 +78,9 @@ func TestSpanEventsFiltersByIdentity(t *testing.T) {
 func TestWriteJSONLDeterministic(t *testing.T) {
 	build := func() []Event {
 		r := NewRecorder(nil)
-		r.EventAt(1.5, "client", "call_start", 1, 1, "proc=4")
-		r.EventAt(3, "fault", "delay", 1, 1, "micros=12.25")
-		r.EventAt(9, "client", "call_end", 1, 1, "status=ok")
+		r.EmitAt(Event{T: 1.5, Layer: "client", Name: "call_start", Client: 1, Call: 1, Attrs: "proc=4"})
+		r.EmitAt(Event{T: 3, Layer: "fault", Name: "delay", Client: 1, Call: 1, Attrs: "micros=12.25"})
+		r.EmitAt(Event{T: 9, Layer: "client", Name: "call_end", Client: 1, Call: 1, Attrs: "status=ok"})
 		return r.Events()
 	}
 	var a, b bytes.Buffer
@@ -103,9 +103,9 @@ func TestWriteJSONLDeterministic(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	r := NewRecorder(nil)
-	r.EventAt(0, "client", "call_start", 1, 1, "proc=4")
-	r.EventAt(2, "server", "execute", 1, 1, "proc=4")
-	r.EventAt(5, "client", "call_end", 1, 1, "status=ok")
+	r.EmitAt(Event{T: 0, Layer: "client", Name: "call_start", Client: 1, Call: 1, Attrs: "proc=4"})
+	r.EmitAt(Event{T: 2, Layer: "server", Name: "execute", Client: 1, Call: 1, Attrs: "proc=4"})
+	r.EmitAt(Event{T: 5, Layer: "client", Name: "call_end", Client: 1, Call: 1, Attrs: "status=ok"})
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, r.Events()); err != nil {
 		t.Fatal(err)
